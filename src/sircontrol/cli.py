@@ -18,8 +18,9 @@ Exit codes: 0 success, 2 configuration error, 3 integration failure,
 from __future__ import annotations
 
 import argparse
-import sys
 import json
+import math
+import sys
 from dataclasses import dataclass, fields, replace
 from importlib import metadata
 from pathlib import Path
@@ -81,6 +82,10 @@ class ScenarioConfig:
     out: str = "."
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"config field {f.name} must be finite, got {value}")
         if self.strategy not in _STRATEGY_CHOICES:
             raise ConfigError(
                 f"config field strategy must be one of {', '.join(_STRATEGY_CHOICES)}, "

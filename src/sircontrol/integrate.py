@@ -6,10 +6,35 @@ and non-adaptive.  Control (and, in the backward sweep, state) samples at the
 RK4 half-stages are linearly interpolated between the bracketing node values;
 the direct-transcription solver differentiates exactly this rule, so it must
 not change independently.
+
+Both sweeps run on plain Python floats.  Node values are turned into lists
+once per call, and a single RK4 loop per direction calls the field once per
+stage with floats and unpacks the 3-tuple it returns:
+
+* forward:  ``dynamics(t, s, i, r, u1, u2) -> (ds, di, dr)``
+* backward: ``adjoint_dynamics(t, lam_s, lam_i, lam_r, s, i, r, u1, u2)
+  -> (dlam_s, dlam_i, dlam_r)``
+
+Control channels a signal lacks (all of them when ``controls`` is None) are
+passed as 0.0.  A step whose result is not finite raises
+:class:`IntegrationError` naming the step's start time.
+
+The loops keep the operation order of the classical 3-vector formulation
+(one numpy RK4 step per interval, applied to a closure that interpolates at
+``t``; the tests keep it as their reference), so every node agrees with it
+bit for bit.  Operation-order rule: a stage at time ``t`` of the step that
+starts at ``t_k`` interpolates with the weight ``(t - t_k) / dt`` as
+rounded (``(t_k - t) / dt`` backward).  The weights
+``((t_k + 0.5*dt) - t_k) / dt`` and ``((t_k + dt) - t_k) / dt`` must not be
+replaced by 0.5 and 1; the first stage's weight is exactly 0, so it takes
+the node values.  Stage times are ``t_k + 0.5*dt`` and ``t_k + dt``, with
+``dt`` negated backward, and the update is
+``x + (dt/6) * (((k1 + 2*k2) + 2*k3) + k4)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +46,6 @@ __all__ = [
     "IntegrationError",
     "TimeGrid",
     "Trajectory",
-    "rk4_step",
     "integrate_forward",
     "integrate_backward",
 ]
@@ -99,76 +123,81 @@ class Trajectory:
         return float(self.values.min())
 
 
-def rk4_step(
-    f: Callable[[float, np.ndarray], np.ndarray],
-    t: float,
-    x: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    """One classical RK4 step; dt may be negative (backward sweep)."""
-    if dt == 0.0:
-        raise ValueError("dt must be nonzero")
-    with np.errstate(over="ignore", invalid="ignore"):
-        # overflow here is a diagnosed failure mode, not a warning condition
-        k1 = f(t, x)
-        k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = f(t + dt, x + dt * k3)
-        out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise IntegrationError(f"non-finite state after step at t={t}")
-    return out
-
-
 def _check_controls(controls, grid: TimeGrid) -> None:
     if controls is not None and controls.grid != grid:
         raise ValueError("control signal is sampled on a different grid")
 
 
+def _control_columns(controls, n_nodes: int) -> tuple[list, list]:
+    """Node values of the two control channels as float lists; absent ones are 0.0."""
+    columns = [] if controls is None else controls.values.T.tolist()
+    while len(columns) < 2:
+        columns.append([0.0] * n_nodes)
+    return columns[0], columns[1]
+
+
 def integrate_forward(
-    dynamics: Callable[[float, np.ndarray, np.ndarray | None], np.ndarray],
+    dynamics: Callable[..., tuple[float, float, float]],
     x0: np.ndarray,
     grid: TimeGrid,
     controls=None,
 ) -> Trajectory:
-    """Integrate ``dynamics(t, x, u)`` from x0 over the grid.
+    """Integrate ``dynamics(t, s, i, r, u1, u2)`` from x0 = (S, I, R) over the grid.
 
     ``controls`` is a node-sampled signal (or None for autonomous dynamics);
     its value at RK4 half-stages is the linear interpolant of the bracketing
     nodes.  States are never clipped; validity is the caller's post-hoc check.
     """
     _check_controls(controls, grid)
-    times = grid.times()
+    times = grid.times().tolist()
     dt = grid.dt
-    out = np.empty((grid.n_nodes, len(x0)))
-    out[0] = x0
-    x = np.asarray(x0, dtype=float)
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    isfinite = math.isfinite
+    u1, u2 = _control_columns(controls, grid.n_nodes)
+    s, i, r = np.asarray(x0, dtype=float).tolist()
+    out = [(s, i, r)]
     for k in range(grid.steps):
         t_k = times[k]
-        if controls is None:
-            f = lambda t, y: dynamics(t, y, None)  # noqa: E731
-        else:
-            u_a, u_b = controls.values[k], controls.values[k + 1]
+        t_half = t_k + half
+        t_full = t_k + dt
+        w_half = (t_half - t_k) / dt
+        w_full = (t_full - t_k) / dt
+        a1 = u1[k]
+        a2 = u2[k]
+        d1 = u1[k + 1] - a1
+        d2 = u2[k + 1] - a2
+        m1 = a1 + w_half * d1
+        m2 = a2 + w_half * d2
 
-            def f(t, y, u_a=u_a, u_b=u_b, t_k=t_k):
-                w = (t - t_k) / dt
-                return dynamics(t, y, u_a + w * (u_b - u_a))
-
-        x = rk4_step(f, t_k, x, dt)
-        out[k + 1] = x
-    return Trajectory(grid, out)
+        k1s, k1i, k1r = dynamics(t_k, s, i, r, a1, a2)
+        k2s, k2i, k2r = dynamics(
+            t_half, s + half * k1s, i + half * k1i, r + half * k1r, m1, m2
+        )
+        k3s, k3i, k3r = dynamics(
+            t_half, s + half * k2s, i + half * k2i, r + half * k2r, m1, m2
+        )
+        k4s, k4i, k4r = dynamics(
+            t_full, s + dt * k3s, i + dt * k3i, r + dt * k3r,
+            a1 + w_full * d1, a2 + w_full * d2,
+        )
+        s = s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+        i = i + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+        r = r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        if not (isfinite(s) and isfinite(i) and isfinite(r)):
+            raise IntegrationError(f"non-finite state after step at t={t_k}")
+        out.append((s, i, r))
+    return Trajectory(grid, np.array(out))
 
 
 def integrate_backward(
-    adjoint_dynamics: Callable[
-        [float, np.ndarray, np.ndarray, np.ndarray | None], np.ndarray
-    ],
+    adjoint_dynamics: Callable[..., tuple[float, float, float]],
     lambda_end: np.ndarray,
     grid: TimeGrid,
     states: Trajectory,
     controls=None,
 ) -> Trajectory:
-    """Integrate ``adjoint_dynamics(t, lam, x, u)`` from t_end down to t0.
+    """Integrate ``adjoint_dynamics`` (see the module docstring) from t_end down to t0.
 
     The stored terminal node is exactly ``lambda_end``.  State and control
     samples at the (negative) RK4 half-stages follow the same linear
@@ -177,30 +206,48 @@ def integrate_backward(
     if states.grid != grid:
         raise ValueError("state trajectory lives on a different grid")
     _check_controls(controls, grid)
-    times = grid.times()
+    times = grid.times().tolist()
     dt = grid.dt
-    out = np.empty((grid.n_nodes, len(lambda_end)))
-    out[-1] = lambda_end
-    lam = np.asarray(lambda_end, dtype=float)
+    back = -dt
+    half = 0.5 * back
+    sixth = back / 6.0
+    isfinite = math.isfinite
+    xs, xi, xr = states.values.T.tolist()
+    u1, u2 = _control_columns(controls, grid.n_nodes)
+    ls, li, lr = np.asarray(lambda_end, dtype=float).tolist()
+    out = [(ls, li, lr)]
     for k in range(grid.steps, 0, -1):
         t_k = times[k]
-        x_a, x_b = states.values[k], states.values[k - 1]
-        if controls is None:
-            u_a = u_b = None
+        t_half = t_k + half
+        t_full = t_k + back
+        w_half = (t_k - t_half) / dt
+        w_full = (t_k - t_full) / dt
+        sa, ia, ra, a1, a2 = xs[k], xi[k], xr[k], u1[k], u2[k]
+        ds = xs[k - 1] - sa
+        di = xi[k - 1] - ia
+        dr = xr[k - 1] - ra
+        d1 = u1[k - 1] - a1
+        d2 = u2[k - 1] - a2
+        sm, im, rm = sa + w_half * ds, ia + w_half * di, ra + w_half * dr
+        m1, m2 = a1 + w_half * d1, a2 + w_half * d2
 
-            def g(t, l, x_a=x_a, x_b=x_b, t_k=t_k):
-                w = (t_k - t) / dt
-                return adjoint_dynamics(t, l, x_a + w * (x_b - x_a), None)
-
-        else:
-            u_a, u_b = controls.values[k], controls.values[k - 1]
-
-            def g(t, l, x_a=x_a, x_b=x_b, u_a=u_a, u_b=u_b, t_k=t_k):
-                w = (t_k - t) / dt
-                return adjoint_dynamics(
-                    t, l, x_a + w * (x_b - x_a), u_a + w * (u_b - u_a)
-                )
-
-        lam = rk4_step(g, t_k, lam, -dt)
-        out[k - 1] = lam
-    return Trajectory(grid, out)
+        k1s, k1i, k1r = adjoint_dynamics(t_k, ls, li, lr, sa, ia, ra, a1, a2)
+        k2s, k2i, k2r = adjoint_dynamics(
+            t_half, ls + half * k1s, li + half * k1i, lr + half * k1r, sm, im, rm, m1, m2
+        )
+        k3s, k3i, k3r = adjoint_dynamics(
+            t_half, ls + half * k2s, li + half * k2i, lr + half * k2r, sm, im, rm, m1, m2
+        )
+        k4s, k4i, k4r = adjoint_dynamics(
+            t_full, ls + back * k3s, li + back * k3i, lr + back * k3r,
+            sa + w_full * ds, ia + w_full * di, ra + w_full * dr,
+            a1 + w_full * d1, a2 + w_full * d2,
+        )
+        ls = ls + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+        li = li + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+        lr = lr + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        if not (isfinite(ls) and isfinite(li) and isfinite(lr)):
+            raise IntegrationError(f"non-finite state after step at t={t_k}")
+        out.append((ls, li, lr))
+    out.reverse()
+    return Trajectory(grid, np.array(out))

@@ -99,41 +99,39 @@ class ControlValue:
             raise ValueError(f"u2={self.u2} outside [0, {u_max}]")
 
 
-# Array-level rate functions, the single source of the model formulas.  The
-# third component balances the first two so the float sum is exactly zero.
+# Rate functions on plain floats, the single source of the model formulas.
+# Each returns (dS, dI, dR); the third component balances the first two so
+# the float sum is exactly zero.  R does not enter the rates.
 
 
-def uncontrolled_rates(x: np.ndarray, beta: float, mu: float) -> np.ndarray:
-    s, i = x[0], x[1]
+def uncontrolled_rates(s: float, i: float, beta: float, mu: float) -> tuple[float, float, float]:
     infection = beta * s * i
     ds = -infection
     di = infection - mu * i
-    return np.array([ds, di, -(ds + di)])
+    return ds, di, -(ds + di)
 
 
-def vaccination_rates(x: np.ndarray, beta: float, mu: float, u: float) -> np.ndarray:
-    s, i = x[0], x[1]
+def vaccination_rates(
+    s: float, i: float, beta: float, mu: float, u: float
+) -> tuple[float, float, float]:
     infection = beta * s * i
     ds = -infection - u * s
     di = infection - mu * i
-    return np.array([ds, di, -(ds + di)])
+    return ds, di, -(ds + di)
 
 
 def treatment_education_rates(
-    x: np.ndarray, beta: float, mu: float, u1: float, u2: float
-) -> np.ndarray:
-    s, i = x[0], x[1]
+    s: float, i: float, beta: float, mu: float, u1: float, u2: float
+) -> tuple[float, float, float]:
     infection = beta * s * i
     ds = -infection - u2 * s
     di = infection - (mu + u1) * i
-    return np.array([ds, di, -(ds + di)])
+    return ds, di, -(ds + di)
 
 
 def rhs_uncontrolled(state: EpidemicState, params: ModelParams) -> EpidemicState:
     """Derivative of the uncontrolled dynamics at ``state``."""
-    return EpidemicState.from_array(
-        uncontrolled_rates(state.as_array(), params.beta, params.mu)
-    )
+    return EpidemicState(*uncontrolled_rates(state.s, state.i, params.beta, params.mu))
 
 
 def rhs_vaccination(
@@ -144,9 +142,7 @@ def rhs_vaccination(
         raise ValueError(
             f"vaccination dynamics take a single control channel, got {u.channels}"
         )
-    return EpidemicState.from_array(
-        vaccination_rates(state.as_array(), params.beta, params.mu, u.u1)
-    )
+    return EpidemicState(*vaccination_rates(state.s, state.i, params.beta, params.mu, u.u1))
 
 
 def rhs_treatment_education(
@@ -157,6 +153,6 @@ def rhs_treatment_education(
         raise ValueError(
             f"treatment+education dynamics take two control channels, got {u.channels}"
         )
-    return EpidemicState.from_array(
-        treatment_education_rates(state.as_array(), params.beta, params.mu, u.u1, u.u2)
+    return EpidemicState(
+        *treatment_education_rates(state.s, state.i, params.beta, params.mu, u.u1, u.u2)
     )

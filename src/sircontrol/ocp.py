@@ -31,12 +31,20 @@ which makes their agreement a meaningful cross-check.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
 
-from .integrate import TimeGrid, Trajectory, integrate_backward, integrate_forward
+from .integrate import (
+    IntegrationError,
+    TimeGrid,
+    Trajectory,
+    _control_columns,
+    integrate_backward,
+    integrate_forward,
+)
 from .model import (
     ControlValue,
     EpidemicState,
@@ -237,30 +245,50 @@ def hamiltonian(
 ) -> float:
     """Running cost plus costate-weighted dynamics."""
     _check_arity(spec, u.channels)
-    x = state.as_array()
     p = spec.params
     if spec.kind is Strategy.TREATMENT_EDUCATION:
-        f = treatment_education_rates(x, p.beta, p.mu, u.u1, u.u2)
+        f = treatment_education_rates(state.s, state.i, p.beta, p.mu, u.u1, u.u2)
     else:
-        f = vaccination_rates(x, p.beta, p.mu, u.u1)
-    return running_cost(spec, state, u) + float(adj.as_array() @ f)
+        f = vaccination_rates(state.s, state.i, p.beta, p.mu, u.u1)
+    return running_cost(spec, state, u) + float(np.dot(adj.as_array(), f))
 
 
-def _adjoint_terms(spec: StrategySpec, beta, mu, s, i, ls, li, lr, u1, u2):
-    """Costate derivatives -dH/d(S,I,R); see docs/costate_derivation.md."""
+def _adjoint_terms(spec: StrategySpec, beta: float, mu: float):
+    """Costate field ``g(t, lam_s, lam_i, lam_r, s, i, r, u1, u2)`` on floats.
+
+    Returns the costate derivatives -dH/d(S,I,R) as a 3-tuple; see
+    docs/costate_derivation.md.
+    """
     if spec.kind is Strategy.VACCINATION:
-        dls = (ls - li) * beta * i + (ls - lr) * u1
-        dli = -1.0 + (ls - li) * beta * s + (li - lr) * mu
-        dlr = 0.0 * lr
+
+        def g(t, ls, li, lr, s, i, r, u1, u2):
+            return (
+                (ls - li) * beta * i + (ls - lr) * u1,
+                -1.0 + (ls - li) * beta * s + (li - lr) * mu,
+                0.0 * lr,
+            )
+
     elif spec.kind is Strategy.VACCINATION_WEIGHTED:
-        dls = -spec.a1 + (ls - li) * beta * i + (ls - lr) * u1
-        dli = -spec.a2 + (ls - li) * beta * s + (li - lr) * mu
-        dlr = spec.a3 + 0.0 * lr
+        a1, a2, a3 = spec.a1, spec.a2, spec.a3
+
+        def g(t, ls, li, lr, s, i, r, u1, u2):
+            return (
+                -a1 + (ls - li) * beta * i + (ls - lr) * u1,
+                -a2 + (ls - li) * beta * s + (li - lr) * mu,
+                a3 + 0.0 * lr,
+            )
+
     else:
-        dls = (ls - li) * beta * i + (ls - lr) * u2
-        dli = -spec.kappa + (ls - li) * beta * s + (li - lr) * (mu + u1)
-        dlr = 0.0 * lr
-    return dls, dli, dlr
+        kappa = spec.kappa
+
+        def g(t, ls, li, lr, s, i, r, u1, u2):
+            return (
+                (ls - li) * beta * i + (ls - lr) * u2,
+                -kappa + (ls - li) * beta * s + (li - lr) * (mu + u1),
+                0.0 * lr,
+            )
+
+    return g
 
 
 def adjoint_rhs(
@@ -274,8 +302,8 @@ def adjoint_rhs(
     _check_arity(spec, u.channels)
     p = params if params is not None else spec.params
     u2 = u.u2 if u.u2 is not None else 0.0
-    dls, dli, dlr = _adjoint_terms(
-        spec, p.beta, p.mu, state.s, state.i, adj.lam_s, adj.lam_i, adj.lam_r, u.u1, u2
+    dls, dli, dlr = _adjoint_terms(spec, p.beta, p.mu)(
+        0.0, adj.lam_s, adj.lam_i, adj.lam_r, state.s, state.i, state.r, u.u1, u2
     )
     return AdjointState(float(dls), float(dli), float(dlr))
 
@@ -307,9 +335,10 @@ def optimal_control_characterization(
 
 def uncontrolled_field(params: ModelParams):
     """Dynamics callable for :func:`integrate_forward` with no control."""
+    beta, mu = params.beta, params.mu
 
-    def f(t, x, u):
-        return uncontrolled_rates(x, params.beta, params.mu)
+    def f(t, s, i, r, u1, u2):
+        return uncontrolled_rates(s, i, beta, mu)
 
     return f
 
@@ -319,27 +348,20 @@ def dynamics_field(spec: StrategySpec):
     beta, mu = spec.params.beta, spec.params.mu
     if spec.kind is Strategy.TREATMENT_EDUCATION:
 
-        def f(t, x, u):
-            return treatment_education_rates(x, beta, mu, u[0], u[1])
+        def f(t, s, i, r, u1, u2):
+            return treatment_education_rates(s, i, beta, mu, u1, u2)
 
     else:
 
-        def f(t, x, u):
-            return vaccination_rates(x, beta, mu, u[0])
+        def f(t, s, i, r, u1, u2):
+            return vaccination_rates(s, i, beta, mu, u1)
 
     return f
 
 
 def adjoint_field(spec: StrategySpec):
     """Costate dynamics callable for :func:`integrate_backward`."""
-    beta, mu = spec.params.beta, spec.params.mu
-
-    def g(t, lam, x, u):
-        u2 = u[1] if len(u) == 2 else 0.0
-        dls, dli, dlr = _adjoint_terms(spec, beta, mu, x[0], x[1], lam[0], lam[1], lam[2], u[0], u2)
-        return np.array([dls, dli, dlr])
-
-    return g
+    return _adjoint_terms(spec, spec.params.beta, spec.params.mu)
 
 
 # -- forward-backward sweep --------------------------------------------------
@@ -350,6 +372,29 @@ def _sweep_once(spec, dynamics, adj_dynamics, u_values):
     traj = integrate_forward(dynamics, spec.x0.as_array(), spec.grid, signal)
     lam = integrate_backward(adj_dynamics, np.zeros(3), spec.grid, traj, signal)
     return signal, traj, lam
+
+
+# Smallest compartment, as a fraction of the population, of a sweep trial
+# that is not treated as a blow-up.
+_ADMISSIBLE_TOL = 1e-9
+
+
+def _trial_objective(spec, dynamics, signal):
+    """Objective and forward trajectory of a trial control; +inf if it blew up.
+
+    A trial blows up when its forward sweep raises :class:`IntegrationError`
+    or a compartment falls below ``-_ADMISSIBLE_TOL * n``.  The exact
+    dynamics keep every compartment non-negative, so such a state means the
+    RK4 step is unstable on this grid and the trial's objective means
+    nothing (on a 3-step grid it reaches -1e12).
+    """
+    try:
+        traj = integrate_forward(dynamics, spec.x0.as_array(), spec.grid, signal)
+    except IntegrationError:
+        return math.inf, None
+    if traj.min_component() < -_ADMISSIBLE_TOL * spec.params.n:
+        return math.inf, None
+    return objective(spec, traj, signal), traj
 
 
 def solve_fbsm(
@@ -367,7 +412,12 @@ def solve_fbsm(
     ``u <- (1 - c) u + c u_law`` with ``c = relaxation``.  A blend that
     raises the objective is retried with ``c`` halved (the plain relaxed
     iteration limit-cycles on strongly state-weighted problems); ``c``
-    resets to ``relaxation`` at the next iteration.  Convergence is declared
+    resets to ``relaxation`` at the next iteration.  At ``relaxation/64``
+    the blend is accepted as it is, unless it blew up (see
+    :func:`_trial_objective`): such a trial scores +inf and is never
+    accepted, and when every damped trial of an iteration blows up the
+    sweep stops.  A blow-up of the initial zero-control sweep, or of the
+    costate sweep of an accepted iterate, still raises.  Convergence is declared
     when every channel satisfies the relative-L1 test
     ``tol * ||u_new||_1 - ||u_new - u_old||_1 >= 0``.
 
@@ -396,11 +446,15 @@ def solve_fbsm(
         while True:
             u_new = (1.0 - damp) * u + damp * u_law
             signal_new = ControlSignal(spec.grid, u_new)
-            traj_new = integrate_forward(dynamics, spec.x0.as_array(), spec.grid, signal_new)
-            j_new = objective(spec, traj_new, signal_new)
+            j_new, traj_new = _trial_objective(spec, dynamics, signal_new)
             if j_new <= j + 1e-12 or damp <= relaxation / 64.0:
                 break
             damp *= 0.5
+        if not math.isfinite(j_new):
+            logger.warning(
+                "%s sweep: every damped trial blew up at iteration %d", spec.kind.name, iterations
+            )
+            break
 
         signal, traj, j = signal_new, traj_new, j_new
         lam = integrate_backward(adj_dynamics, np.zeros(3), spec.grid, traj, signal)
@@ -429,74 +483,48 @@ def solve_fbsm(
 
     if not converged:
         j, traj, signal, lam = best
-        logger.warning("%s sweep did not converge in %d iterations", spec.kind.name, max_iterations)
+        logger.warning("%s sweep did not converge in %d iterations", spec.kind.name, iterations)
     return OcpSolution(traj, signal, lam, j, iterations, converged, history)
 
 
 # -- direct transcription ----------------------------------------------------
 
 
-def _stage_jacobians(spec: StrategySpec):
-    """f, df/dx, df/du and cost gradients for the discrete reverse sweep."""
+def _reverse_terms(spec: StrategySpec):
+    """Per-strategy pieces of the discrete reverse sweep, on floats.
+
+    Returns ``(vjp, c_x, c_u)``.  ``vjp(s, i, u1, u2, k_s, k_i, k_r)`` is the
+    Jacobian-transpose product with a stage adjoint ``k``: the S and I
+    components of ``f_x^T k`` (its R component is 0, since R does not enter
+    the rates) and both channels of ``f_u^T k``.  ``c_x`` is the constant
+    state gradient of the running cost and ``c_u`` its control weights, so
+    that the control gradient of the cost is ``(c_u[0]*u1, c_u[1]*u2)``.
+    """
     beta, mu = spec.params.beta, spec.params.mu
 
     if spec.kind is Strategy.TREATMENT_EDUCATION:
 
-        def f(x, u):
-            return treatment_education_rates(x, beta, mu, u[0], u[1])
-
-        def fx(x, u):
-            s, i = x[0], x[1]
-            return np.array(
-                [
-                    [-beta * i - u[1], -beta * s, 0.0],
-                    [beta * i, beta * s - mu - u[0], 0.0],
-                    [u[1], mu + u[0], 0.0],
-                ]
+        def vjp(s, i, u1, u2, ks, ki, kr):
+            return (
+                (-beta * i - u2) * ks + beta * i * ki + u2 * kr,
+                -beta * s * ks + (beta * s - mu - u1) * ki + (mu + u1) * kr,
+                -i * ki + i * kr,
+                -s * ks + s * kr,
             )
 
-        def fu(x, u):
-            s, i = x[0], x[1]
-            return np.array([[0.0, -s], [-i, 0.0], [i, s]])
+        return vjp, (0.0, spec.kappa, 0.0), (spec.b1, spec.b2)
 
-        def cx(x, u):
-            return np.array([0.0, spec.kappa, 0.0])
+    def vjp(s, i, u1, u2, ks, ki, kr):
+        return (
+            (-beta * i - u1) * ks + beta * i * ki + u1 * kr,
+            -beta * s * ks + (beta * s - mu) * ki + mu * kr,
+            -s * ks + s * kr,
+            0.0,
+        )
 
-        def cu(x, u):
-            return np.array([spec.b1 * u[0], spec.b2 * u[1]])
-
-    else:
-        if spec.kind is Strategy.VACCINATION:
-            cost_x = np.array([0.0, 1.0, 0.0])
-            u_weight = spec.nu
-        else:
-            cost_x = np.array([spec.a1, spec.a2, -spec.a3])
-            u_weight = spec.tau
-
-        def f(x, u):
-            return vaccination_rates(x, beta, mu, u[0])
-
-        def fx(x, u):
-            s, i = x[0], x[1]
-            return np.array(
-                [
-                    [-beta * i - u[0], -beta * s, 0.0],
-                    [beta * i, beta * s - mu, 0.0],
-                    [u[0], mu, 0.0],
-                ]
-            )
-
-        def fu(x, u):
-            s = x[0]
-            return np.array([[-s], [0.0], [s]])
-
-        def cx(x, u):
-            return cost_x
-
-        def cu(x, u):
-            return np.array([u_weight * u[0]])
-
-    return f, fx, fu, cx, cu
+    if spec.kind is Strategy.VACCINATION:
+        return vjp, (0.0, 1.0, 0.0), (spec.nu, 0.0)
+    return vjp, (spec.a1, spec.a2, -spec.a3), (spec.tau, 0.0)
 
 
 def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
@@ -506,62 +534,82 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     steps with linearly interpolated controls (half-stages see the node
     midpoint average) and trapezoid quadrature of the running cost.  Agrees
     with finite differences of :func:`objective` on the forward trajectory
-    to roundoff.
+    to roundoff.  The reverse loop runs on floats: each step recomputes its
+    stage states with the dynamics field and pulls the state adjoint back
+    through the four stages with the strategy's Jacobian-transpose products.
 
     Returns ``(objective_value, gradient)`` with the gradient shaped like
     ``u_values``.
     """
     signal = ControlSignal(spec.grid, u_values)
-    traj = integrate_forward(dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
+    dynamics = dynamics_field(spec)
+    traj = integrate_forward(dynamics, spec.x0.as_array(), spec.grid, signal)
     j = objective(spec, traj, signal)
 
-    f, fx, fu, cx, cu = _stage_jacobians(spec)
-    x = traj.values
+    vjp, (cs, ci, cr), (w1, w2) = _reverse_terms(spec)
     dt = spec.grid.dt
     n = spec.grid.steps
-    grad = np.zeros_like(u_values)
+    half, third, sixth = 0.5 * dt, dt / 3.0, dt / 6.0
+    times = spec.grid.times().tolist()
+    xs, xi, xr = traj.values.T.tolist()
+    u1, u2 = _control_columns(signal, spec.grid.n_nodes)
+    g1 = [0.0] * (n + 1)
+    g2 = [0.0] * (n + 1)
 
     # node-cost weights of the trapezoid rule
     w_end, w_mid = 0.5 * dt, dt
 
-    xbar = w_end * cx(x[n], u_values[n])
-    grad[n] += w_end * cu(x[n], u_values[n])
+    # adjoint of the state node x[k+1], entering step k
+    bs, bi, br = w_end * cs, w_end * ci, w_end * cr
+    g1[n] += w_end * (w1 * u1[n])
+    g2[n] += w_end * (w2 * u2[n])
     for k in range(n - 1, -1, -1):
-        u_a, u_b = u_values[k], u_values[k + 1]
-        um = 0.5 * (u_a + u_b)
-        x1 = x[k]
-        f1 = f(x1, u_a)
-        x2 = x1 + 0.5 * dt * f1
-        f2 = f(x2, um)
-        x3 = x1 + 0.5 * dt * f2
-        f3 = f(x3, um)
-        x4 = x1 + dt * f3
+        ua1, ua2, ub1, ub2 = u1[k], u2[k], u1[k + 1], u2[k + 1]
+        um1, um2 = 0.5 * (ua1 + ub1), 0.5 * (ua2 + ub2)
+        t_k = times[k]
+        t_half = t_k + half
+        s1, i1, r1 = xs[k], xi[k], xr[k]
+        fs, fi, fr = dynamics(t_k, s1, i1, r1, ua1, ua2)
+        s2, i2, r2 = s1 + half * fs, i1 + half * fi, r1 + half * fr
+        fs, fi, fr = dynamics(t_half, s2, i2, r2, um1, um2)
+        s3, i3, r3 = s1 + half * fs, i1 + half * fi, r1 + half * fr
+        fs, fi, _ = dynamics(t_half, s3, i3, r3, um1, um2)
+        s4, i4 = s1 + dt * fs, i1 + dt * fi
 
-        kbar4 = (dt / 6.0) * xbar
-        a4 = fx(x4, u_b).T @ kbar4
-        grad[k + 1] += fu(x4, u_b).T @ kbar4
+        a4s, a4i, e1, e2 = vjp(s4, i4, ub1, ub2, sixth * bs, sixth * bi, sixth * br)
+        g1[k + 1] += e1
+        g2[k + 1] += e2
 
-        kbar3 = (dt / 3.0) * xbar + dt * a4
-        a3 = fx(x3, um).T @ kbar3
-        dmid = fu(x3, um).T @ kbar3
+        a3s, a3i, dm1, dm2 = vjp(
+            s3, i3, um1, um2, third * bs + dt * a4s, third * bi + dt * a4i, third * br
+        )
+        a2s, a2i, e1, e2 = vjp(
+            s2, i2, um1, um2, third * bs + half * a3s, third * bi + half * a3i, third * br
+        )
+        dm1 += e1
+        dm2 += e2
 
-        kbar2 = (dt / 3.0) * xbar + 0.5 * dt * a3
-        a2 = fx(x2, um).T @ kbar2
-        dmid += fu(x2, um).T @ kbar2
+        a1s, a1i, e1, e2 = vjp(
+            s1, i1, ua1, ua2, sixth * bs + half * a2s, sixth * bi + half * a2i, sixth * br
+        )
+        g1[k] += e1
+        g2[k] += e2
 
-        kbar1 = (dt / 6.0) * xbar + 0.5 * dt * a2
-        a1 = fx(x1, u_a).T @ kbar1
-        grad[k] += fu(x1, u_a).T @ kbar1
+        g1[k] += 0.5 * dm1
+        g2[k] += 0.5 * dm2
+        g1[k + 1] += 0.5 * dm1
+        g2[k + 1] += 0.5 * dm2
 
-        grad[k] += 0.5 * dmid
-        grad[k + 1] += 0.5 * dmid
-
-        xbar = xbar + a1 + a2 + a3 + a4
+        bs = bs + a1s + a2s + a3s + a4s
+        bi = bi + a1i + a2i + a3i + a4i
         w_node = w_end if k == 0 else w_mid
-        xbar += w_node * cx(x1, u_a)
-        grad[k] += w_node * cu(x1, u_a)
+        bs += w_node * cs
+        bi += w_node * ci
+        br += w_node * cr
+        g1[k] += w_node * (w1 * ua1)
+        g2[k] += w_node * (w2 * ua2)
 
-    return j, grad
+    return j, np.column_stack((g1, g2)[: spec.channels])
 
 
 def solve_direct(
@@ -575,7 +623,8 @@ def solve_direct(
 
     Spectral (Barzilai-Borwein) step lengths with a non-monotone Armijo
     backtracking line search; iterates are projected onto [0, u_max] after
-    every trial step.  Termination: sup-norm of the projected gradient
+    every trial step.  A trial whose forward sweep blows up scores +inf and
+    is backtracked; only the initial zero-control evaluation raises.  Termination: sup-norm of the projected gradient
     residual ``P(u - g) - u`` below ``gtol``, or ``max_iterations``.
 
     Independent of :func:`solve_fbsm` in its optimization route, sharing only
@@ -609,7 +658,10 @@ def solve_direct(
         lam_step = 1.0
         for _ in range(max_backtracks):
             u_trial = u + lam_step * d
-            j_trial, g_trial = objective_gradient(spec, u_trial)
+            try:
+                j_trial, g_trial = objective_gradient(spec, u_trial)
+            except IntegrationError:
+                j_trial = math.inf  # a trial that blows up is a rejected step
             if j_trial <= j_ref + 1e-4 * lam_step * slope:
                 break
             lam_step *= 0.5

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+from dataclasses import fields
 
 import pytest
 
@@ -65,6 +67,27 @@ def test_config_rejects_bad_numbers():
         config_from_entries({"steps": "0"})
     with pytest.raises(ConfigError, match="strategy"):
         config_from_entries({"strategy": "5"})
+
+
+FLOAT_KEYS = (
+    "beta", "mu", "s0", "i0", "r0", "t_end", "u_max", "nu", "a1", "a2", "a3",
+    "tau", "kappa", "b1", "b2", "tol", "relaxation", "threshold",
+)
+
+
+def test_float_keys_are_every_float_field():
+    assert set(FLOAT_KEYS) == {f.name for f in fields(ScenarioConfig) if f.type == "float"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_config_value_is_a_config_error(tmp_path, capsys, key, value):
+    path = write_cfg(tmp_path, "nonfinite.cfg", f"{key} = {value}\n")
+    rc = main(["simulate", "--config", path, "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert key in err
 
 
 def test_defaults_are_the_reference_scenario():
@@ -213,6 +236,17 @@ def test_optimize_nonconvergence_exit_code(tmp_path):
     payload = json.loads((tmp_path / "strategy1.json").read_text())
     assert payload["convergence"]["converged"] is False
     assert (tmp_path / "strategy1.csv").exists()
+
+
+@pytest.mark.parametrize("strategy", ["1", "2", "3"])
+def test_optimize_survives_trials_that_blow_up(tmp_path, strategy):
+    """On 3 steps the first damped trials blow up; they are rejected steps."""
+    argv = ["optimize", "--strategy", strategy, "--steps", "3", "--out", str(tmp_path)]
+    assert main(argv) in (EXIT_OK, EXIT_NO_CONVERGENCE)
+    label = f"strategy{strategy}"
+    assert len(read_csv(tmp_path / f"{label}.csv")) == 1 + 4
+    payload = json.loads((tmp_path / f"{label}.json").read_text())
+    assert math.isfinite(payload["summary"]["objective"])
 
 
 def test_optimize_threshold_flag_changes_period(tmp_path):

@@ -11,7 +11,6 @@ from sircontrol.integrate import (
     Trajectory,
     integrate_backward,
     integrate_forward,
-    rk4_step,
 )
 from sircontrol.ocp import (
     DEFAULT_PARAMS,
@@ -21,6 +20,8 @@ from sircontrol.ocp import (
     default_spec,
     uncontrolled_field,
 )
+
+from _reference_loops import rk4_step
 
 GRID = TimeGrid(0.0, 100.0, 1000)
 
@@ -49,7 +50,7 @@ def test_trajectory_shape_must_match_grid():
         Trajectory(TimeGrid(0.0, 1.0, 10), np.zeros((5, 3)))
 
 
-# -- single RK4 steps ------------------------------------------------------------
+# -- single RK4 steps of the numpy reference stepper -------------------------------
 
 
 def test_rk4_zero_dynamics_is_identity():
@@ -105,7 +106,9 @@ def test_forward_conserves_population(uncontrolled_traj):
 def test_forward_blowup_raises():
     with pytest.raises(IntegrationError):
         integrate_forward(
-            lambda t, x, u: x * x, np.array([1.0]), TimeGrid(0.0, 5.0, 10)
+            lambda t, s, i, r, u1, u2: (s * s, 0.0, 0.0),
+            np.array([1.0, 0.0, 0.0]),
+            TimeGrid(0.0, 5.0, 10),
         )
 
 
@@ -123,7 +126,7 @@ def test_linear_control_interpolation_is_exact():
     u_nodes = (3.0 * grid.times() + 1.0).reshape(-1, 1)  # u(t) = 3t + 1
     signal = ControlSignal(grid, u_nodes)
     traj = integrate_forward(
-        lambda t, x, u: np.array([u[0]]), np.array([0.0]), grid, signal
+        lambda t, s, i, r, u1, u2: (u1, 0.0, 0.0), np.zeros(3), grid, signal
     )
     assert traj.values[-1, 0] == pytest.approx(8.0, rel=1e-13)  # int_0^2 (3t+1) dt
 
@@ -131,9 +134,13 @@ def test_linear_control_interpolation_is_exact():
 # -- backward integration ----------------------------------------------------------
 
 
+def zero_costate_field(t, ls, li, lr, s, i, r, u1, u2):
+    return 0.0, 0.0, 0.0
+
+
 def test_backward_zero_terminal_zero_dynamics_stays_zero(uncontrolled_traj):
     adj = integrate_backward(
-        lambda t, lam, x, u: np.zeros(3), np.zeros(3), GRID, uncontrolled_traj
+        zero_costate_field, np.zeros(3), GRID, uncontrolled_traj
     )
     assert np.array_equal(adj.values, np.zeros((1001, 3)))
 
@@ -141,14 +148,14 @@ def test_backward_zero_terminal_zero_dynamics_stays_zero(uncontrolled_traj):
 def test_backward_terminal_node_is_stored_exactly(uncontrolled_traj):
     lam_end = np.array([0.5, -0.25, 0.125])
     adj = integrate_backward(
-        lambda t, lam, x, u: np.zeros(3), lam_end, GRID, uncontrolled_traj
+        zero_costate_field, lam_end, GRID, uncontrolled_traj
     )
     assert np.array_equal(adj.values[-1], lam_end)
 
 
 def test_backward_grid_matches_forward(uncontrolled_traj):
     adj = integrate_backward(
-        lambda t, lam, x, u: np.zeros(3), np.zeros(3), GRID, uncontrolled_traj
+        zero_costate_field, np.zeros(3), GRID, uncontrolled_traj
     )
     assert adj.grid == uncontrolled_traj.grid
     assert adj.values.shape[0] == uncontrolled_traj.values.shape[0]
@@ -159,7 +166,7 @@ def test_backward_recovers_exponential():
     grid = TimeGrid(0.0, 1.0, 100)
     states = Trajectory(grid, np.zeros((101, 3)))
     adj = integrate_backward(
-        lambda t, lam, x, u: lam, np.ones(3), grid, states
+        lambda t, ls, li, lr, s, i, r, u1, u2: (ls, li, lr), np.ones(3), grid, states
     )
     assert adj.values[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-9)
 

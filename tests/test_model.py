@@ -91,24 +91,24 @@ def test_controls_off_reduce_to_uncontrolled():
 def test_rate_components_sum_to_exact_zero():
     rng = np.random.default_rng(11)
     for state in random_states(rng, 50):
-        x = state.as_array()
-        u1, u2 = rng.uniform(0.0, 0.9, size=2)
+        s, i = state.s, state.i
+        u1, u2 = rng.uniform(0.0, 0.9, size=2).tolist()
         for d in (
-            uncontrolled_rates(x, 0.2, 0.1),
-            vaccination_rates(x, 0.2, 0.1, u1),
-            treatment_education_rates(x, 0.2, 0.1, u1, u2),
+            uncontrolled_rates(s, i, 0.2, 0.1),
+            vaccination_rates(s, i, 0.2, 0.1, u1),
+            treatment_education_rates(s, i, 0.2, 0.1, u1, u2),
         ):
-            assert d.sum() == 0.0  # exact: third component balances the others
+            assert sum(d) == 0.0  # exact: third component balances the others
 
 
 def test_recovered_inflow_is_never_negative():
     rng = np.random.default_rng(13)
     for state in random_states(rng, 50):
-        x = state.as_array()
-        u1, u2 = rng.uniform(0.0, 0.9, size=2)
-        assert uncontrolled_rates(x, 0.2, 0.1)[2] >= 0.0
-        assert vaccination_rates(x, 0.2, 0.1, u1)[2] >= 0.0
-        assert treatment_education_rates(x, 0.2, 0.1, u1, u2)[2] >= 0.0
+        s, i = state.s, state.i
+        u1, u2 = rng.uniform(0.0, 0.9, size=2).tolist()
+        assert uncontrolled_rates(s, i, 0.2, 0.1)[2] >= 0.0
+        assert vaccination_rates(s, i, 0.2, 0.1, u1)[2] >= 0.0
+        assert treatment_education_rates(s, i, 0.2, 0.1, u1, u2)[2] >= 0.0
 
 
 # -- arity and validation -------------------------------------------------------

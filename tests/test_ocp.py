@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from sircontrol.integrate import TimeGrid, Trajectory, integrate_forward
+from sircontrol import ocp
+from sircontrol.integrate import IntegrationError, TimeGrid, Trajectory, integrate_forward
 from sircontrol.metrics import peak_infected
-from sircontrol.model import ControlValue, EpidemicState
+from sircontrol.model import ControlValue, EpidemicState, ModelParams
 from sircontrol.ocp import (
     AdjointState,
     ControlSignal,
@@ -355,6 +356,62 @@ def test_gradient_descent_direction_reduces_objective():
     j0, grad = objective_gradient(spec, u)
     j1, _ = objective_gradient(spec, u - 1e-3 * grad)
     assert j1 < j0
+
+
+def fail_calls(monkeypatch, name, fails):
+    """Make each call ``n`` (from 1) of ``ocp.<name>`` with ``fails(n)`` raise IntegrationError."""
+    original = getattr(ocp, name)
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if fails(len(calls)):
+            raise IntegrationError("non-finite state after step at t=0.0")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ocp, name, flaky)
+    return calls
+
+
+def test_fbsm_rejects_a_trial_that_blows_up(monkeypatch):
+    spec = default_spec(1, steps=200)
+    expected = solve_fbsm(spec)
+    calls = fail_calls(monkeypatch, "integrate_forward", lambda n: n == 2)  # the first trial
+    sol = solve_fbsm(spec)
+    assert len(calls) > 2
+    assert sol.converged
+    assert sol.objective == pytest.approx(expected.objective, rel=1e-3)
+
+
+def test_fbsm_stops_with_its_best_iterate_when_every_trial_blows_up(monkeypatch):
+    spec = default_spec(1, steps=200)
+    calls = fail_calls(monkeypatch, "integrate_forward", lambda n: n > 1)
+    sol = solve_fbsm(spec)
+    assert not sol.converged
+    assert sol.iterations == 1
+    assert sol.objective == sol.objective_history[0]
+    assert np.array_equal(sol.control.values, np.zeros((spec.grid.n_nodes, 1)))
+    assert len(calls) == 1 + 7  # the zero-control sweep, then damping 1/2 ... 1/128
+
+
+def test_fbsm_initial_blowup_still_raises():
+    spec = StrategySpec(
+        kind=Strategy.VACCINATION,
+        params=ModelParams(beta=1e8, mu=0.1),
+        grid=TimeGrid(0.0, 100.0, 10),
+    )
+    with pytest.raises(IntegrationError):
+        solve_fbsm(spec)
+
+
+def test_direct_rejects_a_trial_that_blows_up(monkeypatch):
+    spec = default_spec(1, steps=200)
+    expected = solve_direct(spec)
+    calls = fail_calls(monkeypatch, "objective_gradient", lambda n: n == 2)  # the first trial
+    sol = solve_direct(spec)
+    assert len(calls) > 2
+    assert sol.converged
+    assert sol.objective == pytest.approx(expected.objective, rel=1e-9)
 
 
 def test_fbsm_full_relaxation_still_terminates(caplog):
