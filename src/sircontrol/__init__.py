@@ -19,19 +19,15 @@ from .metrics import (
     summarize_run,
     terminal_values,
 )
-from .model import ControlValue, EpidemicState, ModelParams
+from .model import EpidemicState, ModelParams
 from .ocp import (
-    AdjointState,
     ControlSignal,
     OcpSolution,
     Strategy,
     StrategySpec,
-    adjoint_rhs,
     default_spec,
-    hamiltonian,
     objective,
     objective_gradient,
-    optimal_control_characterization,
     running_cost,
     solve_direct,
     solve_fbsm,
@@ -44,20 +40,15 @@ __all__ = [
     "Trajectory",
     "integrate_forward",
     "integrate_backward",
-    "ControlValue",
     "EpidemicState",
     "ModelParams",
-    "AdjointState",
     "ControlSignal",
     "OcpSolution",
     "Strategy",
     "StrategySpec",
-    "adjoint_rhs",
     "default_spec",
-    "hamiltonian",
     "objective",
     "objective_gradient",
-    "optimal_control_characterization",
     "running_cost",
     "solve_direct",
     "solve_fbsm",

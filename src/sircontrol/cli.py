@@ -29,6 +29,11 @@ from .integrate import IntegrationError, TimeGrid, Trajectory, integrate_forward
 from .metrics import DEFAULT_PERIOD_THRESHOLD, RunSummary, compare_strategies, summarize_run
 from .model import EpidemicState, ModelParams
 from .ocp import (
+    DEFAULT_PARAMS,
+    DEFAULT_STEPS,
+    DEFAULT_T_END,
+    DEFAULT_X0,
+    _WEIGHT_FIELDS,
     ControlSignal,
     OcpSolution,
     Strategy,
@@ -56,28 +61,31 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One scenario: model, strategy weights, grid, solver settings, outputs."""
+    """One scenario: model, strategy weights, grid, solver settings, outputs.
+
+    Defaults are those of :class:`StrategySpec` and :func:`solve_fbsm`.
+    """
 
     strategy: str = "none"
-    beta: float = 0.2
-    mu: float = 0.1
-    s0: float = 0.95
-    i0: float = 0.05
-    r0: float = 0.0
-    t_end: float = 100.0
-    steps: int = 1000
-    u_max: float = 0.9
-    nu: float = 0.5
-    a1: float = 0.1
-    a2: float = 0.5
-    a3: float = 0.002
-    tau: float = 1.0
-    kappa: float = 1.0
-    b1: float = 0.2
-    b2: float = 0.04
-    tol: float = 1e-3
-    max_iterations: int = 500
-    relaxation: float = 0.5
+    beta: float = DEFAULT_PARAMS.beta
+    mu: float = DEFAULT_PARAMS.mu
+    s0: float = DEFAULT_X0.s
+    i0: float = DEFAULT_X0.i
+    r0: float = DEFAULT_X0.r
+    t_end: float = DEFAULT_T_END
+    steps: int = DEFAULT_STEPS
+    u_max: float = StrategySpec.u_max
+    nu: float = StrategySpec.nu
+    a1: float = StrategySpec.a1
+    a2: float = StrategySpec.a2
+    a3: float = StrategySpec.a3
+    tau: float = StrategySpec.tau
+    kappa: float = StrategySpec.kappa
+    b1: float = StrategySpec.b1
+    b2: float = StrategySpec.b2
+    tol: float = solve_fbsm.__kwdefaults__["tol"]
+    max_iterations: int = solve_fbsm.__kwdefaults__["max_iterations"]
+    relaxation: float = solve_fbsm.__kwdefaults__["relaxation"]
     threshold: float = DEFAULT_PERIOD_THRESHOLD
     out: str = "."
 
@@ -91,11 +99,7 @@ class ScenarioConfig:
                 f"config field strategy must be one of {', '.join(_STRATEGY_CHOICES)}, "
                 f"got {self.strategy!r}"
             )
-        positive = (
-            "beta", "mu", "t_end", "u_max", "nu", "a1", "a2", "a3",
-            "tau", "kappa", "b1", "b2", "tol", "threshold",
-        )
-        for name in positive:
+        for name in ("beta", "mu", "t_end", "u_max") + _WEIGHT_FIELDS + ("tol", "threshold"):
             v = getattr(self, name)
             if not v > 0:
                 raise ConfigError(f"config field {name} must be positive, got {v}")
@@ -139,14 +143,7 @@ class ScenarioConfig:
             x0=self.x0(),
             grid=self.grid(),
             u_max=self.u_max,
-            nu=self.nu,
-            a1=self.a1,
-            a2=self.a2,
-            a3=self.a3,
-            tau=self.tau,
-            kappa=self.kappa,
-            b1=self.b1,
-            b2=self.b2,
+            **{name: getattr(self, name) for name in _WEIGHT_FIELDS},
         )
 
     def resolved(self) -> dict:

@@ -40,8 +40,6 @@ from typing import Callable
 
 import numpy as np
 
-from .model import EpidemicState
-
 __all__ = [
     "IntegrationError",
     "TimeGrid",
@@ -64,6 +62,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
+            raise ValueError(f"t0={self.t0} and t_end={self.t_end} must be finite")
         if not self.t_end > self.t0:
             raise ValueError(f"t_end={self.t_end} must exceed t0={self.t0}")
         if self.steps < 1:
@@ -111,9 +111,6 @@ class Trajectory:
     @property
     def r(self) -> np.ndarray:
         return self.values[:, 2]
-
-    def state_at(self, k: int) -> EpidemicState:
-        return EpidemicState.from_array(self.values[k])
 
     def conservation_error(self, n: float = 1.0) -> float:
         """Largest deviation of S+I+R from n over all nodes."""

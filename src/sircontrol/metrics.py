@@ -147,10 +147,6 @@ class ComparisonTable:
     def summaries(self) -> list[tuple[str, RunSummary]]:
         return [(row[0], RunSummary(*row[1:])) for row in self.rows]
 
-    def column(self, name: str) -> list:
-        j = self.columns.index(name)
-        return [row[j] for row in self.rows]
-
 
 def compare_strategies(summaries: list[RunSummary], labels: list[str]) -> ComparisonTable:
     """One table row per run, columns for every summary field."""

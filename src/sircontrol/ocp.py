@@ -8,24 +8,28 @@ a fixed horizon subject to box bounds 0 <= u <= u_max:
 * TREATMENT_EDUCATION    cost  kappa I + (b1/2) u1^2 + (b2/2) u2^2
                          with treatment u1 I -> R and education u2 S -> R
 
-Two independent solution routes are provided:
+Each running cost is ``c_x . (S, I, R) + (w1/2) u1^2 + (w2/2) u2^2`` and each
+control moves a compartment into R.  ``_weights(spec) -> (c_x, w)`` is the
+only code that branches on the strategy; ``_LAYOUTS`` holds one entry per
+control layout (u1 drains S; u1 drains I and u2 drains S) that builds the
+dynamics field, the costate field ``-(c_x + f_x^T lam)`` and the products
+``f_x^T k``, ``f_u^T k``.  The running cost, the control law
+``clip(-(f_u^T lam)_c / w_c, 0, u_max)`` and the reverse gradient derive from
+these two tables (see docs/costate_derivation.md).  Two solution routes:
 
 ``solve_fbsm``
     Forward-backward sweep: alternate forward state integration, backward
     costate integration from the transversality condition lam(t_end) = 0,
-    and a relaxed update toward the pointwise control law.  The costate
-    systems and control laws are derived from the Hamiltonian of each
-    problem; see docs/costate_derivation.md for the full derivation.
+    and a relaxed update toward the pointwise control law.
 
 ``solve_direct``
-    Direct transcription: the control node values are the decision variables
-    and a projected-gradient method descends the discretized objective.  The
-    gradient is the exact reverse-mode derivative of the discrete scheme
-    (RK4 with linearly interpolated controls, trapezoid cost quadrature), so
-    it matches finite differences of the discretized objective to roundoff.
+    Direct transcription: projected-gradient descent on the control node
+    values, with the exact reverse-mode gradient of the discrete scheme (RK4
+    with linearly interpolated controls, trapezoid cost quadrature).
 
-The two routes share only the problem definition and the forward integrator,
-which makes their agreement a meaningful cross-check.
+The two routes share the problem tables, Jacobians included, and the forward
+integrator; the tables are checked independently by finite differences of the
+discrete objective (reverse gradient) and of the Hamiltonian (costate field).
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .integrate import (
     integrate_forward,
 )
 from .model import (
-    ControlValue,
     EpidemicState,
     ModelParams,
     treatment_education_rates,
@@ -58,14 +61,11 @@ __all__ = [
     "Strategy",
     "StrategySpec",
     "ControlSignal",
-    "AdjointState",
     "OcpSolution",
     "default_spec",
     "running_cost",
     "objective",
-    "hamiltonian",
-    "adjoint_rhs",
-    "optimal_control_characterization",
+    "control_law",
     "dynamics_field",
     "uncontrolled_field",
     "adjoint_field",
@@ -87,6 +87,8 @@ DEFAULT_T_END = 100.0
 DEFAULT_STEPS = 1000
 DEFAULT_U_MAX = 0.9
 
+_WEIGHT_FIELDS = ("nu", "a1", "a2", "a3", "tau", "kappa", "b1", "b2")
+
 
 class Strategy(IntEnum):
     """The three control problems, numbered as in the CLI."""
@@ -97,7 +99,7 @@ class Strategy(IntEnum):
 
     @property
     def channels(self) -> int:
-        return 2 if self is Strategy.TREATMENT_EDUCATION else 1
+        return _LAYOUTS[self][0]
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ class StrategySpec:
     def __post_init__(self):
         if not (np.isfinite(self.u_max) and 0.0 < self.u_max):
             raise ValueError(f"u_max must be in (0, inf), got {self.u_max}")
-        for name in ("nu", "a1", "a2", "a3", "tau", "kappa", "b1", "b2"):
+        for name in _WEIGHT_FIELDS:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"weight {name} must be positive, got {v}")
@@ -165,28 +167,8 @@ class ControlSignal:
     def zeros(cls, grid: TimeGrid, channels: int) -> "ControlSignal":
         return cls(grid, np.zeros((grid.n_nodes, channels)))
 
-    def value_at(self, k: int) -> ControlValue:
-        row = self.values[k]
-        return ControlValue(float(row[0]), float(row[1]) if self.channels == 2 else None)
-
     def max_bound_violation(self, u_max: float) -> float:
         return float(max(-self.values.min(), self.values.max() - u_max, 0.0))
-
-
-@dataclass(frozen=True)
-class AdjointState:
-    """Costates (lam_S, lam_I, lam_R) at one instant; also used for derivatives."""
-
-    lam_s: float
-    lam_i: float
-    lam_r: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lam_s, self.lam_i, self.lam_r], dtype=float)
-
-    @classmethod
-    def from_array(cls, x) -> "AdjointState":
-        return cls(float(x[0]), float(x[1]), float(x[2]))
 
 
 @dataclass
@@ -202,132 +184,126 @@ class OcpSolution:
     objective_history: list[float]
 
 
-# -- problem definition ------------------------------------------------------
+# -- the problem tables --------------------------------------------------------
 
 
-def _check_arity(spec: StrategySpec, channels: int) -> None:
-    if channels != spec.channels:
-        raise ValueError(
-            f"{spec.kind.name} expects {spec.channels} control channel(s), got {channels}"
+def _weights(spec: StrategySpec):
+    """``(c_x, w)``: the running cost is ``c_x . (S, I, R) + (w1/2) u1^2 + (w2/2) u2^2``."""
+    if spec.kind is Strategy.VACCINATION:
+        return (0.0, 1.0, 0.0), (spec.nu, 0.0)
+    if spec.kind is Strategy.VACCINATION_WEIGHTED:
+        return (spec.a1, spec.a2, -spec.a3), (spec.tau, 0.0)
+    return (0.0, spec.kappa, 0.0), (spec.b1, spec.b2)
+
+
+# A layout builder takes (beta, mu, c_x) and returns float callables
+# dynamics(t, s, i, r, u1, u2), costate(t, lam_s, lam_i, lam_r, s, i, r, u1, u2)
+# and vjp(s, i, u1, u2, k_s, k_i, k_r) (see docs/costate_derivation.md).  The
+# costate field is written out, not composed from vjp, so that it stays as
+# fast as, and bit for bit equal to, the published equations; f_u^T k is
+# written (k_R - k_X) x for a control moving X to R for the same reason.
+
+
+def _drains_s(beta, mu, c_x):
+    """u1 moves S to R (strategies 1 and 2); u2 is ignored."""
+    ns, ni, nr = -c_x[0], -c_x[1], -c_x[2]
+
+    def dynamics(t, s, i, r, u1, u2):
+        return vaccination_rates(s, i, beta, mu, u1)
+
+    def costate(t, ls, li, lr, s, i, r, u1, u2):
+        return (
+            ns + (ls - li) * beta * i + (ls - lr) * u1,
+            ni + (ls - li) * beta * s + (li - lr) * mu,
+            nr + 0.0 * lr,
         )
 
+    def vjp(s, i, u1, u2, ks, ki, kr):
+        return (
+            (-beta * i - u1) * ks + beta * i * ki + u1 * kr,
+            -beta * s * ks + (beta * s - mu) * ki + mu * kr,
+            (kr - ks) * s,
+            0.0,
+        )
 
-def _cost_terms(spec: StrategySpec, s, i, r, u1, u2):
-    """Running cost, vectorized over node columns (also works on scalars)."""
-    if spec.kind is Strategy.VACCINATION:
-        return i + 0.5 * spec.nu * u1**2
-    if spec.kind is Strategy.VACCINATION_WEIGHTED:
-        return spec.a1 * s + spec.a2 * i - spec.a3 * r + 0.5 * spec.tau * u1**2
-    return spec.kappa * i + 0.5 * spec.b1 * u1**2 + 0.5 * spec.b2 * u2**2
+    return dynamics, costate, vjp
 
 
-def running_cost(spec: StrategySpec, state: EpidemicState, u: ControlValue) -> float:
-    """Instantaneous cost integrand of the strategy's objective."""
-    _check_arity(spec, u.channels)
-    u2 = u.u2 if u.u2 is not None else 0.0
-    return float(_cost_terms(spec, state.s, state.i, state.r, u.u1, u2))
+def _drains_i_and_s(beta, mu, c_x):
+    """u1 moves I to R and u2 moves S to R (strategy 3)."""
+    ns, ni, nr = -c_x[0], -c_x[1], -c_x[2]
+
+    def dynamics(t, s, i, r, u1, u2):
+        return treatment_education_rates(s, i, beta, mu, u1, u2)
+
+    def costate(t, ls, li, lr, s, i, r, u1, u2):
+        return (
+            ns + (ls - li) * beta * i + (ls - lr) * u2,
+            ni + (ls - li) * beta * s + (li - lr) * (mu + u1),
+            nr + 0.0 * lr,
+        )
+
+    def vjp(s, i, u1, u2, ks, ki, kr):
+        return (
+            (-beta * i - u2) * ks + beta * i * ki + u2 * kr,
+            -beta * s * ks + (beta * s - mu - u1) * ki + (mu + u1) * kr,
+            (kr - ki) * i,
+            (kr - ks) * s,
+        )
+
+    return dynamics, costate, vjp
+
+
+# strategy -> (control channels, layout builder)
+_LAYOUTS = {
+    Strategy.VACCINATION: (1, _drains_s),
+    Strategy.VACCINATION_WEIGHTED: (1, _drains_s),
+    Strategy.TREATMENT_EDUCATION: (2, _drains_i_and_s),
+}
+
+
+def _fields(spec: StrategySpec):
+    """``(dynamics, costate, vjp)`` of the spec's layout at its rates and weights."""
+    c_x, _ = _weights(spec)
+    return _LAYOUTS[spec.kind][1](spec.params.beta, spec.params.mu, c_x)
+
+
+# -- derived problem functions -------------------------------------------------
+
+
+def running_cost(spec: StrategySpec, s, i, r, u1, u2):
+    """Cost integrand ``c_x . (S, I, R) + (w1/2) u1^2 + (w2/2) u2^2``, on floats or arrays."""
+    (cs, ci, cr), (w1, w2) = _weights(spec)
+    return cs * s + ci * i + cr * r + 0.5 * w1 * u1**2 + 0.5 * w2 * u2**2
 
 
 def objective(spec: StrategySpec, traj: Trajectory, controls: ControlSignal) -> float:
     """Composite-trapezoid quadrature of the running cost over the horizon."""
     if traj.grid != spec.grid or controls.grid != spec.grid:
         raise ValueError("trajectory/controls are not on the problem grid")
-    _check_arity(spec, controls.channels)
-    u1 = controls.values[:, 0]
-    u2 = controls.values[:, 1] if controls.channels == 2 else 0.0
-    c = _cost_terms(spec, traj.s, traj.i, traj.r, u1, u2)
+    if controls.channels != spec.channels:
+        raise ValueError(
+            f"{spec.kind.name} expects {spec.channels} control channel(s), "
+            f"got {controls.channels}"
+        )
+    u = controls.values
+    c = running_cost(
+        spec, traj.s, traj.i, traj.r, u[:, 0], u[:, 1] if controls.channels == 2 else 0.0
+    )
     dt = spec.grid.dt
     return float(dt * (c.sum() - 0.5 * (c[0] + c[-1])))
 
 
-def hamiltonian(
-    spec: StrategySpec, state: EpidemicState, adj: AdjointState, u: ControlValue
-) -> float:
-    """Running cost plus costate-weighted dynamics."""
-    _check_arity(spec, u.channels)
-    p = spec.params
-    if spec.kind is Strategy.TREATMENT_EDUCATION:
-        f = treatment_education_rates(state.s, state.i, p.beta, p.mu, u.u1, u.u2)
-    else:
-        f = vaccination_rates(state.s, state.i, p.beta, p.mu, u.u1)
-    return running_cost(spec, state, u) + float(np.dot(adj.as_array(), f))
+def control_law(spec: StrategySpec, s, i, lam_s, lam_i, lam_r) -> np.ndarray:
+    """Pointwise minimizer of H over the box, ``clip(-(f_u^T lam)_c / w_c, 0, u_max)``.
 
-
-def _adjoint_terms(spec: StrategySpec, beta: float, mu: float):
-    """Costate field ``g(t, lam_s, lam_i, lam_r, s, i, r, u1, u2)`` on floats.
-
-    Returns the costate derivatives -dH/d(S,I,R) as a 3-tuple; see
-    docs/costate_derivation.md.
+    Takes floats or node arrays; returns one column per control channel.
     """
-    if spec.kind is Strategy.VACCINATION:
-
-        def g(t, ls, li, lr, s, i, r, u1, u2):
-            return (
-                (ls - li) * beta * i + (ls - lr) * u1,
-                -1.0 + (ls - li) * beta * s + (li - lr) * mu,
-                0.0 * lr,
-            )
-
-    elif spec.kind is Strategy.VACCINATION_WEIGHTED:
-        a1, a2, a3 = spec.a1, spec.a2, spec.a3
-
-        def g(t, ls, li, lr, s, i, r, u1, u2):
-            return (
-                -a1 + (ls - li) * beta * i + (ls - lr) * u1,
-                -a2 + (ls - li) * beta * s + (li - lr) * mu,
-                a3 + 0.0 * lr,
-            )
-
-    else:
-        kappa = spec.kappa
-
-        def g(t, ls, li, lr, s, i, r, u1, u2):
-            return (
-                (ls - li) * beta * i + (ls - lr) * u2,
-                -kappa + (ls - li) * beta * s + (li - lr) * (mu + u1),
-                0.0 * lr,
-            )
-
-    return g
-
-
-def adjoint_rhs(
-    spec: StrategySpec,
-    state: EpidemicState,
-    adj: AdjointState,
-    u: ControlValue,
-    params: ModelParams | None = None,
-) -> AdjointState:
-    """Costate derivative at one point of the state/control trajectory."""
-    _check_arity(spec, u.channels)
-    p = params if params is not None else spec.params
-    u2 = u.u2 if u.u2 is not None else 0.0
-    dls, dli, dlr = _adjoint_terms(spec, p.beta, p.mu)(
-        0.0, adj.lam_s, adj.lam_i, adj.lam_r, state.s, state.i, state.r, u.u1, u2
+    _, w = _weights(spec)
+    f_u = _fields(spec)[2](s, i, 0.0, 0.0, lam_s, lam_i, lam_r)[2:]
+    return np.column_stack(
+        [np.clip(-f_u[c] / w[c], 0.0, spec.u_max) for c in range(spec.channels)]
     )
-    return AdjointState(float(dls), float(dli), float(dlr))
-
-
-def _characterize_terms(spec: StrategySpec, s, i, ls, li, lr):
-    """Pointwise control law from Hamiltonian stationarity, clipped to the box."""
-    if spec.kind is Strategy.VACCINATION:
-        return (np.clip((ls - lr) * s / spec.nu, 0.0, spec.u_max),)
-    if spec.kind is Strategy.VACCINATION_WEIGHTED:
-        return (np.clip((ls - lr) * s / spec.tau, 0.0, spec.u_max),)
-    return (
-        np.clip((li - lr) * i / spec.b1, 0.0, spec.u_max),
-        np.clip((ls - lr) * s / spec.b2, 0.0, spec.u_max),
-    )
-
-
-def optimal_control_characterization(
-    spec: StrategySpec, state: EpidemicState, adj: AdjointState
-) -> ControlValue:
-    """Optimal control at one point given the costates."""
-    ch = _characterize_terms(spec, state.s, state.i, adj.lam_s, adj.lam_i, adj.lam_r)
-    if len(ch) == 1:
-        return ControlValue(float(ch[0]))
-    return ControlValue(float(ch[0]), float(ch[1]))
 
 
 # -- dynamics/costate fields for the integrator ------------------------------
@@ -345,54 +321,41 @@ def uncontrolled_field(params: ModelParams):
 
 def dynamics_field(spec: StrategySpec):
     """Controlled dynamics callable for :func:`integrate_forward`."""
-    beta, mu = spec.params.beta, spec.params.mu
-    if spec.kind is Strategy.TREATMENT_EDUCATION:
-
-        def f(t, s, i, r, u1, u2):
-            return treatment_education_rates(s, i, beta, mu, u1, u2)
-
-    else:
-
-        def f(t, s, i, r, u1, u2):
-            return vaccination_rates(s, i, beta, mu, u1)
-
-    return f
+    return _fields(spec)[0]
 
 
 def adjoint_field(spec: StrategySpec):
-    """Costate dynamics callable for :func:`integrate_backward`."""
-    return _adjoint_terms(spec, spec.params.beta, spec.params.mu)
+    """Costate dynamics ``-(c_x + f_x^T lam)``, a callable for :func:`integrate_backward`."""
+    return _fields(spec)[1]
+
+
+# Smallest compartment, as a fraction of the population, of a solver's
+# forward sweep that is not treated as a blow-up.
+_ADMISSIBLE_TOL = 1e-9
+
+
+def _admissible_forward(spec: StrategySpec, dynamics, signal: ControlSignal) -> Trajectory:
+    """Forward sweep of a solver iterate; :class:`IntegrationError` if it blew up.
+
+    A compartment below ``-_ADMISSIBLE_TOL * n`` is a blow-up too: the exact
+    dynamics keep every compartment non-negative, so such a state means RK4
+    is unstable on this grid (on 3 steps a trial reaches I = -1e12).
+    """
+    traj = integrate_forward(dynamics, spec.x0.as_array(), spec.grid, signal)
+    low = traj.min_component()
+    if low < -_ADMISSIBLE_TOL * spec.params.n:
+        raise IntegrationError(f"a compartment fell to {low:.3g}: RK4 is unstable on this grid")
+    return traj
 
 
 # -- forward-backward sweep --------------------------------------------------
 
 
-def _sweep_once(spec, dynamics, adj_dynamics, u_values):
-    signal = ControlSignal(spec.grid, u_values)
-    traj = integrate_forward(dynamics, spec.x0.as_array(), spec.grid, signal)
-    lam = integrate_backward(adj_dynamics, np.zeros(3), spec.grid, traj, signal)
-    return signal, traj, lam
-
-
-# Smallest compartment, as a fraction of the population, of a sweep trial
-# that is not treated as a blow-up.
-_ADMISSIBLE_TOL = 1e-9
-
-
 def _trial_objective(spec, dynamics, signal):
-    """Objective and forward trajectory of a trial control; +inf if it blew up.
-
-    A trial blows up when its forward sweep raises :class:`IntegrationError`
-    or a compartment falls below ``-_ADMISSIBLE_TOL * n``.  The exact
-    dynamics keep every compartment non-negative, so such a state means the
-    RK4 step is unstable on this grid and the trial's objective means
-    nothing (on a 3-step grid it reaches -1e12).
-    """
+    """Objective and forward trajectory of a trial control; +inf if it blew up."""
     try:
-        traj = integrate_forward(dynamics, spec.x0.as_array(), spec.grid, signal)
+        traj = _admissible_forward(spec, dynamics, signal)
     except IntegrationError:
-        return math.inf, None
-    if traj.min_component() < -_ADMISSIBLE_TOL * spec.params.n:
         return math.inf, None
     return objective(spec, traj, signal), traj
 
@@ -414,7 +377,7 @@ def solve_fbsm(
     iteration limit-cycles on strongly state-weighted problems); ``c``
     resets to ``relaxation`` at the next iteration.  At ``relaxation/64``
     the blend is accepted as it is, unless it blew up (see
-    :func:`_trial_objective`): such a trial scores +inf and is never
+    :func:`_admissible_forward`): such a trial scores +inf and is never
     accepted, and when every damped trial of an iteration blows up the
     sweep stops.  A blow-up of the initial zero-control sweep, or of the
     costate sweep of an accepted iterate, still raises.  Convergence is declared
@@ -428,7 +391,9 @@ def solve_fbsm(
     adj_dynamics = adjoint_field(spec)
 
     u = np.zeros((spec.grid.n_nodes, spec.channels))
-    signal, traj, lam = _sweep_once(spec, dynamics, adj_dynamics, u)
+    signal = ControlSignal(spec.grid, u)
+    traj = _admissible_forward(spec, dynamics, signal)
+    lam = integrate_backward(adj_dynamics, np.zeros(3), spec.grid, traj, signal)
     j = objective(spec, traj, signal)
     history = [j]
     best = (j, traj, signal, lam)
@@ -436,11 +401,7 @@ def solve_fbsm(
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        u_law = np.column_stack(
-            _characterize_terms(
-                spec, traj.s, traj.i, lam.values[:, 0], lam.values[:, 1], lam.values[:, 2]
-            )
-        )
+        u_law = control_law(spec, traj.s, traj.i, *lam.values.T)
 
         damp = relaxation
         while True:
@@ -490,43 +451,6 @@ def solve_fbsm(
 # -- direct transcription ----------------------------------------------------
 
 
-def _reverse_terms(spec: StrategySpec):
-    """Per-strategy pieces of the discrete reverse sweep, on floats.
-
-    Returns ``(vjp, c_x, c_u)``.  ``vjp(s, i, u1, u2, k_s, k_i, k_r)`` is the
-    Jacobian-transpose product with a stage adjoint ``k``: the S and I
-    components of ``f_x^T k`` (its R component is 0, since R does not enter
-    the rates) and both channels of ``f_u^T k``.  ``c_x`` is the constant
-    state gradient of the running cost and ``c_u`` its control weights, so
-    that the control gradient of the cost is ``(c_u[0]*u1, c_u[1]*u2)``.
-    """
-    beta, mu = spec.params.beta, spec.params.mu
-
-    if spec.kind is Strategy.TREATMENT_EDUCATION:
-
-        def vjp(s, i, u1, u2, ks, ki, kr):
-            return (
-                (-beta * i - u2) * ks + beta * i * ki + u2 * kr,
-                -beta * s * ks + (beta * s - mu - u1) * ki + (mu + u1) * kr,
-                -i * ki + i * kr,
-                -s * ks + s * kr,
-            )
-
-        return vjp, (0.0, spec.kappa, 0.0), (spec.b1, spec.b2)
-
-    def vjp(s, i, u1, u2, ks, ki, kr):
-        return (
-            (-beta * i - u1) * ks + beta * i * ki + u1 * kr,
-            -beta * s * ks + (beta * s - mu) * ki + mu * kr,
-            -s * ks + s * kr,
-            0.0,
-        )
-
-    if spec.kind is Strategy.VACCINATION:
-        return vjp, (0.0, 1.0, 0.0), (spec.nu, 0.0)
-    return vjp, (spec.a1, spec.a2, -spec.a3), (spec.tau, 0.0)
-
-
 def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     """Discretized objective and its exact gradient w.r.t. control node values.
 
@@ -536,17 +460,19 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     with finite differences of :func:`objective` on the forward trajectory
     to roundoff.  The reverse loop runs on floats: each step recomputes its
     stage states with the dynamics field and pulls the state adjoint back
-    through the four stages with the strategy's Jacobian-transpose products.
+    through the four stages with the layout's ``vjp``; the cost gradient is
+    ``c_x`` and ``w * u`` from :func:`_weights`.
 
     Returns ``(objective_value, gradient)`` with the gradient shaped like
-    ``u_values``.
+    ``u_values``.  Raises :class:`IntegrationError` when the forward sweep
+    blows up (see :func:`_admissible_forward`).
     """
     signal = ControlSignal(spec.grid, u_values)
-    dynamics = dynamics_field(spec)
-    traj = integrate_forward(dynamics, spec.x0.as_array(), spec.grid, signal)
+    dynamics, _, vjp = _fields(spec)
+    traj = _admissible_forward(spec, dynamics, signal)
     j = objective(spec, traj, signal)
 
-    vjp, (cs, ci, cr), (w1, w2) = _reverse_terms(spec)
+    (cs, ci, cr), (w1, w2) = _weights(spec)
     dt = spec.grid.dt
     n = spec.grid.steps
     half, third, sixth = 0.5 * dt, dt / 3.0, dt / 6.0
@@ -623,12 +549,13 @@ def solve_direct(
 
     Spectral (Barzilai-Borwein) step lengths with a non-monotone Armijo
     backtracking line search; iterates are projected onto [0, u_max] after
-    every trial step.  A trial whose forward sweep blows up scores +inf and
-    is backtracked; only the initial zero-control evaluation raises.  Termination: sup-norm of the projected gradient
-    residual ``P(u - g) - u`` below ``gtol``, or ``max_iterations``.
+    every trial step.  A trial that blows up (:func:`_admissible_forward`)
+    scores +inf and is backtracked; only the initial zero-control evaluation
+    raises.  Termination: sup-norm of the projected gradient residual
+    ``P(u - g) - u`` below ``gtol``, or ``max_iterations``.
 
-    Independent of :func:`solve_fbsm` in its optimization route, sharing only
-    the problem definition and forward integrator; used as its cross-check.
+    Shares the problem tables and forward integrator with :func:`solve_fbsm`,
+    but not its optimization route; used as its cross-check.
     """
     lo, hi = 0.0, spec.u_max
     u = np.zeros((spec.grid.n_nodes, spec.channels))

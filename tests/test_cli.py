@@ -20,6 +20,7 @@ from sircontrol.cli import (
     main,
     parse_config_text,
 )
+from sircontrol.ocp import default_spec
 
 
 def write_cfg(tmp_path, name, text):
@@ -101,6 +102,11 @@ def test_defaults_are_the_reference_scenario():
     assert (cfg.b1, cfg.b2) == (0.2, 0.04)
     assert (cfg.tol, cfg.max_iterations, cfg.relaxation) == (1e-3, 500, 0.5)
     assert cfg.threshold == 0.005
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3])
+def test_config_defaults_are_the_default_spec(kind):
+    assert ScenarioConfig(strategy=str(kind)).spec() == default_spec(kind)
 
 
 def test_cli_flags_override_config_file(tmp_path):
@@ -238,15 +244,31 @@ def test_optimize_nonconvergence_exit_code(tmp_path):
     assert (tmp_path / "strategy1.csv").exists()
 
 
-@pytest.mark.parametrize("strategy", ["1", "2", "3"])
-def test_optimize_survives_trials_that_blow_up(tmp_path, strategy):
-    """On 3 steps the first damped trials blow up; they are rejected steps."""
+@pytest.mark.parametrize(
+    "strategy, flags",
+    [(s, []) for s in "123"] + [(s, ["--cross-check"]) for s in "123"],
+    ids=["1", "2", "3", "1-cross-check", "2-cross-check", "3-cross-check"],
+)
+def test_optimize_survives_trials_that_blow_up(tmp_path, strategy, flags):
+    """On 3 steps the first trials of either solver blow up; they are rejected steps."""
     argv = ["optimize", "--strategy", strategy, "--steps", "3", "--out", str(tmp_path)]
-    assert main(argv) in (EXIT_OK, EXIT_NO_CONVERGENCE)
+    assert main(argv + flags) in (EXIT_OK, EXIT_NO_CONVERGENCE)
     label = f"strategy{strategy}"
-    assert len(read_csv(tmp_path / f"{label}.csv")) == 1 + 4
+    rows = read_csv(tmp_path / f"{label}.csv")
+    assert len(rows) == 1 + 4
+    assert all(math.isfinite(float(v)) for row in rows[1:] for v in row if v)
     payload = json.loads((tmp_path / f"{label}.json").read_text())
     assert math.isfinite(payload["summary"]["objective"])
+    if flags:
+        assert math.isfinite(payload["cross_check"]["objective_direct"])
+
+
+@pytest.mark.parametrize("flags", [[], ["--cross-check"]], ids=["sweep", "cross-check"])
+def test_optimize_reports_a_grid_unstable_without_control(tmp_path, capsys, flags):
+    """On 2 steps even the zero control drives a compartment negative."""
+    argv = ["optimize", "--strategy", "1", "--steps", "2", "--out", str(tmp_path)]
+    assert main(argv + flags) == EXIT_INTEGRATION
+    assert "integration failure" in capsys.readouterr().err
 
 
 def test_optimize_threshold_flag_changes_period(tmp_path):

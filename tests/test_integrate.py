@@ -43,6 +43,9 @@ def test_grid_rejects_degenerate_spans():
         TimeGrid(5.0, 1.0, 10)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 1.0, 0)
+    for t0, t_end in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(t0, t_end, 10)
 
 
 def test_trajectory_shape_must_match_grid():

@@ -185,15 +185,6 @@ def test_compare_preserves_input_order_and_columns():
     assert set(dataclasses.asdict(summary_fixture(0.1, 0.5)).keys()) <= set(table.columns)
 
 
-def test_compare_column_accessor():
-    table = compare_strategies(
-        [summary_fixture(0.2, 0.7), summary_fixture(0.1, 0.9)], ["x", "y"]
-    )
-    assert table.column("peak_infected") == [0.2, 0.1]
-    with pytest.raises(ValueError):
-        table.column("missing")
-
-
 def test_compare_rejects_mismatched_or_empty_inputs():
     with pytest.raises(ValueError):
         compare_strategies([summary_fixture(0.1, 0.5)], ["a", "b"])

@@ -3,20 +3,19 @@
 import numpy as np
 import pytest
 
+from sircontrol.integrate import Trajectory
 from sircontrol.model import (
-    ControlValue,
     EpidemicState,
     ModelParams,
-    rhs_treatment_education,
-    rhs_uncontrolled,
-    rhs_vaccination,
     treatment_education_rates,
     uncontrolled_rates,
     vaccination_rates,
 )
+from sircontrol.ocp import ControlSignal, default_spec, objective
 
 X0 = EpidemicState(0.95, 0.05, 0.0)
 PARAMS = ModelParams(beta=0.2, mu=0.1)
+BETA, MU = PARAMS.beta, PARAMS.mu
 
 
 def random_states(rng, count):
@@ -29,50 +28,49 @@ def random_states(rng, count):
 
 
 def test_uncontrolled_rates_default_point():
-    d = rhs_uncontrolled(X0, PARAMS)
-    assert d.s == pytest.approx(-0.0095, rel=1e-12)
-    assert d.i == pytest.approx(0.0045, rel=1e-12)
-    assert d.r == pytest.approx(0.005, rel=1e-12)
+    ds, di, dr = uncontrolled_rates(X0.s, X0.i, BETA, MU)
+    assert ds == pytest.approx(-0.0095, rel=1e-12)
+    assert di == pytest.approx(0.0045, rel=1e-12)
+    assert dr == pytest.approx(0.005, rel=1e-12)
 
 
 def test_uncontrolled_rates_disease_free_point_is_static():
-    d = rhs_uncontrolled(EpidemicState(1.0, 0.0, 0.0), PARAMS)
-    assert (d.s, d.i, d.r) == (0.0, 0.0, 0.0)
+    assert uncontrolled_rates(1.0, 0.0, BETA, MU) == (0.0, 0.0, 0.0)
 
 
 def test_uncontrolled_rates_without_transmission():
     p = ModelParams(beta=1e-300, mu=0.1)  # beta must stay positive; make it negligible
-    d = rhs_uncontrolled(EpidemicState(0.5, 0.5, 0.0), p)
-    assert d.s == pytest.approx(0.0, abs=1e-300)
-    assert d.i == pytest.approx(-0.05, rel=1e-12)
-    assert d.r == pytest.approx(0.05, rel=1e-12)
+    ds, di, dr = uncontrolled_rates(0.5, 0.5, p.beta, p.mu)
+    assert ds == pytest.approx(0.0, abs=1e-300)
+    assert di == pytest.approx(-0.05, rel=1e-12)
+    assert dr == pytest.approx(0.05, rel=1e-12)
 
 
 def test_vaccination_rates_at_full_rate():
-    d = rhs_vaccination(X0, PARAMS, ControlValue(0.9))
-    assert d.s == pytest.approx(-0.8645, rel=1e-12)
-    assert d.i == pytest.approx(0.0045, rel=1e-12)
-    assert d.r == pytest.approx(0.86, rel=1e-12)
+    ds, di, dr = vaccination_rates(X0.s, X0.i, BETA, MU, 0.9)
+    assert ds == pytest.approx(-0.8645, rel=1e-12)
+    assert di == pytest.approx(0.0045, rel=1e-12)
+    assert dr == pytest.approx(0.86, rel=1e-12)
 
 
 def test_vaccination_term_vanishes_without_susceptibles():
-    d = rhs_vaccination(EpidemicState(0.0, 0.6, 0.4), PARAMS, ControlValue(0.9))
-    assert d.s == 0.0
-    assert d.r == pytest.approx(0.06, rel=1e-12)
+    ds, _, dr = vaccination_rates(0.0, 0.6, BETA, MU, 0.9)
+    assert ds == 0.0
+    assert dr == pytest.approx(0.06, rel=1e-12)
 
 
 def test_treatment_education_rates_at_full_treatment():
-    d = rhs_treatment_education(X0, PARAMS, ControlValue(0.9, 0.0))
-    assert d.s == pytest.approx(-0.0095, rel=1e-12)
-    assert d.i == pytest.approx(-0.0405, rel=1e-12)
-    assert d.r == pytest.approx(0.05, rel=1e-12)
+    ds, di, dr = treatment_education_rates(X0.s, X0.i, BETA, MU, 0.9, 0.0)
+    assert ds == pytest.approx(-0.0095, rel=1e-12)
+    assert di == pytest.approx(-0.0405, rel=1e-12)
+    assert dr == pytest.approx(0.05, rel=1e-12)
 
 
 def test_education_only_transfers_susceptibles():
-    d = rhs_treatment_education(EpidemicState(0.7, 0.0, 0.3), PARAMS, ControlValue(0.9, 0.5))
-    assert d.i == 0.0
-    assert d.s == pytest.approx(-0.35, rel=1e-12)
-    assert d.r == pytest.approx(0.35, rel=1e-12)
+    ds, di, dr = treatment_education_rates(0.7, 0.0, BETA, MU, 0.9, 0.5)
+    assert di == 0.0
+    assert ds == pytest.approx(-0.35, rel=1e-12)
+    assert dr == pytest.approx(0.35, rel=1e-12)
 
 
 # -- reductions and algebraic properties ---------------------------------------
@@ -81,11 +79,9 @@ def test_education_only_transfers_susceptibles():
 def test_controls_off_reduce_to_uncontrolled():
     rng = np.random.default_rng(7)
     for state in random_states(rng, 25):
-        base = rhs_uncontrolled(state, PARAMS)
-        vac = rhs_vaccination(state, PARAMS, ControlValue(0.0))
-        ted = rhs_treatment_education(state, PARAMS, ControlValue(0.0, 0.0))
-        assert (vac.s, vac.i, vac.r) == (base.s, base.i, base.r)
-        assert (ted.s, ted.i, ted.r) == (base.s, base.i, base.r)
+        base = uncontrolled_rates(state.s, state.i, BETA, MU)
+        assert vaccination_rates(state.s, state.i, BETA, MU, 0.0) == base
+        assert treatment_education_rates(state.s, state.i, BETA, MU, 0.0, 0.0) == base
 
 
 def test_rate_components_sum_to_exact_zero():
@@ -112,16 +108,27 @@ def test_recovered_inflow_is_never_negative():
 
 
 # -- arity and validation -------------------------------------------------------
+# The rate functions take every channel as a float; a control signal's channel
+# count is checked against the strategy where the problem is posed, in
+# ocp.objective.
+
+
+def constant_run(kind, channels):
+    spec = default_spec(kind, steps=10)
+    traj = Trajectory(spec.grid, np.tile(X0.as_array(), (spec.grid.n_nodes, 1)))
+    return spec, traj, ControlSignal(spec.grid, np.full((spec.grid.n_nodes, channels), 0.1))
 
 
 def test_vaccination_rejects_two_channel_control():
-    with pytest.raises(ValueError, match="single control channel"):
-        rhs_vaccination(X0, PARAMS, ControlValue(0.1, 0.2))
+    spec, traj, controls = constant_run(1, 2)
+    with pytest.raises(ValueError, match="expects 1 control channel"):
+        objective(spec, traj, controls)
 
 
 def test_treatment_education_rejects_one_channel_control():
-    with pytest.raises(ValueError, match="two control channels"):
-        rhs_treatment_education(X0, PARAMS, ControlValue(0.1))
+    spec, traj, controls = constant_run(3, 1)
+    with pytest.raises(ValueError, match="expects 2 control channel"):
+        objective(spec, traj, controls)
 
 
 def test_state_validate_rejects_negative_compartment():
@@ -147,17 +154,8 @@ def test_params_reject_nonpositive_rates():
         ModelParams(beta=0.2, mu=0.1, n=0.0)
 
 
-def test_control_value_channels_and_bounds():
-    assert ControlValue(0.3).channels == 1
-    assert ControlValue(0.3, 0.1).channels == 2
-    ControlValue(0.0, 0.9).validate(0.9)
-    with pytest.raises(ValueError, match="u1"):
-        ControlValue(1.0).validate(0.9)
-    with pytest.raises(ValueError, match="u2"):
-        ControlValue(0.5, -0.01).validate(0.9)
-
 
 def test_state_array_round_trip():
     x = X0.as_array()
-    assert EpidemicState.from_array(x) == X0
+    assert EpidemicState(*x) == X0
     assert x.dtype == float

@@ -9,19 +9,17 @@ import pytest
 from sircontrol import ocp
 from sircontrol.integrate import IntegrationError, TimeGrid, Trajectory, integrate_forward
 from sircontrol.metrics import peak_infected
-from sircontrol.model import ControlValue, EpidemicState, ModelParams
+from sircontrol.model import EpidemicState, ModelParams
 from sircontrol.ocp import (
-    AdjointState,
     ControlSignal,
     Strategy,
     StrategySpec,
-    adjoint_rhs,
+    adjoint_field,
+    control_law,
     default_spec,
     dynamics_field,
-    hamiltonian,
     objective,
     objective_gradient,
-    optimal_control_characterization,
     running_cost,
     solve_direct,
     solve_fbsm,
@@ -31,14 +29,14 @@ X0 = EpidemicState(0.95, 0.05, 0.0)
 
 
 def random_point(rng, channels):
-    """A random valid (state, adjoint, control) triple."""
-    state = EpidemicState(*rng.dirichlet(np.ones(3)))
-    adj = AdjointState(*rng.normal(0.0, 2.0, size=3))
-    if channels == 1:
-        u = ControlValue(rng.uniform(0.0, 0.9))
-    else:
-        u = ControlValue(rng.uniform(0.0, 0.9), rng.uniform(0.0, 0.9))
-    return state, adj, u
+    """A random valid (state, costate, control) point as float 3-, 3- and 2-tuples.
+
+    Channels the strategy lacks are 0.0, as the integrators pass them.
+    """
+    x = tuple(rng.dirichlet(np.ones(3)).tolist())
+    lam = tuple(rng.normal(0.0, 2.0, size=3).tolist())
+    u = tuple(rng.uniform(0.0, 0.9, size=channels).tolist()) + (0.0,) * (2 - channels)
+    return x, lam, u
 
 
 # -- problem definition -----------------------------------------------------------
@@ -86,18 +84,10 @@ def test_control_signal_validation():
 
 
 def test_running_cost_examples():
-    assert running_cost(default_spec(1), X0, ControlValue(0.0)) == pytest.approx(0.05)
-    assert running_cost(default_spec(2), X0, ControlValue(0.0)) == pytest.approx(0.12)
-    assert running_cost(
-        default_spec(3), X0, ControlValue(0.9, 0.9)
-    ) == pytest.approx(0.1472)
-
-
-def test_running_cost_rejects_wrong_arity():
-    with pytest.raises(ValueError, match="channel"):
-        running_cost(default_spec(1), X0, ControlValue(0.1, 0.1))
-    with pytest.raises(ValueError, match="channel"):
-        running_cost(default_spec(3), X0, ControlValue(0.1))
+    x = (X0.s, X0.i, X0.r)
+    assert running_cost(default_spec(1), *x, 0.0, 0.0) == pytest.approx(0.05)
+    assert running_cost(default_spec(2), *x, 0.0, 0.0) == pytest.approx(0.12)
+    assert running_cost(default_spec(3), *x, 0.9, 0.9) == pytest.approx(0.1472)
 
 
 def test_objective_is_exact_on_constant_integrand():
@@ -134,61 +124,100 @@ def test_objective_rejects_grid_mismatch(uncontrolled_traj):
         objective(spec, uncontrolled_traj, other)
 
 
-# -- costate system ----------------------------------------------------------------
+# -- costate system and control law ---------------------------------------------
 
 
 def test_adjoint_rhs_with_zero_costates_is_cost_gradient():
-    d1 = adjoint_rhs(default_spec(1), X0, AdjointState(0, 0, 0), ControlValue(0.3))
-    assert (d1.lam_s, d1.lam_i, d1.lam_r) == (0.0, -1.0, 0.0)
-
-    d2 = adjoint_rhs(default_spec(2), X0, AdjointState(0, 0, 0), ControlValue(0.3))
-    assert (d2.lam_s, d2.lam_i, d2.lam_r) == (-0.1, -0.5, 0.002)
-
-    d3 = adjoint_rhs(default_spec(3), X0, AdjointState(0, 0, 0), ControlValue(0.3, 0.1))
-    assert (d3.lam_s, d3.lam_i, d3.lam_r) == (0.0, -1.0, 0.0)
+    x = (X0.s, X0.i, X0.r)
+    assert adjoint_field(default_spec(1))(0.0, 0, 0, 0, *x, 0.3, 0.0) == (0.0, -1.0, 0.0)
+    assert adjoint_field(default_spec(2))(0.0, 0, 0, 0, *x, 0.3, 0.0) == (-0.1, -0.5, 0.002)
+    assert adjoint_field(default_spec(3))(0.0, 0, 0, 0, *x, 0.3, 0.1) == (0.0, -1.0, 0.0)
 
 
 @pytest.mark.parametrize("kind", [1, 2, 3])
 def test_adjoint_rhs_matches_hamiltonian_gradient(kind):
-    """Central differences of H in (S, I, R) reproduce -adjoint_rhs."""
+    """Central differences of H = L + lam . f in (S, I, R) reproduce the costate field."""
     spec = default_spec(kind)
+    f, costate = dynamics_field(spec), adjoint_field(spec)
     rng = np.random.default_rng(100 + kind)
     h = 1e-6
     for _ in range(5):
-        state, adj, u = random_point(rng, spec.channels)
-        d = adjoint_rhs(spec, state, adj, u).as_array()
-        x = state.as_array()
+        x, lam, u = random_point(rng, spec.channels)
+
+        def h_of(y):
+            return running_cost(spec, *y, *u) + float(np.dot(lam, f(0.0, *y, *u)))
+
+        d = costate(0.0, *lam, *x, *u)
         for j in range(3):
-            xp, xm = x.copy(), x.copy()
+            xp, xm = list(x), list(x)
             xp[j] += h
             xm[j] -= h
-            dh = (
-                hamiltonian(spec, EpidemicState.from_array(xp), adj, u)
-                - hamiltonian(spec, EpidemicState.from_array(xm), adj, u)
-            ) / (2.0 * h)
+            dh = (h_of(xp) - h_of(xm)) / (2.0 * h)
             assert d[j] == pytest.approx(-dh, abs=1e-6)
 
 
-def test_adjoint_rhs_rejects_wrong_arity():
-    with pytest.raises(ValueError, match="channel"):
-        adjoint_rhs(default_spec(3), X0, AdjointState(0, 0, 0), ControlValue(0.1))
+@pytest.mark.parametrize("kind", [1, 2, 3])
+def test_costate_field_is_minus_cost_gradient_minus_vjp(kind):
+    """Each layout writes its costate field and its vjp out separately; they agree."""
+    spec = default_spec(kind)
+    (cs, ci, cr), _ = ocp._weights(spec)
+    _, costate, vjp = ocp._fields(spec)
+    rng = np.random.default_rng(200 + kind)
+    for _ in range(20):
+        x, lam, u = random_point(rng, spec.channels)
+        fx_s, fx_i, _, _ = vjp(x[0], x[1], *u, *lam)
+        expected = (-(cs + fx_s), -(ci + fx_i), -cr)  # R does not enter f
+        assert costate(0.0, *lam, *x, *u) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
-# -- control characterization --------------------------------------------------------
+def test_tables_reproduce_the_derivation():
+    """The costate equations and control laws of docs/costate_derivation.md, typed out.
+
+    The fields and the sweep's law evaluate them in the same operation order,
+    so they agree bit for bit.
+    """
+    rng = np.random.default_rng(29)
+    for kind in (1, 2, 3):
+        spec = default_spec(kind)
+        beta, mu, u_max = spec.params.beta, spec.params.mu, spec.u_max
+        for _ in range(20):
+            (S, I, R), (lS, lI, lR), (u1, u2) = random_point(rng, spec.channels)
+            if kind == 1:
+                lam_dot = (
+                    (lS - lI) * beta * I + (lS - lR) * u1,
+                    -1.0 + (lS - lI) * beta * S + (lI - lR) * mu,
+                    0.0,
+                )
+                law = [(lS - lR) * S / spec.nu]
+            elif kind == 2:
+                lam_dot = (
+                    -spec.a1 + (lS - lI) * beta * I + (lS - lR) * u1,
+                    -spec.a2 + (lS - lI) * beta * S + (lI - lR) * mu,
+                    spec.a3,
+                )
+                law = [(lS - lR) * S / spec.tau]
+            else:
+                lam_dot = (
+                    (lS - lI) * beta * I + (lS - lR) * u2,
+                    -spec.kappa + (lS - lI) * beta * S + (lI - lR) * (mu + u1),
+                    0.0,
+                )
+                law = [(lI - lR) * I / spec.b1, (lS - lR) * S / spec.b2]
+            assert adjoint_field(spec)(0.0, lS, lI, lR, S, I, R, u1, u2) == lam_dot
+            expected = [min(max(v, 0.0), u_max) for v in law]
+            assert control_law(spec, S, I, lS, lI, lR)[0].tolist() == expected
 
 
 def test_characterization_zero_switch_gives_zero_control():
-    adj = AdjointState(0.4, -1.0, 0.4)  # lam_S == lam_R
+    lam = (0.4, -1.0, 0.4)  # lam_S == lam_R
     for kind in (1, 2):
-        u = optimal_control_characterization(default_spec(kind), X0, adj)
-        assert u.u1 == 0.0
+        assert control_law(default_spec(kind), X0.s, X0.i, *lam)[0, 0] == 0.0
 
 
 def test_characterization_clamps_to_bound():
     # (lam_S - lam_R) * S / tau = 5 with S = 0.95 -> clamp at u_max
-    adj = AdjointState(5.0 / 0.95, 0.0, 0.0)
-    u = optimal_control_characterization(default_spec(2), X0, adj)
-    assert u.u1 == 0.9
+    lam = (5.0 / 0.95, 0.0, 0.0)
+    assert control_law(default_spec(2), X0.s, X0.i, *lam)[0, 0] == 0.9
 
 
 def test_characterization_interior_is_stationary():
@@ -196,21 +225,22 @@ def test_characterization_interior_is_stationary():
     rng = np.random.default_rng(23)
     for kind in (1, 2, 3):
         spec = default_spec(kind)
+        f = dynamics_field(spec)
         for _ in range(20):
-            state, adj, _ = random_point(rng, spec.channels)
-            u = optimal_control_characterization(spec, state, adj)
+            x, lam, _ = random_point(rng, spec.channels)
+            u = control_law(spec, x[0], x[1], *lam)[0].tolist() + [0.0] * (2 - spec.channels)
+
+            def h_of(v):
+                return running_cost(spec, *x, *v) + float(np.dot(lam, f(0.0, *x, *v)))
+
             h = 1e-5
-            for ch, val in enumerate([u.u1] + ([u.u2] if u.u2 is not None else [])):
-                if not 1e-6 < val < spec.u_max - 1e-6:
+            for ch in range(spec.channels):
+                if not 1e-6 < u[ch] < spec.u_max - 1e-6:
                     continue  # clamped: stationarity does not apply
-                up = [u.u1, u.u2][: spec.channels]
-                um = list(up)
+                up, um = list(u), list(u)
                 up[ch] += h
                 um[ch] -= h
-                dh = (
-                    hamiltonian(spec, state, adj, ControlValue(*up))
-                    - hamiltonian(spec, state, adj, ControlValue(*um))
-                ) / (2.0 * h)
+                dh = (h_of(up) - h_of(um)) / (2.0 * h)
                 assert abs(dh) <= 1e-9
 
 
