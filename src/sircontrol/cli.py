@@ -34,6 +34,7 @@ from .ocp import (
     DEFAULT_T_END,
     DEFAULT_X0,
     _WEIGHT_FIELDS,
+    _admissible,
     ControlSignal,
     OcpSolution,
     Strategy,
@@ -321,7 +322,10 @@ def write_plot_bundles(out_dir: Path, runs: list[tuple[str, Trajectory]]) -> boo
 
 
 def _run_uncontrolled(cfg: ScenarioConfig) -> Trajectory:
-    return integrate_forward(uncontrolled_field(cfg.params()), cfg.x0().as_array(), cfg.grid())
+    """The uncontrolled run; :class:`IntegrationError` under the solvers' blow-up rule."""
+    params = cfg.params()
+    traj = integrate_forward(uncontrolled_field(params), cfg.x0().as_array(), cfg.grid())
+    return _admissible(traj, params.n)
 
 
 def _print_summary(label: str, summary: RunSummary, sol: OcpSolution | None = None) -> None:

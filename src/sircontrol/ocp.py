@@ -45,7 +45,6 @@ from .integrate import (
     IntegrationError,
     TimeGrid,
     Trajectory,
-    _control_columns,
     integrate_backward,
     integrate_forward,
 )
@@ -334,18 +333,22 @@ def adjoint_field(spec: StrategySpec):
 _ADMISSIBLE_TOL = 1e-9
 
 
-def _admissible_forward(spec: StrategySpec, dynamics, signal: ControlSignal) -> Trajectory:
-    """Forward sweep of a solver iterate; :class:`IntegrationError` if it blew up.
+def _admissible(traj: Trajectory, n: float) -> Trajectory:
+    """``traj``, or :class:`IntegrationError` if a compartment is below ``-_ADMISSIBLE_TOL * n``.
 
-    A compartment below ``-_ADMISSIBLE_TOL * n`` is a blow-up too: the exact
-    dynamics keep every compartment non-negative, so such a state means RK4
-    is unstable on this grid (on 3 steps a trial reaches I = -1e12).
+    The exact dynamics keep every compartment non-negative, so such a state
+    means RK4 is unstable on this grid (on 3 steps a trial reaches I = -1e12).
     """
-    traj = integrate_forward(dynamics, spec.x0.as_array(), spec.grid, signal)
     low = traj.min_component()
-    if low < -_ADMISSIBLE_TOL * spec.params.n:
+    if low < -_ADMISSIBLE_TOL * n:
         raise IntegrationError(f"a compartment fell to {low:.3g}: RK4 is unstable on this grid")
     return traj
+
+
+def _admissible_forward(spec: StrategySpec, dynamics, signal: ControlSignal) -> Trajectory:
+    """Forward sweep of a solver iterate, checked by :func:`_admissible`."""
+    traj = integrate_forward(dynamics, spec.x0.as_array(), spec.grid, signal)
+    return _admissible(traj, spec.params.n)
 
 
 # -- forward-backward sweep --------------------------------------------------
@@ -458,10 +461,11 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     steps with linearly interpolated controls (half-stages see the node
     midpoint average) and trapezoid quadrature of the running cost.  Agrees
     with finite differences of :func:`objective` on the forward trajectory
-    to roundoff.  The reverse loop runs on floats: each step recomputes its
-    stage states with the dynamics field and pulls the state adjoint back
-    through the four stages with the layout's ``vjp``; the cost gradient is
-    ``c_x`` and ``w * u`` from :func:`_weights`.
+    to roundoff.  The state adjoint obeys an affine recursion whose
+    coefficients depend only on the trajectory and the controls: they come
+    for every step at once from the layout's ``vjp`` on node arrays, and one
+    float loop scans the adjoint's S and I components (its R component has
+    a closed form; see docs/costate_derivation.md).
 
     Returns ``(objective_value, gradient)`` with the gradient shaped like
     ``u_values``.  Raises :class:`IntegrationError` when the forward sweep
@@ -472,70 +476,69 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     traj = _admissible_forward(spec, dynamics, signal)
     j = objective(spec, traj, signal)
 
-    (cs, ci, cr), (w1, w2) = _weights(spec)
+    (cs, ci, cr), w = _weights(spec)
     dt = spec.grid.dt
     n = spec.grid.steps
     half, third, sixth = 0.5 * dt, dt / 3.0, dt / 6.0
-    times = spec.grid.times().tolist()
-    xs, xi, xr = traj.values.T.tolist()
-    u1, u2 = _control_columns(signal, spec.grid.n_nodes)
-    g1 = [0.0] * (n + 1)
-    g2 = [0.0] * (n + 1)
+    u = u_values.T
+    u1 = u[0]
+    u2 = u[1] if spec.channels == 2 else np.zeros(n + 1)
+
+    # stage states of every step, as the forward sweep built them
+    t_k = spec.grid.times()[:-1]
+    ua1, ua2, ub1, ub2 = u1[:-1], u2[:-1], u1[1:], u2[1:]
+    um1, um2 = 0.5 * (ua1 + ub1), 0.5 * (ua2 + ub2)
+    s1, i1, r1 = traj.values[:-1].T
+    fs, fi, fr = dynamics(t_k, s1, i1, r1, ua1, ua2)
+    s2, i2, r2 = s1 + half * fs, i1 + half * fi, r1 + half * fr
+    fs, fi, fr = dynamics(t_k + half, s2, i2, r2, um1, um2)
+    s3, i3, r3 = s1 + half * fs, i1 + half * fi, r1 + half * fr
+    fs, fi, _ = dynamics(t_k + half, s3, i3, r3, um1, um2)
+    s4, i4 = s1 + dt * fs, i1 + dt * fi
+
+    # the unit seeds e_S, e_I, e_R on a leading axis, pulled back through the
+    # four stages of every step: row j of a_X is (M_k e_j)_X, and to_a, mid
+    # and to_b give the control weights of nodes k and k+1
+    ks, ki, kr = np.eye(3)[:, :, None]
+    a4s, a4i, e1, e2 = vjp(s4, i4, ub1, ub2, sixth * ks, sixth * ki, sixth * kr)
+    to_b = (e1, e2)
+    a3s, a3i, d1, d2 = vjp(
+        s3, i3, um1, um2, third * ks + dt * a4s, third * ki + dt * a4i, third * kr
+    )
+    a2s, a2i, e1, e2 = vjp(
+        s2, i2, um1, um2, third * ks + half * a3s, third * ki + half * a3i, third * kr
+    )
+    mid = (0.5 * (d1 + e1), 0.5 * (d2 + e2))
+    a1s, a1i, e1, e2 = vjp(
+        s1, i1, ua1, ua2, sixth * ks + half * a2s, sixth * ki + half * a2i, sixth * kr
+    )
+    to_a = (e1, e2)
+    (m_ss, m_si, m_sr), (m_is, m_ii, m_ir) = a1s + a2s + a3s + a4s, a1i + a2i + a3i + a4i
 
     # node-cost weights of the trapezoid rule
     w_end, w_mid = 0.5 * dt, dt
+    w_node = np.full(n + 1, w_mid)
+    w_node[[0, -1]] = w_end
 
-    # adjoint of the state node x[k+1], entering step k
-    bs, bi, br = w_end * cs, w_end * ci, w_end * cr
-    g1[n] += w_end * (w1 * u1[n])
-    g2[n] += w_end * (w2 * u2[n])
-    for k in range(n - 1, -1, -1):
-        ua1, ua2, ub1, ub2 = u1[k], u2[k], u1[k + 1], u2[k + 1]
-        um1, um2 = 0.5 * (ua1 + ub1), 0.5 * (ua2 + ub2)
-        t_k = times[k]
-        t_half = t_k + half
-        s1, i1, r1 = xs[k], xi[k], xr[k]
-        fs, fi, fr = dynamics(t_k, s1, i1, r1, ua1, ua2)
-        s2, i2, r2 = s1 + half * fs, i1 + half * fi, r1 + half * fr
-        fs, fi, fr = dynamics(t_half, s2, i2, r2, um1, um2)
-        s3, i3, r3 = s1 + half * fs, i1 + half * fi, r1 + half * fr
-        fs, fi, _ = dynamics(t_half, s3, i3, r3, um1, um2)
-        s4, i4 = s1 + dt * fs, i1 + dt * fi
+    # b_k, the adjoint of x[k+1]; its R component is c_R times a sum of node weights
+    br = cr * (w_end + w_mid * np.arange(n - 1, -1, -1))
+    p_ss, p_si, q_s = (1.0 + m_ss).tolist(), m_si.tolist(), (m_sr * br + w_mid * cs).tolist()
+    p_is, p_ii, q_i = m_is.tolist(), (1.0 + m_ii).tolist(), (m_ir * br + w_mid * ci).tolist()
+    bs, bi = [0.0] * n, [0.0] * n
+    b_s, b_i = w_end * cs, w_end * ci
+    for k in range(n - 1, 0, -1):
+        bs[k], bi[k] = b_s, b_i
+        b_s, b_i = p_ss[k] * b_s + p_si[k] * b_i + q_s[k], p_is[k] * b_s + p_ii[k] * b_i + q_i[k]
+    bs[0], bi[0] = b_s, b_i
+    b = np.array((bs, bi, br))
 
-        a4s, a4i, e1, e2 = vjp(s4, i4, ub1, ub2, sixth * bs, sixth * bi, sixth * br)
-        g1[k + 1] += e1
-        g2[k + 1] += e2
-
-        a3s, a3i, dm1, dm2 = vjp(
-            s3, i3, um1, um2, third * bs + dt * a4s, third * bi + dt * a4i, third * br
-        )
-        a2s, a2i, e1, e2 = vjp(
-            s2, i2, um1, um2, third * bs + half * a3s, third * bi + half * a3i, third * br
-        )
-        dm1 += e1
-        dm2 += e2
-
-        a1s, a1i, e1, e2 = vjp(
-            s1, i1, ua1, ua2, sixth * bs + half * a2s, sixth * bi + half * a2i, sixth * br
-        )
-        g1[k] += e1
-        g2[k] += e2
-
-        g1[k] += 0.5 * dm1
-        g2[k] += 0.5 * dm2
-        g1[k + 1] += 0.5 * dm1
-        g2[k + 1] += 0.5 * dm2
-
-        bs = bs + a1s + a2s + a3s + a4s
-        bi = bi + a1i + a2i + a3i + a4i
-        w_node = w_end if k == 0 else w_mid
-        bs += w_node * cs
-        bi += w_node * ci
-        br += w_node * cr
-        g1[k] += w_node * (w1 * ua1)
-        g2[k] += w_node * (w2 * ua2)
-
-    return j, np.column_stack((g1, g2)[: spec.channels])
+    grad = np.empty(u_values.shape)
+    for c in range(spec.channels):
+        g = w_node * (w[c] * u[c])
+        g[:-1] += ((to_a[c] + mid[c]) * b).sum(axis=0)
+        g[1:] += ((to_b[c] + mid[c]) * b).sum(axis=0)
+        grad[:, c] = g
+    return j, grad
 
 
 def solve_direct(

@@ -263,11 +263,19 @@ def test_optimize_survives_trials_that_blow_up(tmp_path, strategy, flags):
         assert math.isfinite(payload["cross_check"]["objective_direct"])
 
 
-@pytest.mark.parametrize("flags", [[], ["--cross-check"]], ids=["sweep", "cross-check"])
-def test_optimize_reports_a_grid_unstable_without_control(tmp_path, capsys, flags):
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["optimize", "--strategy", "1"],
+        ["optimize", "--strategy", "1", "--cross-check"],
+        ["simulate"],
+        ["compare"],
+    ],
+    ids=["sweep", "cross-check", "simulate", "compare"],
+)
+def test_optimize_reports_a_grid_unstable_without_control(tmp_path, capsys, command):
     """On 2 steps even the zero control drives a compartment negative."""
-    argv = ["optimize", "--strategy", "1", "--steps", "2", "--out", str(tmp_path)]
-    assert main(argv + flags) == EXIT_INTEGRATION
+    assert main(command + ["--steps", "2", "--out", str(tmp_path)]) == EXIT_INTEGRATION
     assert "integration failure" in capsys.readouterr().err
 
 

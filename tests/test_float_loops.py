@@ -15,6 +15,7 @@ from sircontrol.integrate import IntegrationError, TimeGrid, integrate_backward,
 from sircontrol.model import ModelParams
 from sircontrol.ocp import (
     DEFAULT_PARAMS,
+    DEFAULT_T_END,
     DEFAULT_X0,
     ControlSignal,
     Strategy,
@@ -94,10 +95,20 @@ def test_uncontrolled_backward_sweep_is_bit_identical(steps):
     assert np.array_equal(new.values, old.values)
 
 
-@pytest.mark.parametrize("steps", STEPS)
+# (steps, t_end): the default horizon, and short grids at the edges of the
+# reverse scan (on 1 step it is empty and both nodes carry the end weight)
+GRADIENT_GRIDS = [
+    pytest.param(100, DEFAULT_T_END, id="100"),
+    pytest.param(1000, DEFAULT_T_END, id="1000"),
+    pytest.param(1, 1.0, id="1-step-1-day"),
+    pytest.param(7, 10.0, id="7-steps-10-days"),
+]
+
+
+@pytest.mark.parametrize("steps, t_end", GRADIENT_GRIDS)
 @pytest.mark.parametrize("kind", KINDS)
-def test_gradient_matches_the_stage_jacobian_reference(kind, steps):
-    spec = default_spec(kind, steps=steps)
+def test_gradient_matches_the_stage_jacobian_reference(kind, steps, t_end):
+    spec = StrategySpec(kind=Strategy(kind), grid=TimeGrid(0.0, t_end, steps))
     u = random_controls(spec, seed=100 * kind + steps + 2).values
     j, grad = objective_gradient(spec, u)
     j_ref, grad_ref = ref.objective_gradient(spec, u)
