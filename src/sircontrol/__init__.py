@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`sircontrol.model` -- compartment states, parameters, model dynamics
+* :mod:`sircontrol.model` -- compartment states, parameters, the drain-form rate law
 * :mod:`sircontrol.integrate` -- fixed-step RK4 forward/backward integration
 * :mod:`sircontrol.ocp` -- the three control problems and their two solvers
 * :mod:`sircontrol.metrics` -- peak, infection period, terminal values, tables
@@ -19,7 +19,7 @@ from .metrics import (
     summarize_run,
     terminal_values,
 )
-from .model import EpidemicState, ModelParams
+from .model import DrainField, Drains, EpidemicState, ModelParams
 from .ocp import (
     ControlSignal,
     OcpSolution,
@@ -40,6 +40,8 @@ __all__ = [
     "Trajectory",
     "integrate_forward",
     "integrate_backward",
+    "DrainField",
+    "Drains",
     "EpidemicState",
     "ModelParams",
     "ControlSignal",

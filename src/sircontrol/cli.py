@@ -18,11 +18,11 @@ Exit codes: 0 success, 2 configuration error, 3 integration failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from importlib import metadata
 from pathlib import Path
 
 from .integrate import IntegrationError, TimeGrid, Trajectory, integrate_forward
@@ -218,41 +218,47 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.9g}"
 
 
+def _column(values) -> list[str]:
+    """A node array as CSV fields; ``"%.9g" % v`` is the formatting ``_fmt`` does."""
+    return ["%.9g" % v for v in values.tolist()]
+
+
+def _write_columns(path: Path, header: str, columns: list[list[str]]) -> None:
+    path.write_text("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
+
+
 def write_timeseries_csv(
     path: Path,
     traj: Trajectory,
     control: ControlSignal | None = None,
     adjoints: Trajectory | None = None,
 ) -> None:
-    times = traj.grid.times()
-    u1 = u2 = None
-    if control is not None:
-        u1 = control.values[:, 0]
-        if control.channels == 2:
-            u2 = control.values[:, 1]
-    lines = [CSV_HEADER]
-    for k in range(traj.grid.n_nodes):
-        row = [
-            times[k],
-            traj.values[k, 0],
-            traj.values[k, 1],
-            traj.values[k, 2],
-            None if u1 is None else u1[k],
-            None if u2 is None else u2[k],
-            None if adjoints is None else adjoints.values[k, 0],
-            None if adjoints is None else adjoints.values[k, 1],
-            None if adjoints is None else adjoints.values[k, 2],
-        ]
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    absent = [""] * traj.grid.n_nodes
+    controls = [] if control is None else [_column(u) for u in control.values.T]
+    columns = [
+        _column(traj.grid.times()),
+        *(_column(x) for x in traj.values.T),
+        *controls,
+        *[absent] * (2 - len(controls)),
+        *([absent] * 3 if adjoints is None else (_column(lam) for lam in adjoints.values.T)),
+    ]
+    _write_columns(path, CSV_HEADER, columns)
+
+
+@functools.cache
+def _version() -> str:
+    """The installed package version, looked up once per process."""
+    # deferred: only the JSON summaries need it, and it slows `import sircontrol.cli`
+    from importlib import metadata
+
+    try:
+        return metadata.version("sircontrol")
+    except metadata.PackageNotFoundError:
+        return "unknown"
 
 
 def _meta() -> dict:
-    try:
-        version = metadata.version("sircontrol")
-    except metadata.PackageNotFoundError:
-        version = "unknown"
-    return {"tool": "sircontrol", "version": version}
+    return {"tool": "sircontrol", "version": _version()}
 
 
 def write_summary_json(
@@ -306,15 +312,11 @@ def write_plot_bundles(out_dir: Path, runs: list[tuple[str, Trajectory]]) -> boo
     grids = {traj.grid for _, traj in runs}
     if len(grids) != 1:
         return False
-    times = runs[0][1].grid.times()
-    labels = [label for label, _ in runs]
+    times = _column(runs[0][1].grid.times())
+    header = ",".join(["t"] + [label for label, _ in runs])
     for name, col in (("S", 0), ("I", 1), ("R", 2)):
-        lines = [",".join(["t"] + labels)]
-        for k in range(len(times)):
-            lines.append(
-                ",".join([_fmt(times[k])] + [_fmt(traj.values[k, col]) for _, traj in runs])
-            )
-        (out_dir / f"fig_{name}_compare.csv").write_text("\n".join(lines) + "\n")
+        columns = [times] + [_column(traj.values[:, col]) for _, traj in runs]
+        _write_columns(out_dir / f"fig_{name}_compare.csv", header, columns)
     return True
 
 
@@ -424,10 +426,13 @@ def cmd_compare(
     summaries: list[RunSummary] = []
     runs: list[tuple[str, Trajectory]] = []
     for k, cfg in enumerate(cfgs):
-        if cfg.strategy == "none":
-            code, traj, summary = _simulate_scenario(cfg)
-        else:
-            code, traj, summary = _optimize_scenario(cfg, cross_check)
+        try:
+            if cfg.strategy == "none":
+                code, traj, summary = _simulate_scenario(cfg)
+            else:
+                code, traj, summary = _optimize_scenario(cfg, cross_check)
+        except IntegrationError as e:
+            code = _integration_failure(e)
         if code != EXIT_OK:
             print(
                 f"partial results: {k} of {len(cfgs)} scenarios completed before "
@@ -492,6 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _integration_failure(error: IntegrationError) -> int:
+    print(f"integration failure: {error}", file=sys.stderr)
+    return EXIT_INTEGRATION
+
+
 def _overrides(args: argparse.Namespace) -> dict:
     return {
         "strategy": args.strategy,
@@ -521,8 +531,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationError as e:
-        print(f"integration failure: {e}", file=sys.stderr)
-        return EXIT_INTEGRATION
+        return _integration_failure(e)
 
 
 if __name__ == "__main__":

@@ -7,17 +7,27 @@ RK4 half-stages are linearly interpolated between the bracketing node values;
 the direct-transcription solver differentiates exactly this rule, so it must
 not change independently.
 
-Both sweeps run on plain Python floats.  Node values are turned into lists
-once per call, and a single RK4 loop per direction calls the field once per
-stage with floats and unpacks the 3-tuple it returns:
+Both sweeps serve every scenario with one loop per direction, on plain
+Python floats.  Once per call, :func:`stage_samples` computes with numpy the
+node, half-stage and full-stage samples of every step: of the drain rates
+``a`` (S -> R) and ``v`` (I -> R) that a :class:`~sircontrol.model.Drains`
+map picks from the control columns, and backward also of S and I.  Each loop
+then runs over the zipped float lists:
 
-* forward:  ``dynamics(t, s, i, r, u1, u2) -> (ds, di, dr)``
-* backward: ``adjoint_dynamics(t, lam_s, lam_i, lam_r, s, i, r, u1, u2)
-  -> (dlam_s, dlam_i, dlam_r)``
+* forward: ``integrate_forward(field, ...)`` takes a
+  :class:`~sircontrol.model.DrainField` and writes its rate law inline,
+  ``dS = -beta*S*I - a*S``, ``dI = beta*S*I - (mu + v)*I``,
+  ``dR = -(dS + dI)`` (``mu + v`` is sampled as one array);
+* backward: one call per stage of
+  ``costate(lam_s, lam_i, lam_r, s, i, a, v) -> (dlam_s, dlam_i, dlam_r)``,
+  whose ``drains`` attribute, if any, names the control columns (see
+  :func:`sircontrol.ocp.adjoint_field`).
 
-Control channels a signal lacks (all of them when ``controls`` is None) are
-passed as 0.0.  A step whose result is not finite raises
-:class:`IntegrationError` naming the step's start time.
+A drain the layout lacks, or every drain when ``controls`` is None, has rate
+0.0.  A control signal whose channel count differs from the layout's, or
+that lives on another grid, raises ValueError.  A step whose result is not
+finite raises :class:`IntegrationError` naming the step's start time.  Nodes
+are collected in one flat list and reshaped once.
 
 The loops keep the operation order of the classical 3-vector formulation
 (one numpy RK4 step per interval, applied to a closure that interpolates at
@@ -29,7 +39,9 @@ rounded (``(t_k - t) / dt`` backward).  The weights
 replaced by 0.5 and 1; the first stage's weight is exactly 0, so it takes
 the node values.  Stage times are ``t_k + 0.5*dt`` and ``t_k + dt``, with
 ``dt`` negated backward, and the update is
-``x + (dt/6) * (((k1 + 2*k2) + 2*k3) + k4)``.
+``x + (dt/6) * (((k1 + 2*k2) + 2*k3) + k4)``.  Numpy's elementwise float64
+arithmetic rounds as the scalar loop did, so the precomputed samples are the
+same bits.
 """
 
 from __future__ import annotations
@@ -40,10 +52,13 @@ from typing import Callable
 
 import numpy as np
 
+from .model import DrainField, Drains
+
 __all__ = [
     "IntegrationError",
     "TimeGrid",
     "Trajectory",
+    "stage_samples",
     "integrate_forward",
     "integrate_backward",
 ]
@@ -120,71 +135,99 @@ class Trajectory:
         return float(self.values.min())
 
 
-def _check_controls(controls, grid: TimeGrid) -> None:
-    if controls is not None and controls.grid != grid:
-        raise ValueError("control signal is sampled on a different grid")
+def stage_samples(grid: TimeGrid, nodes: np.ndarray, backward: bool = False):
+    """Start, half-stage and full-stage samples of a node series, one per RK4 step.
+
+    Steps come in sweep order: forward from node 0, backward from the last
+    node.  Each sample is the linear interpolant of the step's bracketing
+    nodes under the module's operation-order rule.
+    """
+    times = grid.times()
+    h = -grid.dt if backward else grid.dt
+    if backward:
+        times, nodes = times[::-1], nodes[::-1]
+    t_k, start = times[:-1], nodes[:-1]
+    delta = nodes[1:] - start
+    w_half = ((t_k + 0.5 * h) - t_k) / h
+    w_full = ((t_k + h) - t_k) / h
+    return start, start + w_half * delta, start + w_full * delta
 
 
-def _control_columns(controls, n_nodes: int) -> tuple[list, list]:
-    """Node values of the two control channels as float lists; absent ones are 0.0."""
-    columns = [] if controls is None else controls.values.T.tolist()
-    while len(columns) < 2:
-        columns.append([0.0] * n_nodes)
-    return columns[0], columns[1]
+def _drain_samples(drains: Drains, controls, grid: TimeGrid, backward: bool = False):
+    """``(a, v)``: the stage samples of the two drain rates, each a triple of arrays."""
+    if controls is not None:
+        if controls.grid != grid:
+            raise ValueError("control signal is sampled on a different grid")
+        if controls.values.shape[1] != drains.channels:
+            raise ValueError(
+                f"the field reads {drains.channels} control channel(s), "
+                f"the signal has {controls.values.shape[1]}"
+            )
+    zero = np.zeros(grid.steps)
+    return tuple(
+        (zero, zero, zero) if c is None or controls is None
+        else stage_samples(grid, controls.values[:, c], backward)
+        for c in drains
+    )
 
 
 def integrate_forward(
-    dynamics: Callable[..., tuple[float, float, float]],
+    field: DrainField,
     x0: np.ndarray,
     grid: TimeGrid,
     controls=None,
 ) -> Trajectory:
-    """Integrate ``dynamics(t, s, i, r, u1, u2)`` from x0 = (S, I, R) over the grid.
+    """Integrate the drain-form ``field`` from x0 = (S, I, R) over the grid.
 
-    ``controls`` is a node-sampled signal (or None for autonomous dynamics);
-    its value at RK4 half-stages is the linear interpolant of the bracketing
-    nodes.  States are never clipped; validity is the caller's post-hoc check.
+    ``controls`` is a node-sampled signal with one column per channel of
+    ``field.drains`` (or None: no drain).  States are never clipped;
+    validity is the caller's post-hoc check.
     """
-    _check_controls(controls, grid)
+    beta, mu = field.beta, field.mu
+    (a1, am, a4), (v1, vm, v4) = _drain_samples(field.drains, controls, grid)
     times = grid.times().tolist()
     dt = grid.dt
     half = 0.5 * dt
     sixth = dt / 6.0
     isfinite = math.isfinite
-    u1, u2 = _control_columns(controls, grid.n_nodes)
     s, i, r = np.asarray(x0, dtype=float).tolist()
-    out = [(s, i, r)]
-    for k in range(grid.steps):
-        t_k = times[k]
-        t_half = t_k + half
-        t_full = t_k + dt
-        w_half = (t_half - t_k) / dt
-        w_full = (t_full - t_k) / dt
-        a1 = u1[k]
-        a2 = u2[k]
-        d1 = u1[k + 1] - a1
-        d2 = u2[k + 1] - a2
-        m1 = a1 + w_half * d1
-        m2 = a2 + w_half * d2
-
-        k1s, k1i, k1r = dynamics(t_k, s, i, r, a1, a2)
-        k2s, k2i, k2r = dynamics(
-            t_half, s + half * k1s, i + half * k1i, r + half * k1r, m1, m2
-        )
-        k3s, k3i, k3r = dynamics(
-            t_half, s + half * k2s, i + half * k2i, r + half * k2r, m1, m2
-        )
-        k4s, k4i, k4r = dynamics(
-            t_full, s + dt * k3s, i + dt * k3i, r + dt * k3r,
-            a1 + w_full * d1, a2 + w_full * d2,
-        )
+    out = [s, i, r]
+    for t_k, a, g, a_m, g_m, a_4, g_4 in zip(
+        times,
+        a1.tolist(), (mu + v1).tolist(),
+        am.tolist(), (mu + vm).tolist(),
+        a4.tolist(), (mu + v4).tolist(),
+    ):
+        # dS = -x - a*S, dI = x - (mu + v)*I with x = beta*S*I, dR = -(dS + dI)
+        x = beta * s * i
+        k1s = -x - a * s
+        k1i = x - g * i
+        ss = s + half * k1s
+        ii = i + half * k1i
+        x = beta * ss * ii
+        k2s = -x - a_m * ss
+        k2i = x - g_m * ii
+        ss = s + half * k2s
+        ii = i + half * k2i
+        x = beta * ss * ii
+        k3s = -x - a_m * ss
+        k3i = x - g_m * ii
+        ss = s + dt * k3s
+        ii = i + dt * k3i
+        x = beta * ss * ii
+        k4s = -x - a_4 * ss
+        k4i = x - g_4 * ii
+        k1r = -(k1s + k1i)
+        k2r = -(k2s + k2i)
+        k3r = -(k3s + k3i)
+        k4r = -(k4s + k4i)
         s = s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
         i = i + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
         r = r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         if not (isfinite(s) and isfinite(i) and isfinite(r)):
             raise IntegrationError(f"non-finite state after step at t={t_k}")
-        out.append((s, i, r))
-    return Trajectory(grid, np.array(out))
+        out += (s, i, r)
+    return Trajectory(grid, np.array(out).reshape(-1, 3))
 
 
 def integrate_backward(
@@ -198,53 +241,42 @@ def integrate_backward(
 
     The stored terminal node is exactly ``lambda_end``.  State and control
     samples at the (negative) RK4 half-stages follow the same linear
-    interpolation rule as the forward sweep.
+    interpolation rule as the forward sweep.  The control columns come from
+    ``adjoint_dynamics.drains``; a callable without one reads no channel.
     """
     if states.grid != grid:
         raise ValueError("state trajectory lives on a different grid")
-    _check_controls(controls, grid)
-    times = grid.times().tolist()
-    dt = grid.dt
-    back = -dt
+    drains = getattr(adjoint_dynamics, "drains", Drains())
+    (a1, am, a4), (v1, vm, v4) = _drain_samples(drains, controls, grid, backward=True)
+    s1, sm, s4 = stage_samples(grid, states.values[:, 0], backward=True)
+    i1, im, i4 = stage_samples(grid, states.values[:, 1], backward=True)
+    times = grid.times()[:0:-1].tolist()
+    back = -grid.dt
     half = 0.5 * back
     sixth = back / 6.0
     isfinite = math.isfinite
-    xs, xi, xr = states.values.T.tolist()
-    u1, u2 = _control_columns(controls, grid.n_nodes)
     ls, li, lr = np.asarray(lambda_end, dtype=float).tolist()
-    out = [(ls, li, lr)]
-    for k in range(grid.steps, 0, -1):
-        t_k = times[k]
-        t_half = t_k + half
-        t_full = t_k + back
-        w_half = (t_k - t_half) / dt
-        w_full = (t_k - t_full) / dt
-        sa, ia, ra, a1, a2 = xs[k], xi[k], xr[k], u1[k], u2[k]
-        ds = xs[k - 1] - sa
-        di = xi[k - 1] - ia
-        dr = xr[k - 1] - ra
-        d1 = u1[k - 1] - a1
-        d2 = u2[k - 1] - a2
-        sm, im, rm = sa + w_half * ds, ia + w_half * di, ra + w_half * dr
-        m1, m2 = a1 + w_half * d1, a2 + w_half * d2
-
-        k1s, k1i, k1r = adjoint_dynamics(t_k, ls, li, lr, sa, ia, ra, a1, a2)
+    out = [ls, li, lr]
+    for t_k, s, i, a, v, s_m, i_m, a_m, v_m, s_4, i_4, a_4, v_4 in zip(
+        times,
+        s1.tolist(), i1.tolist(), a1.tolist(), v1.tolist(),
+        sm.tolist(), im.tolist(), am.tolist(), vm.tolist(),
+        s4.tolist(), i4.tolist(), a4.tolist(), v4.tolist(),
+    ):
+        k1s, k1i, k1r = adjoint_dynamics(ls, li, lr, s, i, a, v)
         k2s, k2i, k2r = adjoint_dynamics(
-            t_half, ls + half * k1s, li + half * k1i, lr + half * k1r, sm, im, rm, m1, m2
+            ls + half * k1s, li + half * k1i, lr + half * k1r, s_m, i_m, a_m, v_m
         )
         k3s, k3i, k3r = adjoint_dynamics(
-            t_half, ls + half * k2s, li + half * k2i, lr + half * k2r, sm, im, rm, m1, m2
+            ls + half * k2s, li + half * k2i, lr + half * k2r, s_m, i_m, a_m, v_m
         )
         k4s, k4i, k4r = adjoint_dynamics(
-            t_full, ls + back * k3s, li + back * k3i, lr + back * k3r,
-            sa + w_full * ds, ia + w_full * di, ra + w_full * dr,
-            a1 + w_full * d1, a2 + w_full * d2,
+            ls + back * k3s, li + back * k3i, lr + back * k3r, s_4, i_4, a_4, v_4
         )
         ls = ls + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
         li = li + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
         lr = lr + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         if not (isfinite(ls) and isfinite(li) and isfinite(lr)):
             raise IntegrationError(f"non-finite state after step at t={t_k}")
-        out.append((ls, li, lr))
-    out.reverse()
-    return Trajectory(grid, np.array(out))
+        out += (ls, li, lr)
+    return Trajectory(grid, np.array(out).reshape(-1, 3)[::-1].copy())

@@ -1,29 +1,34 @@
-"""SIR compartment model: state, parameters, and the controlled/uncontrolled dynamics.
+"""SIR compartment model: state, parameters, and the drain-form dynamics.
 
 The population is split into susceptible (S), infected (I) and recovered (R)
-fractions with constant total n = S + I + R.  Three rate functions on plain
-floats are provided:
+fractions with constant total n = S + I + R.  Every intervention moves a
+compartment into R, so every scenario is one SIR field in *drain form*:
 
-* ``uncontrolled_rates``         dS = -beta*S*I,        dI = beta*S*I - mu*I
-* ``vaccination_rates``          adds a vaccination rate u moving S directly to R
-* ``treatment_education_rates``  adds treatment u1 (I -> R) and an educational
-  campaign u2 (S -> R)
+    dS = -beta*S*I - a*S,    dI = beta*S*I - (mu + v)*I,    dR = a*S + (mu + v)*I
 
-All three conserve S + I + R exactly (the R component is computed as the
-balance of the other two, so the float sum of the derivative is exactly 0).
+S drains into R at rate ``a(t)`` (vaccination or education) and I at rate
+``mu + v(t)`` (recovery plus treatment).  :class:`Drains` says which control
+column is ``a`` and which is ``v``; a drain a layout lacks has rate 0, which
+gives the same bits as leaving its term out.  ``treatment_education_rates``
+is the one rate law; the forward RK4 loop in :mod:`sircontrol.integrate`
+writes the same law inline, in the same operation order.
+
+The R component is computed as the balance of the other two, so the float
+sum of the derivative is exactly 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "EpidemicState",
     "ModelParams",
-    "uncontrolled_rates",
-    "vaccination_rates",
+    "Drains",
+    "DrainField",
     "treatment_education_rates",
 ]
 
@@ -69,31 +74,47 @@ class ModelParams:
                 raise ValueError(f"{name} must be positive, got {v}")
 
 
-# Rate functions on plain floats, the single source of the model formulas.
-# Each returns (dS, dI, dR); the third component balances the first two so
-# the float sum is exactly zero.  R does not enter the rates.
+class Drains(NamedTuple):
+    """Control columns that drain S (rate ``a``) and I (rate ``v``) into R; None: no such drain."""
+
+    s: int | None = None
+    i: int | None = None
+
+    @property
+    def channels(self) -> int:
+        """Number of control columns the layout reads."""
+        return (self.s is not None) + (self.i is not None)
+
+    def split(self, u: np.ndarray, absent):
+        """``(a, v)``: the columns of the node array ``u`` that drain S and I, or ``absent``."""
+        return tuple(absent if c is None else u[:, c] for c in self)
+
+    def join(self, a, v) -> list:
+        """The S-drain and I-drain values ``a`` and ``v`` in control-column order."""
+        columns = [None] * self.channels
+        for c, x in zip(self, (a, v)):
+            if c is not None:
+                columns[c] = x
+        return columns
 
 
-def uncontrolled_rates(s: float, i: float, beta: float, mu: float) -> tuple[float, float, float]:
+@dataclass(frozen=True)
+class DrainField:
+    """The SIR field in drain form at rates ``beta``, ``mu``, with its control columns."""
+
+    beta: float
+    mu: float
+    drains: Drains = Drains()
+
+
+def treatment_education_rates(s, i, beta: float, mu: float, v, a) -> tuple:
+    """``(dS, dI, dR)`` with S draining at rate ``a`` and I at ``mu + v``, on floats or arrays.
+
+    Named for strategy 3, whose treatment ``u1`` is ``v`` and education
+    ``u2`` is ``a``; with ``v = 0`` it is the vaccination law, and with both
+    at 0 the uncontrolled one, bit for bit.  R does not enter the rates.
+    """
     infection = beta * s * i
-    ds = -infection
-    di = infection - mu * i
-    return ds, di, -(ds + di)
-
-
-def vaccination_rates(
-    s: float, i: float, beta: float, mu: float, u: float
-) -> tuple[float, float, float]:
-    infection = beta * s * i
-    ds = -infection - u * s
-    di = infection - mu * i
-    return ds, di, -(ds + di)
-
-
-def treatment_education_rates(
-    s: float, i: float, beta: float, mu: float, u1: float, u2: float
-) -> tuple[float, float, float]:
-    infection = beta * s * i
-    ds = -infection - u2 * s
-    di = infection - (mu + u1) * i
+    ds = -infection - a * s
+    di = infection - (mu + v) * i
     return ds, di, -(ds + di)

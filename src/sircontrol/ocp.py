@@ -9,13 +9,15 @@ a fixed horizon subject to box bounds 0 <= u <= u_max:
                          with treatment u1 I -> R and education u2 S -> R
 
 Each running cost is ``c_x . (S, I, R) + (w1/2) u1^2 + (w2/2) u2^2`` and each
-control moves a compartment into R.  ``_weights(spec) -> (c_x, w)`` is the
-only code that branches on the strategy; ``_LAYOUTS`` holds one entry per
-control layout (u1 drains S; u1 drains I and u2 drains S) that builds the
-dynamics field, the costate field ``-(c_x + f_x^T lam)`` and the products
-``f_x^T k``, ``f_u^T k``.  The running cost, the control law
-``clip(-(f_u^T lam)_c / w_c, 0, u_max)`` and the reverse gradient derive from
-these two tables (see docs/costate_derivation.md).  Two solution routes:
+control moves a compartment into R, so every strategy is the drain-form SIR
+field of :mod:`sircontrol.model`.  ``_weights(spec) -> (c_x, w)`` and
+``_DRAINS``, the channel map of each strategy (u1 drains S; u1 drains I and
+u2 drains S), are the only code that branches on the strategy; one builder,
+``_drain_layout``, writes the costate field ``-(c_x + f_x^T lam)`` and the
+products ``f_x^T k``, ``f_u^T k`` in the drain rates ``a`` and ``v``.  The
+running cost, the control law ``clip(-(f_u^T lam)_c / w_c, 0, u_max)`` and
+the reverse gradient derive from these two tables (see
+docs/costate_derivation.md).  Two solution routes:
 
 ``solve_fbsm``
     Forward-backward sweep: alternate forward state integration, backward
@@ -48,13 +50,7 @@ from .integrate import (
     integrate_backward,
     integrate_forward,
 )
-from .model import (
-    EpidemicState,
-    ModelParams,
-    treatment_education_rates,
-    uncontrolled_rates,
-    vaccination_rates,
-)
+from .model import DrainField, Drains, EpidemicState, ModelParams, treatment_education_rates
 
 __all__ = [
     "Strategy",
@@ -98,7 +94,7 @@ class Strategy(IntEnum):
 
     @property
     def channels(self) -> int:
-        return _LAYOUTS[self][0]
+        return _DRAINS[self].channels
 
 
 @dataclass(frozen=True)
@@ -195,76 +191,54 @@ def _weights(spec: StrategySpec):
     return (0.0, spec.kappa, 0.0), (spec.b1, spec.b2)
 
 
-# A layout builder takes (beta, mu, c_x) and returns float callables
-# dynamics(t, s, i, r, u1, u2), costate(t, lam_s, lam_i, lam_r, s, i, r, u1, u2)
-# and vjp(s, i, u1, u2, k_s, k_i, k_r) (see docs/costate_derivation.md).  The
-# costate field is written out, not composed from vjp, so that it stays as
-# fast as, and bit for bit equal to, the published equations; f_u^T k is
-# written (k_R - k_X) x for a control moving X to R for the same reason.
-
-
-def _drains_s(beta, mu, c_x):
-    """u1 moves S to R (strategies 1 and 2); u2 is ignored."""
-    ns, ni, nr = -c_x[0], -c_x[1], -c_x[2]
-
-    def dynamics(t, s, i, r, u1, u2):
-        return vaccination_rates(s, i, beta, mu, u1)
-
-    def costate(t, ls, li, lr, s, i, r, u1, u2):
-        return (
-            ns + (ls - li) * beta * i + (ls - lr) * u1,
-            ni + (ls - li) * beta * s + (li - lr) * mu,
-            nr + 0.0 * lr,
-        )
-
-    def vjp(s, i, u1, u2, ks, ki, kr):
-        return (
-            (-beta * i - u1) * ks + beta * i * ki + u1 * kr,
-            -beta * s * ks + (beta * s - mu) * ki + mu * kr,
-            (kr - ks) * s,
-            0.0,
-        )
-
-    return dynamics, costate, vjp
-
-
-def _drains_i_and_s(beta, mu, c_x):
-    """u1 moves I to R and u2 moves S to R (strategy 3)."""
-    ns, ni, nr = -c_x[0], -c_x[1], -c_x[2]
-
-    def dynamics(t, s, i, r, u1, u2):
-        return treatment_education_rates(s, i, beta, mu, u1, u2)
-
-    def costate(t, ls, li, lr, s, i, r, u1, u2):
-        return (
-            ns + (ls - li) * beta * i + (ls - lr) * u2,
-            ni + (ls - li) * beta * s + (li - lr) * (mu + u1),
-            nr + 0.0 * lr,
-        )
-
-    def vjp(s, i, u1, u2, ks, ki, kr):
-        return (
-            (-beta * i - u2) * ks + beta * i * ki + u2 * kr,
-            -beta * s * ks + (beta * s - mu - u1) * ki + (mu + u1) * kr,
-            (kr - ki) * i,
-            (kr - ks) * s,
-        )
-
-    return dynamics, costate, vjp
-
-
-# strategy -> (control channels, layout builder)
-_LAYOUTS = {
-    Strategy.VACCINATION: (1, _drains_s),
-    Strategy.VACCINATION_WEIGHTED: (1, _drains_s),
-    Strategy.TREATMENT_EDUCATION: (2, _drains_i_and_s),
+# strategy -> the control columns that drain S (rate a) and I (rate v) into R
+_DRAINS = {
+    Strategy.VACCINATION: Drains(s=0),
+    Strategy.VACCINATION_WEIGHTED: Drains(s=0),
+    Strategy.TREATMENT_EDUCATION: Drains(s=1, i=0),
 }
 
 
+def _drain_layout(beta, mu, c_x, drains):
+    """``(costate, vjp)`` of the drain-form field in the drain rates ``a`` and ``v``.
+
+    ``costate(lam_s, lam_i, lam_r, s, i, a, v)`` is the costate field, and
+    ``vjp(s, i, a, v, k_s, k_i, k_r)`` returns ``f_x^T k`` (S and I rows)
+    and ``f_a^T k``, ``f_v^T k``; both take floats or arrays (see
+    docs/costate_derivation.md).  The costate field is written out, not
+    composed from vjp, so that it stays as fast as, and bit for bit equal
+    to, the published equations; ``f_a^T k`` is written ``(k_R - k_S) s``
+    for the same reason.  A drain at rate 0 gives the bits of a layout
+    without it: ``beta*s - mu - 0.0`` and ``(mu + 0.0)*i`` round as
+    ``beta*s - mu`` and ``mu*i``.  The costate carries ``drains``, from
+    which :func:`integrate_backward` samples ``a`` and ``v``.
+    """
+    ns, ni, nr = -c_x[0], -c_x[1], -c_x[2]
+
+    def costate(ls, li, lr, s, i, a, v):
+        return (
+            ns + (ls - li) * beta * i + (ls - lr) * a,
+            ni + (ls - li) * beta * s + (li - lr) * (mu + v),
+            nr + 0.0 * lr,
+        )
+
+    def vjp(s, i, a, v, ks, ki, kr):
+        return (
+            (-beta * i - a) * ks + beta * i * ki + a * kr,
+            -beta * s * ks + (beta * s - mu - v) * ki + (mu + v) * kr,
+            (kr - ks) * s,
+            (kr - ki) * i,
+        )
+
+    costate.drains = drains
+    return costate, vjp
+
+
 def _fields(spec: StrategySpec):
-    """``(dynamics, costate, vjp)`` of the spec's layout at its rates and weights."""
+    """``(field, costate, vjp)`` of the spec's drain layout at its rates and weights."""
     c_x, _ = _weights(spec)
-    return _LAYOUTS[spec.kind][1](spec.params.beta, spec.params.mu, c_x)
+    beta, mu, drains = spec.params.beta, spec.params.mu, _DRAINS[spec.kind]
+    return (DrainField(beta, mu, drains), *_drain_layout(beta, mu, c_x, drains))
 
 
 # -- derived problem functions -------------------------------------------------
@@ -299,7 +273,7 @@ def control_law(spec: StrategySpec, s, i, lam_s, lam_i, lam_r) -> np.ndarray:
     Takes floats or node arrays; returns one column per control channel.
     """
     _, w = _weights(spec)
-    f_u = _fields(spec)[2](s, i, 0.0, 0.0, lam_s, lam_i, lam_r)[2:]
+    f_u = _DRAINS[spec.kind].join(*_fields(spec)[2](s, i, 0.0, 0.0, lam_s, lam_i, lam_r)[2:])
     return np.column_stack(
         [np.clip(-f_u[c] / w[c], 0.0, spec.u_max) for c in range(spec.channels)]
     )
@@ -308,23 +282,21 @@ def control_law(spec: StrategySpec, s, i, lam_s, lam_i, lam_r) -> np.ndarray:
 # -- dynamics/costate fields for the integrator ------------------------------
 
 
-def uncontrolled_field(params: ModelParams):
-    """Dynamics callable for :func:`integrate_forward` with no control."""
-    beta, mu = params.beta, params.mu
-
-    def f(t, s, i, r, u1, u2):
-        return uncontrolled_rates(s, i, beta, mu)
-
-    return f
+def uncontrolled_field(params: ModelParams) -> DrainField:
+    """The field without drains, for :func:`integrate_forward`."""
+    return DrainField(params.beta, params.mu)
 
 
-def dynamics_field(spec: StrategySpec):
-    """Controlled dynamics callable for :func:`integrate_forward`."""
+def dynamics_field(spec: StrategySpec) -> DrainField:
+    """The spec's drain-form field, for :func:`integrate_forward`."""
     return _fields(spec)[0]
 
 
 def adjoint_field(spec: StrategySpec):
-    """Costate dynamics ``-(c_x + f_x^T lam)``, a callable for :func:`integrate_backward`."""
+    """Costate field ``costate(lam_s, lam_i, lam_r, s, i, a, v)`` for :func:`integrate_backward`.
+
+    It returns ``-(c_x + f_x^T lam)`` and carries the spec's ``drains``.
+    """
     return _fields(spec)[1]
 
 
@@ -345,19 +317,19 @@ def _admissible(traj: Trajectory, n: float) -> Trajectory:
     return traj
 
 
-def _admissible_forward(spec: StrategySpec, dynamics, signal: ControlSignal) -> Trajectory:
+def _admissible_forward(spec: StrategySpec, field: DrainField, signal: ControlSignal) -> Trajectory:
     """Forward sweep of a solver iterate, checked by :func:`_admissible`."""
-    traj = integrate_forward(dynamics, spec.x0.as_array(), spec.grid, signal)
+    traj = integrate_forward(field, spec.x0.as_array(), spec.grid, signal)
     return _admissible(traj, spec.params.n)
 
 
 # -- forward-backward sweep --------------------------------------------------
 
 
-def _trial_objective(spec, dynamics, signal):
+def _trial_objective(spec, field, signal):
     """Objective and forward trajectory of a trial control; +inf if it blew up."""
     try:
-        traj = _admissible_forward(spec, dynamics, signal)
+        traj = _admissible_forward(spec, field, signal)
     except IntegrationError:
         return math.inf, None
     return objective(spec, traj, signal), traj
@@ -390,12 +362,12 @@ def solve_fbsm(
     On non-convergence the best iterate (lowest objective) is returned with
     ``converged=False``.
     """
-    dynamics = dynamics_field(spec)
+    field = dynamics_field(spec)
     adj_dynamics = adjoint_field(spec)
 
     u = np.zeros((spec.grid.n_nodes, spec.channels))
     signal = ControlSignal(spec.grid, u)
-    traj = _admissible_forward(spec, dynamics, signal)
+    traj = _admissible_forward(spec, field, signal)
     lam = integrate_backward(adj_dynamics, np.zeros(3), spec.grid, traj, signal)
     j = objective(spec, traj, signal)
     history = [j]
@@ -410,7 +382,7 @@ def solve_fbsm(
         while True:
             u_new = (1.0 - damp) * u + damp * u_law
             signal_new = ControlSignal(spec.grid, u_new)
-            j_new, traj_new = _trial_objective(spec, dynamics, signal_new)
+            j_new, traj_new = _trial_objective(spec, field, signal_new)
             if j_new <= j + 1e-12 or damp <= relaxation / 64.0:
                 break
             damp *= 0.5
@@ -465,54 +437,55 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     coefficients depend only on the trajectory and the controls: they come
     for every step at once from the layout's ``vjp`` on node arrays, and one
     float loop scans the adjoint's S and I components (its R component has
-    a closed form; see docs/costate_derivation.md).
+    a closed form; see docs/costate_derivation.md).  The stage states come
+    from :func:`treatment_education_rates` on node arrays.
 
     Returns ``(objective_value, gradient)`` with the gradient shaped like
     ``u_values``.  Raises :class:`IntegrationError` when the forward sweep
     blows up (see :func:`_admissible_forward`).
     """
     signal = ControlSignal(spec.grid, u_values)
-    dynamics, _, vjp = _fields(spec)
-    traj = _admissible_forward(spec, dynamics, signal)
+    field, _, vjp = _fields(spec)
+    traj = _admissible_forward(spec, field, signal)
     j = objective(spec, traj, signal)
 
     (cs, ci, cr), w = _weights(spec)
+    beta, mu = field.beta, field.mu
     dt = spec.grid.dt
     n = spec.grid.steps
     half, third, sixth = 0.5 * dt, dt / 3.0, dt / 6.0
     u = u_values.T
-    u1 = u[0]
-    u2 = u[1] if spec.channels == 2 else np.zeros(n + 1)
+    a, v = field.drains.split(u_values, np.zeros(n + 1))
 
     # stage states of every step, as the forward sweep built them
-    t_k = spec.grid.times()[:-1]
-    ua1, ua2, ub1, ub2 = u1[:-1], u2[:-1], u1[1:], u2[1:]
-    um1, um2 = 0.5 * (ua1 + ub1), 0.5 * (ua2 + ub2)
-    s1, i1, r1 = traj.values[:-1].T
-    fs, fi, fr = dynamics(t_k, s1, i1, r1, ua1, ua2)
-    s2, i2, r2 = s1 + half * fs, i1 + half * fi, r1 + half * fr
-    fs, fi, fr = dynamics(t_k + half, s2, i2, r2, um1, um2)
-    s3, i3, r3 = s1 + half * fs, i1 + half * fi, r1 + half * fr
-    fs, fi, _ = dynamics(t_k + half, s3, i3, r3, um1, um2)
+    aa, va, ab, vb = a[:-1], v[:-1], a[1:], v[1:]
+    am, vm = 0.5 * (aa + ab), 0.5 * (va + vb)
+    s1, i1 = traj.values[:-1, :2].T
+    fs, fi, _ = treatment_education_rates(s1, i1, beta, mu, va, aa)
+    s2, i2 = s1 + half * fs, i1 + half * fi
+    fs, fi, _ = treatment_education_rates(s2, i2, beta, mu, vm, am)
+    s3, i3 = s1 + half * fs, i1 + half * fi
+    fs, fi, _ = treatment_education_rates(s3, i3, beta, mu, vm, am)
     s4, i4 = s1 + dt * fs, i1 + dt * fi
 
     # the unit seeds e_S, e_I, e_R on a leading axis, pulled back through the
     # four stages of every step: row j of a_X is (M_k e_j)_X, and to_a, mid
-    # and to_b give the control weights of nodes k and k+1
+    # and to_b give the control weights of nodes k and k+1, by channel
     ks, ki, kr = np.eye(3)[:, :, None]
-    a4s, a4i, e1, e2 = vjp(s4, i4, ub1, ub2, sixth * ks, sixth * ki, sixth * kr)
-    to_b = (e1, e2)
+    join = field.drains.join
+    a4s, a4i, e1, e2 = vjp(s4, i4, ab, vb, sixth * ks, sixth * ki, sixth * kr)
+    to_b = join(e1, e2)
     a3s, a3i, d1, d2 = vjp(
-        s3, i3, um1, um2, third * ks + dt * a4s, third * ki + dt * a4i, third * kr
+        s3, i3, am, vm, third * ks + dt * a4s, third * ki + dt * a4i, third * kr
     )
     a2s, a2i, e1, e2 = vjp(
-        s2, i2, um1, um2, third * ks + half * a3s, third * ki + half * a3i, third * kr
+        s2, i2, am, vm, third * ks + half * a3s, third * ki + half * a3i, third * kr
     )
-    mid = (0.5 * (d1 + e1), 0.5 * (d2 + e2))
+    mid = join(0.5 * (d1 + e1), 0.5 * (d2 + e2))
     a1s, a1i, e1, e2 = vjp(
-        s1, i1, ua1, ua2, sixth * ks + half * a2s, sixth * ki + half * a2i, sixth * kr
+        s1, i1, aa, va, sixth * ks + half * a2s, sixth * ki + half * a2i, sixth * kr
     )
-    to_a = (e1, e2)
+    to_a = join(e1, e2)
     (m_ss, m_si, m_sr), (m_is, m_ii, m_ir) = a1s + a2s + a3s + a4s, a1i + a2i + a3i + a4i
 
     # node-cost weights of the trapezoid rule

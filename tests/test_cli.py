@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
+from sircontrol import cli
 from sircontrol.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -19,8 +24,11 @@ from sircontrol.cli import (
     load_config,
     main,
     parse_config_text,
+    write_plot_bundles,
+    write_timeseries_csv,
 )
-from sircontrol.ocp import default_spec
+from sircontrol.integrate import TimeGrid, Trajectory
+from sircontrol.ocp import ControlSignal, default_spec
 
 
 def write_cfg(tmp_path, name, text):
@@ -343,6 +351,84 @@ def test_compare_aborts_with_partial_results_note(tmp_path, capsys):
     assert not (tmp_path / "comparison.csv").exists()
 
 
+def test_compare_notes_partial_results_of_an_integration_failure(tmp_path, capsys):
+    ok = write_cfg(tmp_path, "ok.cfg", "strategy = none\nsteps = 100\n")
+    bad = write_cfg(tmp_path, "bad.cfg", "strategy = 1\nsteps = 2\n")  # RK4 unstable
+    rc = main(["compare", "--config", ok, "--config", bad, "--out", str(tmp_path)])
+    assert rc == EXIT_INTEGRATION
+    err = capsys.readouterr().err
+    assert "integration failure: " in err
+    assert "partial results: 1 of 2 scenarios completed before strategy1 failed" in err
+    assert (tmp_path / "uncontrolled.csv").exists()
+    assert (tmp_path / "uncontrolled.json").exists()
+    assert not (tmp_path / "strategy1.csv").exists()
+    assert not (tmp_path / "comparison.csv").exists()
+
+
 def test_compare_unreadable_config_path(tmp_path, capsys):
     rc = main(["compare", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
+
+
+# -- output formatting ----------------------------------------------------------------
+
+
+def per_value_csv(header, rows):
+    """The CSV text of ``rows`` formatted one value at a time by ``cli._fmt``."""
+    return "\n".join([header] + [",".join(cli._fmt(v) for v in row) for row in rows]) + "\n"
+
+
+SPECIAL_VALUES = [-0.0, 1e-300, 100.0, 0.1, -2.5e-7, 123456789.123]
+
+
+@pytest.mark.parametrize("channels", [None, 1, 2])
+def test_timeseries_csv_bytes_equal_per_value_formatting(tmp_path, channels):
+    grid = TimeGrid(0.0, 5.0, 5)
+    values = np.array(SPECIAL_VALUES * 3).reshape(6, 3)
+    traj = Trajectory(grid, values)
+    control = adjoints = None
+    if channels is not None:
+        control = ControlSignal(grid, values[:, :channels][::-1].copy())
+        adjoints = Trajectory(grid, -values)
+    write_timeseries_csv(tmp_path / "x.csv", traj, control, adjoints)
+
+    u = [[None, None]] * 6 if control is None else control.values.tolist()
+    lam = [[None] * 3] * 6 if adjoints is None else adjoints.values.tolist()
+    rows = [
+        [t, *x, *(list(uk) + [None] * (2 - len(uk))), *lk]
+        for t, x, uk, lk in zip(grid.times().tolist(), values.tolist(), u, lam)
+    ]
+    assert (tmp_path / "x.csv").read_text() == per_value_csv(CSV_HEADER, rows)
+    assert "-0," in (tmp_path / "x.csv").read_text()
+
+
+def test_plot_bundle_bytes_equal_per_value_formatting(tmp_path):
+    grid = TimeGrid(0.0, 5.0, 5)
+    values = np.array(SPECIAL_VALUES * 3).reshape(6, 3)
+    runs = [("a", Trajectory(grid, values)), ("b", Trajectory(grid, values[::-1].copy()))]
+    assert write_plot_bundles(tmp_path, runs)
+    for name, col in (("S", 0), ("I", 1), ("R", 2)):
+        rows = [
+            [t] + [traj.values[k, col].item() for _, traj in runs]
+            for k, t in enumerate(grid.times().tolist())
+        ]
+        text = (tmp_path / f"fig_{name}_compare.csv").read_text()
+        assert text == per_value_csv("t,a,b", rows)
+
+
+def test_import_defers_package_metadata():
+    """``import sircontrol.cli`` leaves importlib.metadata unloaded; the meta block is unchanged."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    probe = "import sys, sircontrol.cli; print('importlib.metadata' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+    from importlib import metadata
+
+    try:
+        version = metadata.version("sircontrol")
+    except metadata.PackageNotFoundError:
+        version = "unknown"
+    assert cli._meta() == {"tool": "sircontrol", "version": version}

@@ -11,13 +11,16 @@ from sircontrol.integrate import (
     Trajectory,
     integrate_backward,
     integrate_forward,
+    stage_samples,
 )
+from sircontrol.model import DrainField
 from sircontrol.ocp import (
     DEFAULT_PARAMS,
     DEFAULT_X0,
     ControlSignal,
     adjoint_field,
     default_spec,
+    dynamics_field,
     uncontrolled_field,
 )
 
@@ -109,8 +112,8 @@ def test_forward_conserves_population(uncontrolled_traj):
 def test_forward_blowup_raises():
     with pytest.raises(IntegrationError):
         integrate_forward(
-            lambda t, s, i, r, u1, u2: (s * s, 0.0, 0.0),
-            np.array([1.0, 0.0, 0.0]),
+            DrainField(beta=1e300, mu=0.1),  # beta*S*I overflows within a step
+            np.array([0.5, 0.5, 0.0]),
             TimeGrid(0.0, 5.0, 10),
         )
 
@@ -124,20 +127,20 @@ def test_forward_rejects_mismatched_control_grid():
 
 
 def test_linear_control_interpolation_is_exact():
-    """x' = u(t) with u linear between nodes integrates to the exact area."""
+    """RK4 of x' = u(t) on the stage samples of a linear u gives the exact area."""
     grid = TimeGrid(0.0, 2.0, 4)
-    u_nodes = (3.0 * grid.times() + 1.0).reshape(-1, 1)  # u(t) = 3t + 1
-    signal = ControlSignal(grid, u_nodes)
-    traj = integrate_forward(
-        lambda t, s, i, r, u1, u2: (u1, 0.0, 0.0), np.zeros(3), grid, signal
-    )
-    assert traj.values[-1, 0] == pytest.approx(8.0, rel=1e-13)  # int_0^2 (3t+1) dt
+    u_nodes = 3.0 * grid.times() + 1.0  # u(t) = 3t + 1
+    for backward, area in ((False, 8.0), (True, -8.0)):  # int_0^2 (3t+1) dt
+        node, half, full = stage_samples(grid, u_nodes, backward)
+        h = -grid.dt if backward else grid.dt
+        x = float(np.sum((h / 6.0) * (node + 2.0 * half + 2.0 * half + full)))
+        assert x == pytest.approx(area, rel=1e-13)
 
 
 # -- backward integration ----------------------------------------------------------
 
 
-def zero_costate_field(t, ls, li, lr, s, i, r, u1, u2):
+def zero_costate_field(ls, li, lr, s, i, a, v):
     return 0.0, 0.0, 0.0
 
 
@@ -169,9 +172,31 @@ def test_backward_recovers_exponential():
     grid = TimeGrid(0.0, 1.0, 100)
     states = Trajectory(grid, np.zeros((101, 3)))
     adj = integrate_backward(
-        lambda t, ls, li, lr, s, i, r, u1, u2: (ls, li, lr), np.ones(3), grid, states
+        lambda ls, li, lr, s, i, a, v: (ls, li, lr), np.ones(3), grid, states
     )
     assert adj.values[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("kind, channels", [(1, 2), (3, 1)])
+def test_sweeps_reject_a_signal_with_the_wrong_channel_count(kind, channels):
+    """Strategy 1 reads one control column and strategy 3 two; neither takes the other's."""
+    spec = default_spec(kind, steps=10)
+    signal = ControlSignal.zeros(spec.grid, channels)
+    x0 = spec.x0.as_array()
+    with pytest.raises(ValueError, match="control channel"):
+        integrate_forward(dynamics_field(spec), x0, spec.grid, signal)
+    states = integrate_forward(dynamics_field(spec), x0, spec.grid)
+    with pytest.raises(ValueError, match="control channel"):
+        integrate_backward(adjoint_field(spec), np.zeros(3), spec.grid, states, signal)
+
+
+def test_uncontrolled_field_rejects_any_control_signal():
+    grid = TimeGrid(0.0, 100.0, 10)
+    with pytest.raises(ValueError, match="control channel"):
+        integrate_forward(
+            uncontrolled_field(DEFAULT_PARAMS), DEFAULT_X0.as_array(), grid,
+            ControlSignal.zeros(grid, 1),
+        )
 
 
 def test_strategy1_costate_for_recovered_is_constant(fbsm_solutions):

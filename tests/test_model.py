@@ -1,21 +1,29 @@
-"""Unit tests for the compartment model: rates, reductions, conservation."""
+"""Unit tests for the compartment model: rates, reductions, conservation.
+
+``treatment_education_rates(s, i, beta, mu, v, a)`` is the one rate law: S
+drains into R at rate ``a`` and I at ``mu + v``.  The uncontrolled law is
+the one with no drain (``v = a = 0``), the vaccination law the one with
+``v = 0``.
+"""
 
 import numpy as np
 import pytest
 
 from sircontrol.integrate import Trajectory
-from sircontrol.model import (
-    EpidemicState,
-    ModelParams,
-    treatment_education_rates,
-    uncontrolled_rates,
-    vaccination_rates,
-)
+from sircontrol.model import EpidemicState, ModelParams, treatment_education_rates
 from sircontrol.ocp import ControlSignal, default_spec, objective
 
 X0 = EpidemicState(0.95, 0.05, 0.0)
 PARAMS = ModelParams(beta=0.2, mu=0.1)
 BETA, MU = PARAMS.beta, PARAMS.mu
+
+
+def uncontrolled_rates(s, i, beta, mu):
+    return treatment_education_rates(s, i, beta, mu, 0.0, 0.0)
+
+
+def vaccination_rates(s, i, beta, mu, u):
+    return treatment_education_rates(s, i, beta, mu, 0.0, u)
 
 
 def random_states(rng, count):
@@ -77,11 +85,16 @@ def test_education_only_transfers_susceptibles():
 
 
 def test_controls_off_reduce_to_uncontrolled():
+    """A drain at rate 0 gives the bits of the law written without its term."""
     rng = np.random.default_rng(7)
     for state in random_states(rng, 25):
-        base = uncontrolled_rates(state.s, state.i, BETA, MU)
-        assert vaccination_rates(state.s, state.i, BETA, MU, 0.0) == base
-        assert treatment_education_rates(state.s, state.i, BETA, MU, 0.0, 0.0) == base
+        s, i = state.s, state.i
+        u = rng.uniform(0.0, 0.9)
+        infection = BETA * s * i
+        ds, di = -infection, infection - MU * i
+        assert uncontrolled_rates(s, i, BETA, MU) == (ds, di, -(ds + di))
+        ds = -infection - u * s
+        assert vaccination_rates(s, i, BETA, MU, u) == (ds, di, -(ds + di))
 
 
 def test_rate_components_sum_to_exact_zero():
@@ -108,9 +121,9 @@ def test_recovered_inflow_is_never_negative():
 
 
 # -- arity and validation -------------------------------------------------------
-# The rate functions take every channel as a float; a control signal's channel
-# count is checked against the strategy where the problem is posed, in
-# ocp.objective.
+# The rate law takes both drain rates; a control signal's channel count is
+# checked against the strategy where the problem is posed, in ocp.objective,
+# and against the field's layout in the sweeps (tests/test_integrate.py).
 
 
 def constant_run(kind, channels):

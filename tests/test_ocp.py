@@ -9,7 +9,7 @@ import pytest
 from sircontrol import ocp
 from sircontrol.integrate import IntegrationError, TimeGrid, Trajectory, integrate_forward
 from sircontrol.metrics import peak_infected
-from sircontrol.model import EpidemicState, ModelParams
+from sircontrol.model import EpidemicState, ModelParams, treatment_education_rates
 from sircontrol.ocp import (
     ControlSignal,
     Strategy,
@@ -37,6 +37,17 @@ def random_point(rng, channels):
     lam = tuple(rng.normal(0.0, 2.0, size=3).tolist())
     u = tuple(rng.uniform(0.0, 0.9, size=channels).tolist()) + (0.0,) * (2 - channels)
     return x, lam, u
+
+
+def drain_rates(spec, u):
+    """``(a, v)``: the S and I drain rates of a channel-ordered control point under the spec."""
+    return tuple(0.0 if c is None else u[c] for c in dynamics_field(spec).drains)
+
+
+def rates(spec, x, u):
+    """``(dS, dI, dR)`` at state ``x`` and channel-ordered control ``u``."""
+    a, v = drain_rates(spec, u)
+    return treatment_education_rates(x[0], x[1], spec.params.beta, spec.params.mu, v, a)
 
 
 # -- problem definition -----------------------------------------------------------
@@ -128,26 +139,27 @@ def test_objective_rejects_grid_mismatch(uncontrolled_traj):
 
 
 def test_adjoint_rhs_with_zero_costates_is_cost_gradient():
-    x = (X0.s, X0.i, X0.r)
-    assert adjoint_field(default_spec(1))(0.0, 0, 0, 0, *x, 0.3, 0.0) == (0.0, -1.0, 0.0)
-    assert adjoint_field(default_spec(2))(0.0, 0, 0, 0, *x, 0.3, 0.0) == (-0.1, -0.5, 0.002)
-    assert adjoint_field(default_spec(3))(0.0, 0, 0, 0, *x, 0.3, 0.1) == (0.0, -1.0, 0.0)
+    x = (X0.s, X0.i)
+    # (a, v): u1 = 0.3 drains S in strategies 1-2; in strategy 3 u1 = 0.3 drains I, u2 = 0.1 S
+    assert adjoint_field(default_spec(1))(0, 0, 0, *x, 0.3, 0.0) == (0.0, -1.0, 0.0)
+    assert adjoint_field(default_spec(2))(0, 0, 0, *x, 0.3, 0.0) == (-0.1, -0.5, 0.002)
+    assert adjoint_field(default_spec(3))(0, 0, 0, *x, 0.1, 0.3) == (0.0, -1.0, 0.0)
 
 
 @pytest.mark.parametrize("kind", [1, 2, 3])
 def test_adjoint_rhs_matches_hamiltonian_gradient(kind):
     """Central differences of H = L + lam . f in (S, I, R) reproduce the costate field."""
     spec = default_spec(kind)
-    f, costate = dynamics_field(spec), adjoint_field(spec)
+    costate = adjoint_field(spec)
     rng = np.random.default_rng(100 + kind)
     h = 1e-6
     for _ in range(5):
         x, lam, u = random_point(rng, spec.channels)
 
         def h_of(y):
-            return running_cost(spec, *y, *u) + float(np.dot(lam, f(0.0, *y, *u)))
+            return running_cost(spec, *y, *u) + float(np.dot(lam, rates(spec, y, u)))
 
-        d = costate(0.0, *lam, *x, *u)
+        d = costate(*lam, x[0], x[1], *drain_rates(spec, u))
         for j in range(3):
             xp, xm = list(x), list(x)
             xp[j] += h
@@ -165,9 +177,10 @@ def test_costate_field_is_minus_cost_gradient_minus_vjp(kind):
     rng = np.random.default_rng(200 + kind)
     for _ in range(20):
         x, lam, u = random_point(rng, spec.channels)
-        fx_s, fx_i, _, _ = vjp(x[0], x[1], *u, *lam)
+        a, v = drain_rates(spec, u)
+        fx_s, fx_i, _, _ = vjp(x[0], x[1], a, v, *lam)
         expected = (-(cs + fx_s), -(ci + fx_i), -cr)  # R does not enter f
-        assert costate(0.0, *lam, *x, *u) == pytest.approx(expected, rel=1e-12, abs=1e-14)
+        assert costate(*lam, x[0], x[1], a, v) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
 def test_tables_reproduce_the_derivation():
@@ -182,6 +195,7 @@ def test_tables_reproduce_the_derivation():
         beta, mu, u_max = spec.params.beta, spec.params.mu, spec.u_max
         for _ in range(20):
             (S, I, R), (lS, lI, lR), (u1, u2) = random_point(rng, spec.channels)
+            a, v = (u2, u1) if kind == 3 else (u1, 0.0)  # the S and I drain rates
             if kind == 1:
                 lam_dot = (
                     (lS - lI) * beta * I + (lS - lR) * u1,
@@ -203,7 +217,7 @@ def test_tables_reproduce_the_derivation():
                     0.0,
                 )
                 law = [(lI - lR) * I / spec.b1, (lS - lR) * S / spec.b2]
-            assert adjoint_field(spec)(0.0, lS, lI, lR, S, I, R, u1, u2) == lam_dot
+            assert adjoint_field(spec)(lS, lI, lR, S, I, a, v) == lam_dot
             expected = [min(max(v, 0.0), u_max) for v in law]
             assert control_law(spec, S, I, lS, lI, lR)[0].tolist() == expected
 
@@ -225,13 +239,12 @@ def test_characterization_interior_is_stationary():
     rng = np.random.default_rng(23)
     for kind in (1, 2, 3):
         spec = default_spec(kind)
-        f = dynamics_field(spec)
         for _ in range(20):
             x, lam, _ = random_point(rng, spec.channels)
             u = control_law(spec, x[0], x[1], *lam)[0].tolist() + [0.0] * (2 - spec.channels)
 
             def h_of(v):
-                return running_cost(spec, *x, *v) + float(np.dot(lam, f(0.0, *x, *v)))
+                return running_cost(spec, *x, *v) + float(np.dot(lam, rates(spec, x, v)))
 
             h = 1e-5
             for ch in range(spec.channels):
