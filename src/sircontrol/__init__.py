@@ -5,15 +5,13 @@ Library layout:
 * :mod:`sircontrol.model` -- compartment states, parameters, the drain-form rate law
 * :mod:`sircontrol.integrate` -- fixed-step RK4 forward/backward integration
 * :mod:`sircontrol.ocp` -- the three control problems and their two solvers
-* :mod:`sircontrol.metrics` -- peak, infection period, terminal values, tables
+* :mod:`sircontrol.metrics` -- peak, infection period, terminal values
 * :mod:`sircontrol.cli` -- the ``sircontrol`` command-line tool
 """
 
 from .integrate import IntegrationError, TimeGrid, Trajectory, integrate_backward, integrate_forward
 from .metrics import (
-    ComparisonTable,
     RunSummary,
-    compare_strategies,
     infection_period,
     peak_infected,
     summarize_run,
@@ -55,9 +53,7 @@ __all__ = [
     "solve_direct",
     "solve_fbsm",
     "uncontrolled_field",
-    "ComparisonTable",
     "RunSummary",
-    "compare_strategies",
     "infection_period",
     "peak_infected",
     "summarize_run",

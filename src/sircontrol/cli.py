@@ -22,11 +22,11 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 from .integrate import IntegrationError, TimeGrid, Trajectory, integrate_forward
-from .metrics import DEFAULT_PERIOD_THRESHOLD, RunSummary, compare_strategies, summarize_run
+from .metrics import DEFAULT_PERIOD_THRESHOLD, RunSummary, summarize_run
 from .model import EpidemicState, ModelParams
 from .ocp import (
     DEFAULT_PARAMS,
@@ -44,7 +44,7 @@ from .ocp import (
     uncontrolled_field,
 )
 
-__all__ = ["ScenarioConfig", "ConfigError", "cmd_simulate", "cmd_optimize", "cmd_compare", "main"]
+__all__ = ["ScenarioConfig", "ConfigError", "cmd_compare", "main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,8 +109,10 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"config field {name} must be non-negative, got {getattr(self, name)}"
                 )
-        if self.s0 + self.i0 + self.r0 <= 0:
-            raise ConfigError("config fields s0 + i0 + r0 must sum to a positive population")
+        if not 0 < self.s0 + self.i0 + self.r0 < math.inf:
+            raise ConfigError(
+                "config fields s0 + i0 + r0 must sum to a finite positive population"
+            )
         if self.steps < 1:
             raise ConfigError(f"config field steps must be >= 1, got {self.steps}")
         if self.max_iterations < 1:
@@ -136,8 +138,7 @@ class ScenarioConfig:
         return EpidemicState(self.s0, self.i0, self.r0)
 
     def spec(self) -> StrategySpec:
-        if self.strategy == "none":
-            raise ConfigError("an optimization scenario requires strategy 1, 2, or 3")
+        """The control problem of strategy 1, 2 or 3."""
         return StrategySpec(
             kind=Strategy(int(self.strategy)),
             params=self.params(),
@@ -147,15 +148,11 @@ class ScenarioConfig:
             **{name: getattr(self, name) for name in _WEIGHT_FIELDS},
         )
 
-    def resolved(self) -> dict:
-        """Full configuration with defaults applied, for the JSON summaries."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 # -- config file parsing -----------------------------------------------------
 
-_INT_FIELDS = {"steps", "max_iterations"}
-_STR_FIELDS = {"strategy", "out"}
+# a config value is parsed by the type of its ScenarioConfig field
+_PARSERS = {"str": str, "int": int, "float": float}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -177,23 +174,16 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def config_from_entries(entries: dict[str, str]) -> ScenarioConfig:
-    known = {f.name for f in fields(ScenarioConfig)}
+    types = {f.name: f.type for f in fields(ScenarioConfig)}
     converted: dict = {}
     for key, value in entries.items():
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in _STR_FIELDS:
-            converted[key] = value
-        elif key in _INT_FIELDS:
-            try:
-                converted[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"config field {key} must be an integer, got {value!r}") from None
-        else:
-            try:
-                converted[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"config field {key} must be a number, got {value!r}") from None
+        try:
+            converted[key] = _PARSERS[types[key]](value)
+        except ValueError:
+            kind = "an integer" if types[key] == "int" else "a number"
+            raise ConfigError(f"config field {key} must be {kind}, got {value!r}") from None
     return ScenarioConfig(**converted)
 
 
@@ -263,43 +253,29 @@ def _meta() -> dict:
 
 def write_summary_json(
     path: Path,
-    label: str,
     cfg: ScenarioConfig,
     summary: RunSummary,
     convergence: dict | None = None,
     cross_check: dict | None = None,
 ) -> None:
-    payload: dict = {
-        "label": label,
-        "strategy": cfg.strategy,
-        "summary": {
-            "peak_infected": summary.peak_infected,
-            "t_peak": summary.t_peak,
-            "infection_period": summary.infection_period,
-            "s_end": summary.s_end,
-            "i_end": summary.i_end,
-            "r_end": summary.r_end,
-            "objective": summary.objective,
-        },
-    }
+    payload: dict = {"label": cfg.label, "strategy": cfg.strategy, "summary": asdict(summary)}
     if convergence is not None:
         payload["convergence"] = convergence
     if cross_check is not None:
         payload["cross_check"] = cross_check
-    payload["config"] = cfg.resolved()
+    payload["config"] = asdict(cfg)
     payload["meta"] = _meta()
     path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def write_comparison(out_dir: Path, labels: list[str], summaries: list[RunSummary]) -> None:
-    table = compare_strategies(summaries, labels)
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(row[0] + "," + ",".join(_fmt(v) for v in row[1:]))
+    """One row per run, in input order: its label, then every RunSummary field."""
+    columns = ["label", *(f.name for f in fields(RunSummary))]
+    rows = [(label, *astuple(s)) for label, s in zip(labels, summaries, strict=True)]
+    lines = [",".join(columns), *(",".join([row[0], *map(_fmt, row[1:])]) for row in rows)]
     (out_dir / "comparison.csv").write_text("\n".join(lines) + "\n")
 
-    rows = [dict(zip(table.columns, row)) for row in table.rows]
-    payload = {"rows": rows, "meta": _meta()}
+    payload = {"rows": [dict(zip(columns, row)) for row in rows], "meta": _meta()}
     (out_dir / "comparison.json").write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
@@ -323,13 +299,6 @@ def write_plot_bundles(out_dir: Path, runs: list[tuple[str, Trajectory]]) -> boo
 # -- commands ----------------------------------------------------------------
 
 
-def _run_uncontrolled(cfg: ScenarioConfig) -> Trajectory:
-    """The uncontrolled run; :class:`IntegrationError` under the solvers' blow-up rule."""
-    params = cfg.params()
-    traj = integrate_forward(uncontrolled_field(params), cfg.x0().as_array(), cfg.grid())
-    return _admissible(traj, params.n)
-
-
 def _print_summary(label: str, summary: RunSummary, sol: OcpSolution | None = None) -> None:
     line = (
         f"{label}: peak I = {summary.peak_infected:.4g} at t = {summary.t_peak:.4g}, "
@@ -345,72 +314,56 @@ def _print_summary(label: str, summary: RunSummary, sol: OcpSolution | None = No
     print(line)
 
 
-def _simulate_scenario(cfg: ScenarioConfig) -> tuple[int, Trajectory, RunSummary]:
-    if cfg.strategy != "none":
-        raise ConfigError(f"simulate requires strategy = none, got {cfg.strategy!r}")
+def _run_scenario(cfg: ScenarioConfig, cross_check: bool) -> tuple[int, Trajectory, RunSummary]:
+    """Run one scenario, write its CSV and JSON summary, and print its summary line.
+
+    Strategy none is the uncontrolled run, which raises :class:`IntegrationError`
+    under the solvers' blow-up rule; strategies 1-3 are solved by the sweep
+    and, with ``cross_check``, also by direct transcription.
+    """
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    traj = _run_uncontrolled(cfg)
-    summary = summarize_run(traj, cfg.threshold)
-    write_timeseries_csv(out_dir / f"{cfg.label}.csv", traj)
-    write_summary_json(out_dir / f"{cfg.label}.json", cfg.label, cfg, summary)
-    _print_summary(cfg.label, summary)
-    return EXIT_OK, traj, summary
-
-
-def _optimize_scenario(cfg: ScenarioConfig, cross_check: bool) -> tuple[int, Trajectory, RunSummary]:
-    spec = cfg.spec()
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    sol = solve_fbsm(
-        spec, tol=cfg.tol, max_iterations=cfg.max_iterations, relaxation=cfg.relaxation
-    )
-    summary = summarize_run(sol.trajectory, cfg.threshold, objective=sol.objective)
-    convergence = {
-        "converged": sol.converged,
-        "iterations": sol.iterations,
-        "objective": sol.objective,
-    }
-
-    cross = None
-    all_converged = sol.converged
-    if cross_check:
-        direct = solve_direct(spec, max_iterations=cfg.max_iterations)
-        gap = abs(sol.objective - direct.objective) / max(abs(direct.objective), 1e-12)
-        cross = {
-            "objective_sweep": sol.objective,
-            "objective_direct": direct.objective,
-            "relative_gap": gap,
-            "direct_converged": direct.converged,
-        }
-        all_converged = all_converged and direct.converged
-        print(
-            f"cross-check: sweep objective {sol.objective:.6g} vs "
-            f"direct {direct.objective:.6g} (relative gap {gap:.2e})"
+    sol = control = adjoints = convergence = cross = None
+    if cfg.strategy == "none":
+        params = cfg.params()
+        traj = integrate_forward(uncontrolled_field(params), cfg.x0().as_array(), cfg.grid())
+        traj = _admissible(traj, params.n)
+        summary = summarize_run(traj, cfg.threshold)
+        code = EXIT_OK
+    else:
+        spec = cfg.spec()
+        sol = solve_fbsm(
+            spec, tol=cfg.tol, max_iterations=cfg.max_iterations, relaxation=cfg.relaxation
         )
+        traj, control, adjoints = sol.trajectory, sol.control, sol.adjoints
+        summary = summarize_run(traj, cfg.threshold, objective=sol.objective)
+        convergence = {
+            "converged": sol.converged,
+            "iterations": sol.iterations,
+            "objective": sol.objective,
+        }
+        converged = sol.converged
+        if cross_check:
+            direct = solve_direct(spec, max_iterations=cfg.max_iterations)
+            gap = abs(sol.objective - direct.objective) / max(abs(direct.objective), 1e-12)
+            cross = {
+                "objective_sweep": sol.objective,
+                "objective_direct": direct.objective,
+                "relative_gap": gap,
+                "direct_converged": direct.converged,
+            }
+            converged = converged and direct.converged
+            print(
+                f"cross-check: sweep objective {sol.objective:.6g} vs "
+                f"direct {direct.objective:.6g} (relative gap {gap:.2e})"
+            )
+        code = EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
-    write_timeseries_csv(out_dir / f"{cfg.label}.csv", sol.trajectory, sol.control, sol.adjoints)
-    write_summary_json(out_dir / f"{cfg.label}.json", cfg.label, cfg, summary, convergence, cross)
+    write_timeseries_csv(out_dir / f"{cfg.label}.csv", traj, control, adjoints)
+    write_summary_json(out_dir / f"{cfg.label}.json", cfg, summary, convergence, cross)
     _print_summary(cfg.label, summary, sol)
-    return (EXIT_OK if all_converged else EXIT_NO_CONVERGENCE), sol.trajectory, summary
-
-
-def cmd_simulate(cfg: ScenarioConfig, emit_plot_data: bool = False) -> int:
-    """Run the uncontrolled model and write its time series and summary."""
-    code, traj, _ = _simulate_scenario(cfg)
-    if emit_plot_data:
-        write_plot_bundles(Path(cfg.out), [(cfg.label, traj)])
-    return code
-
-
-def cmd_optimize(cfg: ScenarioConfig, cross_check: bool = False, emit_plot_data: bool = False) -> int:
-    """Solve the configured strategy and write states, controls, and costates."""
-    code, traj, _ = _optimize_scenario(cfg, cross_check)
-    if emit_plot_data:
-        write_plot_bundles(Path(cfg.out), [(cfg.label, traj)])
-    return code
+    return code, traj, summary
 
 
 def cmd_compare(
@@ -419,18 +372,20 @@ def cmd_compare(
     """Run every scenario, then write a combined comparison table."""
     if not cfgs:
         raise ConfigError("compare needs at least one scenario")
+    targets = [Path(cfg.out).resolve() / cfg.label for cfg in cfgs]
+    for k, cfg in enumerate(cfgs):
+        if targets[k] in targets[:k]:
+            raise ConfigError(
+                f"two scenarios would write {cfg.label}.csv and {cfg.label}.json in {cfg.out}"
+            )
     out_dir = Path(cfgs[0].out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    labels: list[str] = []
-    summaries: list[RunSummary] = []
     runs: list[tuple[str, Trajectory]] = []
+    summaries: list[RunSummary] = []
     for k, cfg in enumerate(cfgs):
         try:
-            if cfg.strategy == "none":
-                code, traj, summary = _simulate_scenario(cfg)
-            else:
-                code, traj, summary = _optimize_scenario(cfg, cross_check)
+            code, traj, summary = _run_scenario(cfg, cross_check)
         except IntegrationError as e:
             code = _integration_failure(e)
         if code != EXIT_OK:
@@ -440,11 +395,10 @@ def cmd_compare(
                 file=sys.stderr,
             )
             return code
-        labels.append(cfg.label)
-        summaries.append(summary)
         runs.append((cfg.label, traj))
+        summaries.append(summary)
 
-    write_comparison(out_dir, labels, summaries)
+    write_comparison(out_dir, [label for label, _ in runs], summaries)
     if emit_plot_data and not write_plot_bundles(out_dir, runs):
         print("plot bundles skipped: scenarios use different grids", file=sys.stderr)
     return EXIT_OK
@@ -502,31 +456,32 @@ def _integration_failure(error: IntegrationError) -> int:
     return EXIT_INTEGRATION
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    return {
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    overrides = {
         "strategy": args.strategy,
         "out": args.out,
         "threshold": args.threshold,
         "steps": args.steps,
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(load_config(args.config, _overrides(args)), args.emit_plot_data)
-        if args.command == "optimize":
-            cfg = load_config(args.config, _overrides(args))
-            return cmd_optimize(cfg, args.cross_check, args.emit_plot_data)
-        # compare: explicit configs, or the four built-in scenarios
-        overrides = _overrides(args)
-        if args.config:
-            cfgs = [load_config(path, overrides) for path in args.config]
-        else:
-            strategies = ("none", "1", "2", "3")
-            cfgs = [load_config(None, {**overrides, "strategy": s}) for s in strategies]
-        return cmd_compare(cfgs, args.cross_check, args.emit_plot_data)
+        if args.command == "compare":
+            # explicit configs, or the four built-in scenarios
+            if args.config:
+                cfgs = [load_config(path, overrides) for path in args.config]
+            else:
+                cfgs = [load_config(None, {**overrides, "strategy": s}) for s in _STRATEGY_CHOICES]
+            return cmd_compare(cfgs, args.cross_check, args.emit_plot_data)
+
+        cfg = load_config(args.config, overrides)
+        if args.command == "simulate" and cfg.strategy != "none":
+            raise ConfigError(f"simulate requires strategy = none, got {cfg.strategy!r}")
+        if args.command == "optimize" and cfg.strategy == "none":
+            raise ConfigError("an optimization scenario requires strategy 1, 2, or 3")
+        code, traj, _ = _run_scenario(cfg, getattr(args, "cross_check", False))
+        if args.emit_plot_data:
+            write_plot_bundles(Path(cfg.out), [(cfg.label, traj)])
+        return code
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

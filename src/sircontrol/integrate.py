@@ -3,9 +3,12 @@
 The forward state sweep and the backward costate sweep of the optimal-control
 solver must live on exactly the same grid nodes, so the step size is fixed
 and non-adaptive.  Control (and, in the backward sweep, state) samples at the
-RK4 half-stages are linearly interpolated between the bracketing node values;
-the direct-transcription solver differentiates exactly this rule, so it must
-not change independently.
+RK4 half-stages are linearly interpolated between the bracketing node values.
+The direct-transcription gradient differentiates this rule with the midpoint
+weight taken as exactly 0.5, while the sweeps use the rounded weight below;
+the two half-stage controls can differ in the last bits, so the gradient is
+that of the sweeps' map up to roundoff, and the rule must not change
+without it.
 
 Both sweeps serve every scenario with one loop per direction, on plain
 Python floats.  Once per call, :func:`stage_samples` computes with numpy the
@@ -70,7 +73,10 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid of ``steps`` intervals on [t0, t_end]."""
+    """Uniform grid of ``steps`` intervals on [t0, t_end].
+
+    The node times are computed once, at construction, as a read-only array.
+    """
 
     t0: float
     t_end: float
@@ -83,6 +89,9 @@ class TimeGrid:
             raise ValueError(f"t_end={self.t_end} must exceed t0={self.t0}")
         if self.steps < 1:
             raise ValueError(f"steps={self.steps} must be >= 1")
+        times = np.linspace(self.t0, self.t_end, self.n_nodes)
+        times.flags.writeable = False
+        object.__setattr__(self, "_times", times)
 
     @property
     def dt(self) -> float:
@@ -93,7 +102,7 @@ class TimeGrid:
         return self.steps + 1
 
     def times(self) -> np.ndarray:
-        return np.linspace(self.t0, self.t_end, self.n_nodes)
+        return self._times
 
 
 @dataclass(frozen=True)

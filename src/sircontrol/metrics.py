@@ -7,7 +7,7 @@ serialization lives in the cli module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,12 +15,10 @@ from .integrate import Trajectory
 
 __all__ = [
     "RunSummary",
-    "ComparisonTable",
     "peak_infected",
     "infection_period",
     "terminal_values",
     "summarize_run",
-    "compare_strategies",
     "DEFAULT_PERIOD_THRESHOLD",
     "DEFAULT_PERIOD_WINDOW",
 ]
@@ -132,31 +130,3 @@ def summarize_run(
         r_end=r_end,
         objective=objective,
     )
-
-
-@dataclass(frozen=True)
-class ComparisonTable:
-    """Rows of labeled run summaries, in input order.
-
-    A pure formatting step: ``summaries()`` recovers the inputs exactly.
-    """
-
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
-
-    def summaries(self) -> list[tuple[str, RunSummary]]:
-        return [(row[0], RunSummary(*row[1:])) for row in self.rows]
-
-
-def compare_strategies(summaries: list[RunSummary], labels: list[str]) -> ComparisonTable:
-    """One table row per run, columns for every summary field."""
-    if len(summaries) != len(labels):
-        raise ValueError(f"{len(summaries)} summaries but {len(labels)} labels")
-    if not summaries:
-        raise ValueError("nothing to compare")
-    field_names = tuple(f.name for f in fields(RunSummary))
-    rows = tuple(
-        (label,) + tuple(getattr(s, name) for name in field_names)
-        for label, s in zip(labels, summaries)
-    )
-    return ComparisonTable(columns=("label",) + field_names, rows=rows)

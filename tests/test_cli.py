@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -20,14 +20,17 @@ from sircontrol.cli import (
     EXIT_OK,
     ConfigError,
     ScenarioConfig,
+    cmd_compare,
     config_from_entries,
     load_config,
     main,
     parse_config_text,
+    write_comparison,
     write_plot_bundles,
     write_timeseries_csv,
 )
 from sircontrol.integrate import TimeGrid, Trajectory
+from sircontrol.metrics import RunSummary
 from sircontrol.ocp import ControlSignal, default_spec
 
 
@@ -76,6 +79,9 @@ def test_config_rejects_bad_numbers():
         config_from_entries({"steps": "0"})
     with pytest.raises(ConfigError, match="strategy"):
         config_from_entries({"strategy": "5"})
+    # each value is finite, but the population they sum to is not
+    with pytest.raises(ConfigError, match=r"s0 \+ i0 \+ r0"):
+        config_from_entries({"s0": "1e308", "i0": "1e308"})
 
 
 FLOAT_KEYS = (
@@ -368,6 +374,108 @@ def test_compare_notes_partial_results_of_an_integration_failure(tmp_path, capsy
 def test_compare_unreadable_config_path(tmp_path, capsys):
     rc = main(["compare", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
+
+
+def test_compare_rejects_two_scenarios_with_one_output(tmp_path, capsys):
+    a = write_cfg(tmp_path, "a.cfg", "strategy = none\nsteps = 10\n")
+    b = write_cfg(tmp_path, "b.cfg", "strategy = none\nsteps = 20\n")
+    out = tmp_path / "out"
+    rc = main(["compare", "--config", a, "--config", b, "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "uncontrolled" in err
+    assert str(out) in err
+    assert not out.exists()
+
+    # the same label in two directories writes two sets of files
+    a = write_cfg(tmp_path, "a.cfg", f"strategy = none\nsteps = 10\nout = {tmp_path / 'a'}\n")
+    b = write_cfg(tmp_path, "b.cfg", f"strategy = none\nsteps = 20\nout = {tmp_path / 'b'}\n")
+    assert main(["compare", "--config", a, "--config", b]) == EXIT_OK
+    assert len(read_csv(tmp_path / "a" / "uncontrolled.csv")) == 1 + 11
+    assert len(read_csv(tmp_path / "b" / "uncontrolled.csv")) == 1 + 21
+
+
+# -- comparison table -----------------------------------------------------------------
+
+
+def summary_fixture(peak, r_end, objective=None):
+    return RunSummary(
+        peak_infected=peak,
+        t_peak=10.0,
+        infection_period=50.0,
+        s_end=1.0 - r_end,
+        i_end=0.0,
+        r_end=r_end,
+        objective=objective,
+    )
+
+
+def read_comparison(out_dir):
+    """comparison.csv as rows of fields, and the rows of comparison.json."""
+    return (
+        read_csv(out_dir / "comparison.csv"),
+        json.loads((out_dir / "comparison.json").read_text())["rows"],
+    )
+
+
+def test_comparison_of_one_run_without_objective(tmp_path):
+    write_comparison(tmp_path, ["only"], [summary_fixture(0.1, 0.8)])
+    rows, json_rows = read_comparison(tmp_path)
+    assert len(rows) == 2
+    assert rows[1][0] == "only"
+    assert rows[1][rows[0].index("objective")] == ""
+    assert len(json_rows) == 1
+    assert json_rows[0]["label"] == "only"
+    assert json_rows[0]["objective"] is None
+
+
+def test_comparison_json_rows_round_trip_to_summaries(tmp_path):
+    summaries = [summary_fixture(0.2, 0.7, 3.5), summary_fixture(0.1, 0.9)]
+    write_comparison(tmp_path, ["a", "b"], summaries)
+    _, json_rows = read_comparison(tmp_path)
+    assert [(row.pop("label"), RunSummary(**row)) for row in json_rows] == [
+        ("a", summaries[0]),
+        ("b", summaries[1]),
+    ]
+
+
+def test_comparison_rows_in_input_order_under_summary_header(tmp_path):
+    summaries = [summary_fixture(0.2, 0.7), summary_fixture(0.1, 0.9)]
+    write_comparison(tmp_path, ["y", "x"], summaries)
+    rows, json_rows = read_comparison(tmp_path)
+    assert rows[0] == ["label"] + [f.name for f in fields(RunSummary)]
+    assert [row[0] for row in rows[1:]] == ["y", "x"]
+    assert [row["label"] for row in json_rows] == ["y", "x"]
+    assert [float(row[1]) for row in rows[1:]] == [0.2, 0.1]
+
+
+def test_comparison_rejects_mismatched_or_empty_inputs(tmp_path):
+    with pytest.raises(ValueError):
+        write_comparison(tmp_path, ["a", "b"], [summary_fixture(0.1, 0.5)])
+    assert not (tmp_path / "comparison.csv").exists()
+    with pytest.raises(ConfigError, match="at least one scenario"):
+        cmd_compare([])
+
+
+def test_output_key_order_is_pinned(tmp_path):
+    """Field order of RunSummary and ScenarioConfig is the order of the outputs."""
+    assert main(["simulate", "--steps", "10", "--out", str(tmp_path)]) == EXIT_OK
+    payload = json.loads((tmp_path / "uncontrolled.json").read_text())
+    summary_keys = [
+        "peak_infected", "t_peak", "infection_period", "s_end", "i_end", "r_end", "objective",
+    ]
+    assert list(payload) == ["label", "strategy", "summary", "config", "meta"]
+    assert list(payload["summary"]) == summary_keys
+    assert list(payload["config"]) == [
+        "strategy", "beta", "mu", "s0", "i0", "r0", "t_end", "steps", "u_max", "nu",
+        "a1", "a2", "a3", "tau", "kappa", "b1", "b2", "tol", "max_iterations",
+        "relaxation", "threshold", "out",
+    ]
+    assert payload["config"] == asdict(ScenarioConfig(steps=10, out=str(tmp_path)))
+
+    write_comparison(tmp_path, ["only"], [summary_fixture(0.1, 0.8)])
+    header = (tmp_path / "comparison.csv").read_text().splitlines()[0]
+    assert header == ",".join(["label", *summary_keys])
 
 
 # -- output formatting ----------------------------------------------------------------

@@ -39,6 +39,15 @@ def test_grid_basic_quantities():
     assert np.allclose(g.times(), [0.0, 2.5, 5.0, 7.5, 10.0])
 
 
+def test_grid_times_are_computed_once_and_read_only():
+    g = TimeGrid(0.0, 100.0, 1000)
+    assert np.array_equal(g.times(), g.times())
+    assert np.array_equal(g.times(), np.linspace(0.0, 100.0, 1001))
+    assert not g.times().flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        g.times()[0] = 1.0
+
+
 def test_grid_rejects_degenerate_spans():
     with pytest.raises(ValueError):
         TimeGrid(0.0, 0.0, 10)

@@ -1,6 +1,4 @@
-"""Metric extraction tests: peaks, infection periods, summaries, comparison tables."""
-
-import dataclasses
+"""Metric extraction tests: peaks, infection periods, summaries, orderings."""
 
 import numpy as np
 import pytest
@@ -10,7 +8,6 @@ from sircontrol.metrics import (
     DEFAULT_PERIOD_THRESHOLD,
     DEFAULT_PERIOD_WINDOW,
     RunSummary,
-    compare_strategies,
     infection_period,
     peak_infected,
     summarize_run,
@@ -149,47 +146,7 @@ def test_run_summary_validation():
         )
 
 
-# -- comparison tables --------------------------------------------------------------------
-
-
-def summary_fixture(peak, r_end, objective=None):
-    return RunSummary(
-        peak_infected=peak,
-        t_peak=10.0,
-        infection_period=50.0,
-        s_end=1.0 - r_end,
-        i_end=0.0,
-        r_end=r_end,
-        objective=objective,
-    )
-
-
-def test_compare_single_run_degenerates_to_one_row():
-    table = compare_strategies([summary_fixture(0.1, 0.8)], ["only"])
-    assert len(table.rows) == 1
-    assert table.rows[0][0] == "only"
-
-
-def test_compare_round_trip_recovers_summaries():
-    summaries = [summary_fixture(0.2, 0.7, 3.5), summary_fixture(0.1, 0.9)]
-    table = compare_strategies(summaries, ["a", "b"])
-    assert table.summaries() == [("a", summaries[0]), ("b", summaries[1])]
-
-
-def test_compare_preserves_input_order_and_columns():
-    table = compare_strategies(
-        [summary_fixture(0.2, 0.7), summary_fixture(0.1, 0.9)], ["x", "y"]
-    )
-    assert table.columns[0] == "label"
-    assert [row[0] for row in table.rows] == ["x", "y"]
-    assert set(dataclasses.asdict(summary_fixture(0.1, 0.5)).keys()) <= set(table.columns)
-
-
-def test_compare_rejects_mismatched_or_empty_inputs():
-    with pytest.raises(ValueError):
-        compare_strategies([summary_fixture(0.1, 0.5)], ["a", "b"])
-    with pytest.raises(ValueError):
-        compare_strategies([], [])
+# -- orderings ------------------------------------------------------------------------
 
 
 def test_comparison_orderings_on_real_solutions(fbsm_solutions, uncontrolled_traj):
