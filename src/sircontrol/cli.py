@@ -11,13 +11,15 @@ CSV schema (one row per grid node, 9 significant digits):
     t,S,I,R,u1,u2,lam_S,lam_I,lam_R
 Channels a run does not have are left as empty fields.
 
-Exit codes: 0 success, 2 configuration error, 3 integration failure,
-4 solver non-convergence (output files are still written).
+Exit codes: 0 success, 2 configuration error (an output path that cannot be
+created or written included), 3 integration failure, 4 solver
+non-convergence (output files are still written).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -204,6 +206,15 @@ def load_config(path: str | None, overrides: dict) -> ScenarioConfig:
 # -- output writers ----------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _output_errors():
+    """Report an output path that cannot be created or written as a configuration error."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"cannot write output: {e}") from None
+
+
 def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.9g}"
 
@@ -322,7 +333,8 @@ def _run_scenario(cfg: ScenarioConfig, cross_check: bool) -> tuple[int, Trajecto
     and, with ``cross_check``, also by direct transcription.
     """
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _output_errors():
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     sol = control = adjoints = convergence = cross = None
     if cfg.strategy == "none":
@@ -345,13 +357,14 @@ def _run_scenario(cfg: ScenarioConfig, cross_check: bool) -> tuple[int, Trajecto
         }
         converged = sol.converged
         if cross_check:
-            direct = solve_direct(spec, max_iterations=cfg.max_iterations)
+            direct = solve_direct(spec, start=sol.control, max_iterations=cfg.max_iterations)
             gap = abs(sol.objective - direct.objective) / max(abs(direct.objective), 1e-12)
             cross = {
                 "objective_sweep": sol.objective,
                 "objective_direct": direct.objective,
                 "relative_gap": gap,
                 "direct_converged": direct.converged,
+                "direct_iterations": direct.iterations,
             }
             converged = converged and direct.converged
             print(
@@ -360,8 +373,9 @@ def _run_scenario(cfg: ScenarioConfig, cross_check: bool) -> tuple[int, Trajecto
             )
         code = EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
-    write_timeseries_csv(out_dir / f"{cfg.label}.csv", traj, control, adjoints)
-    write_summary_json(out_dir / f"{cfg.label}.json", cfg, summary, convergence, cross)
+    with _output_errors():
+        write_timeseries_csv(out_dir / f"{cfg.label}.csv", traj, control, adjoints)
+        write_summary_json(out_dir / f"{cfg.label}.json", cfg, summary, convergence, cross)
     _print_summary(cfg.label, summary, sol)
     return code, traj, summary
 
@@ -379,7 +393,8 @@ def cmd_compare(
                 f"two scenarios would write {cfg.label}.csv and {cfg.label}.json in {cfg.out}"
             )
     out_dir = Path(cfgs[0].out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _output_errors():
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     runs: list[tuple[str, Trajectory]] = []
     summaries: list[RunSummary] = []
@@ -398,9 +413,10 @@ def cmd_compare(
         runs.append((cfg.label, traj))
         summaries.append(summary)
 
-    write_comparison(out_dir, [label for label, _ in runs], summaries)
-    if emit_plot_data and not write_plot_bundles(out_dir, runs):
-        print("plot bundles skipped: scenarios use different grids", file=sys.stderr)
+    with _output_errors():
+        write_comparison(out_dir, [label for label, _ in runs], summaries)
+        if emit_plot_data and not write_plot_bundles(out_dir, runs):
+            print("plot bundles skipped: scenarios use different grids", file=sys.stderr)
     return EXIT_OK
 
 
@@ -480,7 +496,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("an optimization scenario requires strategy 1, 2, or 3")
         code, traj, _ = _run_scenario(cfg, getattr(args, "cross_check", False))
         if args.emit_plot_data:
-            write_plot_bundles(Path(cfg.out), [(cfg.label, traj)])
+            with _output_errors():
+                write_plot_bundles(Path(cfg.out), [(cfg.label, traj)])
         return code
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

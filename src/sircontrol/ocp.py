@@ -27,7 +27,10 @@ docs/costate_derivation.md).  Two solution routes:
 ``solve_direct``
     Direct transcription: projected-gradient descent on the control node
     values, with the exact reverse-mode gradient of the discrete scheme (RK4
-    with linearly interpolated controls, trapezoid cost quadrature).
+    with linearly interpolated controls, trapezoid cost quadrature).  It
+    starts from the zero control or from a given one, such as the sweep's
+    result; it stops only on the discrete KKT residual, so the start sets
+    how long it runs, not which point it certifies.
 
 The two routes share the problem tables, Jacobians included, and the forward
 integrator; the tables are checked independently by finite differences of the
@@ -250,15 +253,22 @@ def running_cost(spec: StrategySpec, s, i, r, u1, u2):
     return cs * s + ci * i + cr * r + 0.5 * w1 * u1**2 + 0.5 * w2 * u2**2
 
 
-def objective(spec: StrategySpec, traj: Trajectory, controls: ControlSignal) -> float:
-    """Composite-trapezoid quadrature of the running cost over the horizon."""
-    if traj.grid != spec.grid or controls.grid != spec.grid:
-        raise ValueError("trajectory/controls are not on the problem grid")
+def _check_controls(spec: StrategySpec, controls: ControlSignal) -> None:
+    """:class:`ValueError` unless ``controls`` lie on the spec's grid with its channel count."""
+    if controls.grid != spec.grid:
+        raise ValueError("controls are not on the problem grid")
     if controls.channels != spec.channels:
         raise ValueError(
             f"{spec.kind.name} expects {spec.channels} control channel(s), "
             f"got {controls.channels}"
         )
+
+
+def objective(spec: StrategySpec, traj: Trajectory, controls: ControlSignal) -> float:
+    """Composite-trapezoid quadrature of the running cost over the horizon."""
+    if traj.grid != spec.grid:
+        raise ValueError("trajectory is not on the problem grid")
+    _check_controls(spec, controls)
     u = controls.values
     c = running_cost(
         spec, traj.s, traj.i, traj.r, u[:, 0], u[:, 1] if controls.channels == 2 else 0.0
@@ -517,6 +527,7 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
 def solve_direct(
     spec: StrategySpec,
     *,
+    start: ControlSignal | None = None,
     max_iterations: int = 500,
     gtol: float = 1e-7,
     max_backtracks: int = 40,
@@ -524,17 +535,32 @@ def solve_direct(
     """Solve by projected gradient descent on the control node values.
 
     Spectral (Barzilai-Borwein) step lengths with a non-monotone Armijo
-    backtracking line search; iterates are projected onto [0, u_max] after
-    every trial step.  A trial that blows up (:func:`_admissible_forward`)
-    scores +inf and is backtracked; only the initial zero-control evaluation
-    raises.  Termination: sup-norm of the projected gradient residual
-    ``P(u - g) - u`` below ``gtol``, or ``max_iterations``.
+    backtracking line search (Birgin, Martinez & Raydan, SIAM J. Optim. 10,
+    2000); iterates are projected onto [0, u_max] after every trial step.
+    A trial that blows up (:func:`_admissible_forward`) scores +inf and is
+    backtracked; only the evaluation of the starting control raises.
+    Termination: sup-norm of the projected gradient residual
+    ``P(u - g) - u`` below ``gtol`` (the discrete KKT condition; Hager,
+    Numer. Math. 87, 2000), or ``max_iterations``.
+
+    The descent starts from the zero control, or from ``start`` projected
+    onto the box; ``start`` must lie on the spec's grid, carry its channel
+    count and be finite, or :class:`ValueError` is raised.  The stop test
+    does not depend on the start, so a start near the optimum, such as the
+    sweep's control, shortens the descent but certifies the same discrete
+    KKT point.
 
     Shares the problem tables and forward integrator with :func:`solve_fbsm`,
     but not its optimization route; used as its cross-check.
     """
     lo, hi = 0.0, spec.u_max
-    u = np.zeros((spec.grid.n_nodes, spec.channels))
+    if start is None:
+        u = np.zeros((spec.grid.n_nodes, spec.channels))
+    else:
+        _check_controls(spec, start)
+        if not np.isfinite(start.values).all():
+            raise ValueError("start control has a non-finite value")
+        u = np.clip(start.values, lo, hi)
     j, g = objective_gradient(spec, u)
     history = [j]
     recent = [j]  # non-monotone line-search memory

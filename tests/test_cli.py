@@ -11,7 +11,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from sircontrol import cli
+from sircontrol import cli, ocp
 from sircontrol.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -29,7 +29,7 @@ from sircontrol.cli import (
     write_plot_bundles,
     write_timeseries_csv,
 )
-from sircontrol.integrate import TimeGrid, Trajectory
+from sircontrol.integrate import IntegrationError, TimeGrid, Trajectory
 from sircontrol.metrics import RunSummary
 from sircontrol.ocp import ControlSignal, default_spec
 
@@ -241,8 +241,13 @@ def test_optimize_cross_check_reports_gap(tmp_path, capsys):
     assert rc == EXIT_OK
     payload = json.loads((tmp_path / "strategy1.json").read_text())
     cross = payload["cross_check"]
+    assert list(cross) == [
+        "objective_sweep", "objective_direct", "relative_gap", "direct_converged",
+        "direct_iterations",
+    ]
     assert cross["relative_gap"] <= 0.01
     assert cross["direct_converged"] is True
+    assert cross["direct_iterations"] >= 0
     assert "cross-check" in capsys.readouterr().out
 
 
@@ -263,10 +268,26 @@ def test_optimize_nonconvergence_exit_code(tmp_path):
     [(s, []) for s in "123"] + [(s, ["--cross-check"]) for s in "123"],
     ids=["1", "2", "3", "1-cross-check", "2-cross-check", "3-cross-check"],
 )
-def test_optimize_survives_trials_that_blow_up(tmp_path, strategy, flags):
-    """On 3 steps the first trials of either solver blow up; they are rejected steps."""
+def test_optimize_survives_trials_that_blow_up(tmp_path, monkeypatch, strategy, flags):
+    """On 3 steps the first trials of either solver blow up; they are rejected steps.
+
+    The direct solver meets them even when it starts from the sweep's control.
+    """
+    gradients, blowups = [], []
+    gradient = ocp.objective_gradient
+
+    def counting(*args, **kwargs):
+        gradients.append(None)
+        try:
+            return gradient(*args, **kwargs)
+        except IntegrationError:
+            blowups.append(None)
+            raise
+
+    monkeypatch.setattr(ocp, "objective_gradient", counting)
     argv = ["optimize", "--strategy", strategy, "--steps", "3", "--out", str(tmp_path)]
     assert main(argv + flags) in (EXIT_OK, EXIT_NO_CONVERGENCE)
+    assert (0 < len(blowups) < len(gradients)) if flags else not gradients
     label = f"strategy{strategy}"
     rows = read_csv(tmp_path / f"{label}.csv")
     assert len(rows) == 1 + 4
@@ -369,6 +390,24 @@ def test_compare_notes_partial_results_of_an_integration_failure(tmp_path, capsy
     assert (tmp_path / "uncontrolled.json").exists()
     assert not (tmp_path / "strategy1.csv").exists()
     assert not (tmp_path / "comparison.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["simulate"], ["compare"], ["optimize", "--strategy", "1", "--emit-plot-data"]]
+)
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_an_output_path_that_cannot_be_created_is_a_config_error(tmp_path, capsys, command, out):
+    (tmp_path / "afile").write_text("")
+    argv = command + ["--steps", "10", "--out", str(tmp_path / out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: cannot write output")
+    assert (tmp_path / "afile").read_text() == ""
+
+
+def test_an_output_file_that_cannot_be_written_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "uncontrolled.csv").mkdir()
+    assert main(["simulate", "--steps", "10", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: cannot write output")
 
 
 def test_compare_unreadable_config_path(tmp_path, capsys):

@@ -370,6 +370,61 @@ def test_direct_solutions_are_admissible_and_converged(kind, direct_solutions):
     assert np.array_equal(sol.adjoints.values[-1], np.zeros(3))
 
 
+@pytest.fixture(scope="module")
+def warm_direct_solutions(fbsm_solutions):
+    """Direct solutions started from the converged sweeps, as ``--cross-check`` runs them."""
+    return {k: solve_direct(default_spec(k), start=fbsm_solutions[k].control) for k in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3])
+def test_direct_from_the_sweep_reaches_the_cold_optimum_sooner(
+    kind, warm_direct_solutions, direct_solutions
+):
+    warm, cold = warm_direct_solutions[kind], direct_solutions[kind]
+    assert warm.converged
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert warm.iterations < cold.iterations
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3])
+def test_direct_from_a_bad_sweep_still_reaches_the_cold_optimum(kind, direct_solutions):
+    """A start far from the optimum does not move the point the stop test certifies."""
+    spec = default_spec(kind)
+    cold = direct_solutions[kind].objective
+    bad = solve_fbsm(spec, max_iterations=2)
+    assert not bad.converged
+    assert abs(bad.objective - cold) / cold > 0.1
+    warm = solve_direct(spec, start=bad.control)
+    assert warm.converged
+    assert warm.objective == pytest.approx(cold, rel=1e-9)
+
+
+def test_direct_start_must_match_the_problem():
+    spec = default_spec(3, steps=100)
+    grid = spec.grid
+    one_nan = np.full((grid.n_nodes, 2), 0.1)
+    one_nan[7, 1] = np.nan
+    for start, match in (
+        (ControlSignal.zeros(TimeGrid(0.0, 100.0, 50), 2), "grid"),
+        (ControlSignal.zeros(TimeGrid(0.0, 50.0, 100), 2), "grid"),
+        (ControlSignal.zeros(grid, 1), "channel"),
+        (ControlSignal(grid, one_nan), "non-finite"),
+        (ControlSignal(grid, np.full((grid.n_nodes, 2), np.inf)), "non-finite"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            solve_direct(spec, start=start)
+
+
+def test_direct_start_is_projected_onto_the_box():
+    spec = default_spec(1, steps=100)
+    values = np.where(np.arange(spec.grid.n_nodes) % 2 == 0, -1.0, 5.0)[:, None]
+    sol = solve_direct(spec, start=ControlSignal(spec.grid, values), max_iterations=1)
+    j_projected, _ = objective_gradient(spec, np.clip(values, 0.0, spec.u_max))
+    assert sol.objective_history[0] == j_projected
+    assert 0.0 <= sol.control.values.min() <= sol.control.values.max() <= spec.u_max
+    assert values.min() == -1.0 and values.max() == 5.0  # the start is not modified
+
+
 def test_adjoint_gradient_matches_finite_differences():
     """Exact discrete gradient vs central differences on a coarse grid."""
     spec = default_spec(1, steps=100)
