@@ -393,8 +393,9 @@ def cmd_compare(
                 f"two scenarios would write {cfg.label}.csv and {cfg.label}.json in {cfg.out}"
             )
     out_dir = Path(cfgs[0].out)
-    with _output_errors():
-        out_dir.mkdir(parents=True, exist_ok=True)
+    with _output_errors():  # every output directory, before the first solve writes
+        for cfg in cfgs:
+            Path(cfg.out).mkdir(parents=True, exist_ok=True)
 
     runs: list[tuple[str, Trajectory]] = []
     summaries: list[RunSummary] = []

@@ -27,10 +27,14 @@ docs/costate_derivation.md).  Two solution routes:
 ``solve_direct``
     Direct transcription: projected-gradient descent on the control node
     values, with the exact reverse-mode gradient of the discrete scheme (RK4
-    with linearly interpolated controls, trapezoid cost quadrature).  It
-    starts from the zero control or from a given one, such as the sweep's
-    result; it stops only on the discrete KKT residual, so the start sets
-    how long it runs, not which point it certifies.
+    with linearly interpolated controls, trapezoid cost quadrature).  Its
+    steps are measured in the control-cost metric ``D = w_node * w_c``
+    (trapezoid node weight times channel weight), in which a unit step is
+    the discrete control law ``clip(-(g - D u) / D, 0, u_max)``.  It starts
+    from the zero control or from a given one, such as the sweep's result;
+    it stops only on the discrete KKT residual, which the metric does not
+    enter, so neither the start nor the metric changes which point it
+    certifies, only how long it runs.
 
 The two routes share the problem tables, Jacobians included, and the forward
 integrator; the tables are checked independently by finite differences of the
@@ -436,6 +440,13 @@ def solve_fbsm(
 # -- direct transcription ----------------------------------------------------
 
 
+def _node_weights(grid: TimeGrid) -> np.ndarray:
+    """Trapezoid-rule weights of the grid nodes: ``dt/2`` at the ends, ``dt`` inside."""
+    w_node = np.full(grid.n_nodes, grid.dt)
+    w_node[[0, -1]] = 0.5 * grid.dt
+    return w_node
+
+
 def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     """Discretized objective and its exact gradient w.r.t. control node values.
 
@@ -498,10 +509,8 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     to_a = join(e1, e2)
     (m_ss, m_si, m_sr), (m_is, m_ii, m_ir) = a1s + a2s + a3s + a4s, a1i + a2i + a3i + a4i
 
-    # node-cost weights of the trapezoid rule
+    w_node = _node_weights(spec.grid)
     w_end, w_mid = 0.5 * dt, dt
-    w_node = np.full(n + 1, w_mid)
-    w_node[[0, -1]] = w_end
 
     # b_k, the adjoint of x[k+1]; its R component is c_R times a sum of node weights
     br = cr * (w_end + w_mid * np.arange(n - 1, -1, -1))
@@ -537,11 +546,19 @@ def solve_direct(
     Spectral (Barzilai-Borwein) step lengths with a non-monotone Armijo
     backtracking line search (Birgin, Martinez & Raydan, SIAM J. Optim. 10,
     2000); iterates are projected onto [0, u_max] after every trial step.
+    Steps are measured in the diagonal metric ``D = w_node * w_c``, the
+    curvature of the control cost: the trial direction is
+    ``P(u - alpha D^-1 g) - u`` and the spectral length is
+    ``alpha = s^T D s / s^T y``.  At ``alpha = 1``, where the descent starts
+    and where a non-descent direction resets it, the trial point is the
+    discrete control law ``clip(-(g - D u) / D, 0, u_max)``, whose fixed
+    points are the discrete KKT points.
     A trial that blows up (:func:`_admissible_forward`) scores +inf and is
     backtracked; only the evaluation of the starting control raises.
     Termination: sup-norm of the projected gradient residual
     ``P(u - g) - u`` below ``gtol`` (the discrete KKT condition; Hager,
-    Numer. Math. 87, 2000), or ``max_iterations``.
+    Numer. Math. 87, 2000), or ``max_iterations``; the residual is in raw
+    gradient units, not in the metric.
 
     The descent starts from the zero control, or from ``start`` projected
     onto the box; ``start`` must lie on the spec's grid, carry its channel
@@ -561,6 +578,8 @@ def solve_direct(
         if not np.isfinite(start.values).all():
             raise ValueError("start control has a non-finite value")
         u = np.clip(start.values, lo, hi)
+    _, w = _weights(spec)
+    metric = _node_weights(spec.grid)[:, None] * np.array(w[: spec.channels])
     j, g = objective_gradient(spec, u)
     history = [j]
     recent = [j]  # non-monotone line-search memory
@@ -576,11 +595,11 @@ def solve_direct(
             iterations -= 1
             break
 
-        d = np.clip(u - alpha * g, lo, hi) - u
+        d = np.clip(u - alpha * g / metric, lo, hi) - u
         slope = float((g * d).sum())
         if slope >= 0.0:  # safeguarded step produced a non-descent arc
             alpha = 1.0
-            d = np.clip(u - alpha * g, lo, hi) - u
+            d = np.clip(u - g / metric, lo, hi) - u
             slope = float((g * d).sum())
 
         j_ref = max(recent)
@@ -603,8 +622,8 @@ def solve_direct(
         s = u_trial - u
         y = g_trial - g
         sty = float((s * y).sum())
-        sts = float((s * s).sum())
-        alpha = min(max(sts / sty, 1e-6), 1e6) if sty > 0.0 else 1e6
+        sds = float((s * metric * s).sum())
+        alpha = min(max(sds / sty, 1e-6), 1e6) if sty > 0.0 else 1e6
 
         u, j, g = u_trial, j_trial, g_trial
         history.append(j)

@@ -410,6 +410,17 @@ def test_an_output_file_that_cannot_be_written_is_a_config_error(tmp_path, capsy
     assert capsys.readouterr().err.startswith("config error: cannot write output")
 
 
+def test_compare_checks_every_output_path_before_writing(tmp_path, capsys):
+    b_out = tmp_path / "afile"
+    b_out.write_text("")
+    a = write_cfg(tmp_path, "a.cfg", f"strategy = none\nsteps = 10\nout = {tmp_path / 'o'}\n")
+    b = write_cfg(tmp_path, "b.cfg", f"strategy = 1\nsteps = 10\nout = {b_out}\n")
+    assert main(["compare", "--config", a, "--config", b]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write output: [Errno 17] File exists: '{b_out}'\n"
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 def test_compare_unreadable_config_path(tmp_path, capsys):
     rc = main(["compare", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG

@@ -1,5 +1,6 @@
 """Optimal-control tests: functionals, costates, control laws, both solvers."""
 
+import dataclasses
 import logging
 import math
 
@@ -423,6 +424,61 @@ def test_direct_start_is_projected_onto_the_box():
     assert sol.objective_history[0] == j_projected
     assert 0.0 <= sol.control.values.min() <= sol.control.values.max() <= spec.u_max
     assert values.min() == -1.0 and values.max() == 5.0  # the start is not modified
+
+
+def counting_gradients(monkeypatch):
+    """Record the control values of every call of ``ocp.objective_gradient``."""
+    calls = []
+
+    def counting(spec, u_values):
+        calls.append(u_values.copy())
+        return objective_gradient(spec, u_values)
+
+    monkeypatch.setattr(ocp, "objective_gradient", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3])
+def test_direct_unit_step_is_the_discrete_control_law(kind, monkeypatch):
+    """Steps are measured in the control-cost metric ``w_node * w_c``.
+
+    From the zero control the first trial is the discrete control law
+    ``clip(-g0 / (w_node * w_c), 0, u_max)``, not ``clip(-g0, 0, u_max)``.
+    """
+    spec = default_spec(kind)
+    zero = np.zeros((spec.grid.n_nodes, spec.channels))
+    _, g0 = objective_gradient(spec, zero)
+    w_node = np.full(spec.grid.n_nodes, spec.grid.dt)
+    w_node[[0, -1]] = 0.5 * spec.grid.dt
+    w = {1: [spec.nu], 2: [spec.tau], 3: [spec.b1, spec.b2]}[kind]
+    law = np.clip(-g0 / (w_node[:, None] * np.array(w)), 0.0, spec.u_max)
+
+    calls = counting_gradients(monkeypatch)
+    solve_direct(spec, max_iterations=1)
+    assert len(calls) >= 2
+    assert np.array_equal(calls[0], zero)
+    np.testing.assert_allclose(calls[1], law, rtol=1e-12, atol=0.0)
+
+
+def test_direct_converges_fast_on_disparate_control_weights():
+    """Channel weights 500x apart: a short descent that stops near the optimum."""
+    spec = dataclasses.replace(default_spec(3), b2=4e-4)
+    sol = solve_direct(spec)
+    assert sol.converged
+    assert sol.iterations <= 40
+    tight = solve_direct(spec, gtol=1e-10, max_iterations=3000)
+    assert tight.converged
+    assert abs(sol.objective - tight.objective) / tight.objective <= 1e-8
+
+
+def test_direct_from_the_sweep_takes_few_gradients(monkeypatch, fbsm_solutions, direct_solutions):
+    calls = counting_gradients(monkeypatch)
+    for kind in (1, 2, 3):
+        warm = solve_direct(default_spec(kind), start=fbsm_solutions[kind].control)
+        cold = direct_solutions[kind].objective
+        assert warm.converged
+        assert abs(warm.objective - cold) / cold <= 2e-11
+    assert len(calls) <= 25
 
 
 def test_adjoint_gradient_matches_finite_differences():
