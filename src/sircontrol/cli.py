@@ -125,13 +125,17 @@ class ScenarioConfig:
             raise ConfigError(
                 f"config field relaxation must be in (0, 1], got {self.relaxation}"
             )
+        try:  # built once, here, so that a grid numpy cannot allocate fails before any output
+            object.__setattr__(self, "_grid", TimeGrid(0.0, self.t_end, self.steps))
+        except (ValueError, MemoryError) as e:
+            raise ConfigError(f"config field steps = {self.steps} is too large: {e}") from None
 
     @property
     def label(self) -> str:
         return "uncontrolled" if self.strategy == "none" else f"strategy{self.strategy}"
 
     def grid(self) -> TimeGrid:
-        return TimeGrid(0.0, self.t_end, self.steps)
+        return self._grid
 
     def params(self) -> ModelParams:
         return ModelParams(self.beta, self.mu, self.s0 + self.i0 + self.r0)
@@ -195,8 +199,8 @@ def load_config(path: str | None, overrides: dict) -> ScenarioConfig:
         cfg = ScenarioConfig()
     else:
         try:
-            text = Path(path).read_text()
-        except OSError as e:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from None
         cfg = config_from_entries(parse_config_text(text))
     overrides = {k: v for k, v in overrides.items() if v is not None}

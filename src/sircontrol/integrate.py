@@ -21,10 +21,10 @@ then runs over the zipped float lists:
   :class:`~sircontrol.model.DrainField` and writes its rate law inline,
   ``dS = -beta*S*I - a*S``, ``dI = beta*S*I - (mu + v)*I``,
   ``dR = -(dS + dI)`` (``mu + v`` is sampled as one array);
-* backward: one call per stage of
+* backward: from lam(t_end) = 0, one call per stage of
   ``costate(lam_s, lam_i, lam_r, s, i, a, v) -> (dlam_s, dlam_i, dlam_r)``,
   whose ``drains`` attribute, if any, names the control columns (see
-  :func:`sircontrol.ocp.adjoint_field`).
+  :func:`sircontrol.ocp.adjoint_field`); only the sweep solver needs it.
 
 A drain the layout lacks, or every drain when ``controls`` is None, has rate
 0.0.  A control signal whose channel count differs from the layout's, or
@@ -241,14 +241,14 @@ def integrate_forward(
 
 def integrate_backward(
     adjoint_dynamics: Callable[..., tuple[float, float, float]],
-    lambda_end: np.ndarray,
     grid: TimeGrid,
     states: Trajectory,
     controls=None,
 ) -> Trajectory:
     """Integrate ``adjoint_dynamics`` (see the module docstring) from t_end down to t0.
 
-    The stored terminal node is exactly ``lambda_end``.  State and control
+    The sweep starts from lam(t_end) = 0, the transversality condition of a
+    free terminal state, and stores that node exactly.  State and control
     samples at the (negative) RK4 half-stages follow the same linear
     interpolation rule as the forward sweep.  The control columns come from
     ``adjoint_dynamics.drains``; a callable without one reads no channel.
@@ -264,7 +264,7 @@ def integrate_backward(
     half = 0.5 * back
     sixth = back / 6.0
     isfinite = math.isfinite
-    ls, li, lr = np.asarray(lambda_end, dtype=float).tolist()
+    ls = li = lr = 0.0
     out = [ls, li, lr]
     for t_k, s, i, a, v, s_m, i_m, a_m, v_m, s_4, i_4, a_4, v_4 in zip(
         times,

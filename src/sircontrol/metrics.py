@@ -64,8 +64,6 @@ def peak_infected(traj: Trajectory) -> tuple[float, float]:
     Ties break toward the earliest time.  Returns ``(t_peak, i_peak)``.
     """
     i = traj.i
-    if i.size == 0:
-        raise ValueError("empty trajectory")
     k = int(np.argmax(i))  # argmax returns the first maximizer
     return float(traj.grid.times()[k]), float(i[k])
 
@@ -89,8 +87,6 @@ def infection_period(
     if not (math.isfinite(window) and window >= 0):
         raise ValueError(f"window must be non-negative, got {window}")
     i = traj.i
-    if i.size == 0:
-        raise ValueError("empty trajectory")
     above = np.flatnonzero(i >= threshold)
     times = traj.grid.times()
     if above.size == 0:
@@ -106,8 +102,6 @@ def infection_period(
 
 def terminal_values(traj: Trajectory) -> tuple[float, float, float]:
     """Compartment values at the final grid node."""
-    if traj.values.shape[0] == 0:
-        raise ValueError("empty trajectory")
     s, i, r = traj.values[-1]
     return float(s), float(i), float(r)
 

@@ -35,11 +35,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EpidemicState:
-    """Compartment fractions (S, I, R) at one instant.
+    """Compartment fractions (S, I, R) at one instant, such as an initial state.
 
-    Also used for state derivatives, which are not subject to the
-    non-negativity/conservation invariants; use :meth:`validate` to check a
-    point that is supposed to be a state.
+    Construction does not check them; :meth:`validate` checks the
+    non-negativity and conservation invariants.
     """
 
     s: float

@@ -175,11 +175,11 @@ class ControlSignal:
 
 @dataclass
 class OcpSolution:
-    """Solver output: state/control/costate trajectories and a convergence report."""
+    """Solver trajectories and convergence report; a direct solution has ``adjoints=None``."""
 
     trajectory: Trajectory
     control: ControlSignal
-    adjoints: Trajectory
+    adjoints: Trajectory | None
     objective: float
     iterations: int
     converged: bool
@@ -382,7 +382,7 @@ def solve_fbsm(
     u = np.zeros((spec.grid.n_nodes, spec.channels))
     signal = ControlSignal(spec.grid, u)
     traj = _admissible_forward(spec, field, signal)
-    lam = integrate_backward(adj_dynamics, np.zeros(3), spec.grid, traj, signal)
+    lam = integrate_backward(adj_dynamics, spec.grid, traj, signal)
     j = objective(spec, traj, signal)
     history = [j]
     best = (j, traj, signal, lam)
@@ -407,7 +407,7 @@ def solve_fbsm(
             break
 
         signal, traj, j = signal_new, traj_new, j_new
-        lam = integrate_backward(adj_dynamics, np.zeros(3), spec.grid, traj, signal)
+        lam = integrate_backward(adj_dynamics, spec.grid, traj, signal)
         history.append(j)
         if j < best[0]:
             best = (j, traj, signal, lam)
@@ -533,13 +533,15 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     return j, grad
 
 
+_MAX_BACKTRACKS = 40  # Armijo halvings of one direct-solve step before the search fails
+
+
 def solve_direct(
     spec: StrategySpec,
     *,
     start: ControlSignal | None = None,
     max_iterations: int = 500,
     gtol: float = 1e-7,
-    max_backtracks: int = 40,
 ) -> OcpSolution:
     """Solve by projected gradient descent on the control node values.
 
@@ -567,6 +569,8 @@ def solve_direct(
     sweep's control, shortens the descent but certifies the same discrete
     KKT point.
 
+    Returns the objective of the last accepted evaluation, and no costate:
+    the method's adjoint is the discrete one inside :func:`objective_gradient`.
     Shares the problem tables and forward integrator with :func:`solve_fbsm`,
     but not its optimization route; used as its cross-check.
     """
@@ -604,7 +608,7 @@ def solve_direct(
 
         j_ref = max(recent)
         lam_step = 1.0
-        for _ in range(max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             u_trial = u + lam_step * d
             try:
                 j_trial, g_trial = objective_gradient(spec, u_trial)
@@ -615,8 +619,6 @@ def solve_direct(
             lam_step *= 0.5
         else:
             line_search_failed = True
-
-        if line_search_failed:
             break
 
         s = u_trial - u
@@ -648,5 +650,4 @@ def solve_direct(
 
     signal = ControlSignal(spec.grid, u)
     traj = integrate_forward(dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
-    lam = integrate_backward(adjoint_field(spec), np.zeros(3), spec.grid, traj, signal)
-    return OcpSolution(traj, signal, lam, objective(spec, traj, signal), iterations, converged, history)
+    return OcpSolution(traj, signal, None, j, iterations, converged, history)

@@ -426,6 +426,44 @@ def test_compare_unreadable_config_path(tmp_path, capsys):
     assert rc == EXIT_CONFIG
 
 
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"strategy = 1\xff\n")
+    assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {path}: 'utf-8' codec")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_step_count_numpy_refuses_is_a_config_error(tmp_path, capsys):
+    """10**23 nodes exceed numpy's maximum array size; nothing is allocated."""
+    path = write_cfg(tmp_path, "huge.cfg", f"steps = {10**23}\n")
+    out = tmp_path / "o"
+    assert main(["compare", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config field steps = {10**23} is too large")
+    assert not out.exists()
+
+
+def test_a_step_count_that_cannot_be_allocated_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """10**12 steps would take 8 TB: numpy raises MemoryError, here without trying."""
+    linspace = np.linspace
+
+    def refusing_linspace(start, stop, num):
+        if num > 10**6:
+            raise MemoryError("Unable to allocate 7.28 TiB")
+        return linspace(start, stop, num)
+
+    monkeypatch.setattr(np, "linspace", refusing_linspace)
+    out = tmp_path / "o"
+    assert main(["simulate", "--steps", str(10**12), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (
+        f"config error: config field steps = {10**12} is too large: Unable to allocate 7.28 TiB\n"
+    )
+    assert not out.exists()
+
+
 def test_compare_rejects_two_scenarios_with_one_output(tmp_path, capsys):
     a = write_cfg(tmp_path, "a.cfg", "strategy = none\nsteps = 10\n")
     b = write_cfg(tmp_path, "b.cfg", "strategy = none\nsteps = 20\n")

@@ -73,9 +73,8 @@ def test_backward_sweep_is_bit_identical(kind, steps):
     states = ref.integrate_forward(
         ref.dynamics_field(spec), spec.x0.as_array(), spec.grid, signal
     )
-    lam_end = np.zeros(3)
-    new = integrate_backward(adjoint_field(spec), lam_end, spec.grid, states, signal)
-    old = ref.integrate_backward(ref.adjoint_field(spec), lam_end, spec.grid, states, signal)
+    new = integrate_backward(adjoint_field(spec), spec.grid, states, signal)
+    old = ref.integrate_backward(ref.adjoint_field(spec), np.zeros(3), spec.grid, states, signal)
     assert np.array_equal(new.values, old.values)
 
 
@@ -87,10 +86,9 @@ def test_uncontrolled_backward_sweep_is_bit_identical(steps):
         ref.uncontrolled_field(DEFAULT_PARAMS), DEFAULT_X0.as_array(), spec.grid
     )
     old_field = ref.adjoint_field(spec)
-    lam_end = np.array([0.5, -0.25, 0.125])
-    new = integrate_backward(adjoint_field(spec), lam_end, spec.grid, states)
+    new = integrate_backward(adjoint_field(spec), spec.grid, states)
     old = ref.integrate_backward(
-        lambda t, lam, x, u: old_field(t, lam, x, np.zeros(1)), lam_end, spec.grid, states
+        lambda t, lam, x, u: old_field(t, lam, x, np.zeros(1)), np.zeros(3), spec.grid, states
     )
     assert np.array_equal(new.values, old.values)
 
@@ -134,12 +132,9 @@ def test_backward_blowup_names_the_same_step():
     states = ref.integrate_forward(
         ref.dynamics_field(default_spec(1)), spec.x0.as_array(), spec.grid, signal
     )
-    lam_end = np.zeros(3)
-    new = raised_message(
-        integrate_backward, adjoint_field(spec), lam_end, spec.grid, states, signal
-    )
+    new = raised_message(integrate_backward, adjoint_field(spec), spec.grid, states, signal)
     old = raised_message(
-        ref.integrate_backward, ref.adjoint_field(spec), lam_end, spec.grid, states, signal
+        ref.integrate_backward, ref.adjoint_field(spec), np.zeros(3), spec.grid, states, signal
     )
     assert new == old
     assert "t=" in new

@@ -154,36 +154,25 @@ def zero_costate_field(ls, li, lr, s, i, a, v):
 
 
 def test_backward_zero_terminal_zero_dynamics_stays_zero(uncontrolled_traj):
-    adj = integrate_backward(
-        zero_costate_field, np.zeros(3), GRID, uncontrolled_traj
-    )
+    """The sweep starts from lam(t_end) = 0, stored exactly, and a zero field keeps it there."""
+    adj = integrate_backward(zero_costate_field, GRID, uncontrolled_traj)
     assert np.array_equal(adj.values, np.zeros((1001, 3)))
 
 
-def test_backward_terminal_node_is_stored_exactly(uncontrolled_traj):
-    lam_end = np.array([0.5, -0.25, 0.125])
-    adj = integrate_backward(
-        zero_costate_field, lam_end, GRID, uncontrolled_traj
-    )
-    assert np.array_equal(adj.values[-1], lam_end)
-
-
 def test_backward_grid_matches_forward(uncontrolled_traj):
-    adj = integrate_backward(
-        zero_costate_field, np.zeros(3), GRID, uncontrolled_traj
-    )
+    adj = integrate_backward(zero_costate_field, GRID, uncontrolled_traj)
     assert adj.grid == uncontrolled_traj.grid
     assert adj.values.shape[0] == uncontrolled_traj.values.shape[0]
 
 
 def test_backward_recovers_exponential():
-    """lam' = lam backward from lam(1)=1 must give lam(0)=e^-1."""
+    """lam' = lam - 1 backward from lam(1) = 0 must give lam(0) = 1 - e^-1."""
     grid = TimeGrid(0.0, 1.0, 100)
     states = Trajectory(grid, np.zeros((101, 3)))
     adj = integrate_backward(
-        lambda ls, li, lr, s, i, a, v: (ls, li, lr), np.ones(3), grid, states
+        lambda ls, li, lr, s, i, a, v: (ls - 1.0, li - 1.0, lr - 1.0), grid, states
     )
-    assert adj.values[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-9)
+    assert adj.values[0] == pytest.approx(np.full(3, 1.0 - math.exp(-1.0)), rel=1e-9)
 
 
 @pytest.mark.parametrize("kind, channels", [(1, 2), (3, 1)])
@@ -196,7 +185,7 @@ def test_sweeps_reject_a_signal_with_the_wrong_channel_count(kind, channels):
         integrate_forward(dynamics_field(spec), x0, spec.grid, signal)
     states = integrate_forward(dynamics_field(spec), x0, spec.grid)
     with pytest.raises(ValueError, match="control channel"):
-        integrate_backward(adjoint_field(spec), np.zeros(3), spec.grid, states, signal)
+        integrate_backward(adjoint_field(spec), spec.grid, states, signal)
 
 
 def test_uncontrolled_field_rejects_any_control_signal():
@@ -217,7 +206,5 @@ def test_backward_on_spec_grid_is_reproducible(fbsm_solutions):
     """Re-running the final backward sweep reproduces the stored costates."""
     sol = fbsm_solutions[1]
     spec = default_spec(1)
-    again = integrate_backward(
-        adjoint_field(spec), np.zeros(3), spec.grid, sol.trajectory, sol.control
-    )
+    again = integrate_backward(adjoint_field(spec), spec.grid, sol.trajectory, sol.control)
     assert np.array_equal(again.values, sol.adjoints.values)

@@ -368,7 +368,15 @@ def test_direct_solutions_are_admissible_and_converged(kind, direct_solutions):
     assert sol.converged
     assert sol.control.values.min() >= 0.0
     assert sol.control.values.max() <= default_spec(kind).u_max
-    assert np.array_equal(sol.adjoints.values[-1], np.zeros(3))
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3])
+def test_direct_returns_its_last_accepted_evaluation(kind, direct_solutions):
+    """No continuous costate, and the objective of the certified control, bit for bit."""
+    sol = direct_solutions[kind]
+    assert sol.adjoints is None
+    assert sol.objective == sol.objective_history[-1]
+    assert sol.objective == objective(default_spec(kind), sol.trajectory, sol.control)
 
 
 @pytest.fixture(scope="module")
