@@ -106,6 +106,12 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not v > 0:
                 raise ConfigError(f"config field {name} must be positive, got {v}")
+        for name in _WEIGHT_FIELDS:
+            v = getattr(self, name)
+            if not math.isfinite(1.0 / v):
+                raise ConfigError(
+                    f"config field {name} is too small: its reciprocal overflows, got {v}"
+                )
         for name in ("s0", "i0", "r0"):
             if getattr(self, name) < 0:
                 raise ConfigError(

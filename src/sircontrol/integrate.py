@@ -24,7 +24,10 @@ then runs over the zipped float lists:
 * backward: from lam(t_end) = 0, one call per stage of
   ``costate(lam_s, lam_i, lam_r, s, i, a, v) -> (dlam_s, dlam_i, dlam_r)``,
   whose ``drains`` attribute, if any, names the control columns (see
-  :func:`sircontrol.ocp.adjoint_field`); only the sweep solver needs it.
+  :func:`sircontrol.ocp.adjoint_field`).  The sweep solver runs it once per
+  solve, for the costate it reports; its iterations take the same costate,
+  to roundoff, from the affine scan of ``sircontrol.ocp._costate_scan``,
+  for which this loop is the oracle.
 
 A drain the layout lacks, or every drain when ``controls`` is None, has rate
 0.0.  A control signal whose channel count differs from the layout's, or
@@ -147,16 +150,17 @@ class Trajectory:
 def stage_samples(grid: TimeGrid, nodes: np.ndarray, backward: bool = False):
     """Start, half-stage and full-stage samples of a node series, one per RK4 step.
 
-    Steps come in sweep order: forward from node 0, backward from the last
-    node.  Each sample is the linear interpolant of the step's bracketing
-    nodes under the module's operation-order rule.
+    ``nodes`` is one series, or a stack of series on leading axes with the
+    nodes on the last.  Steps come in sweep order: forward from node 0,
+    backward from the last node.  Each sample is the linear interpolant of
+    the step's bracketing nodes under the module's operation-order rule.
     """
     times = grid.times()
     h = -grid.dt if backward else grid.dt
     if backward:
-        times, nodes = times[::-1], nodes[::-1]
-    t_k, start = times[:-1], nodes[:-1]
-    delta = nodes[1:] - start
+        times, nodes = times[::-1], nodes[..., ::-1]
+    t_k, start = times[:-1], nodes[..., :-1]
+    delta = nodes[..., 1:] - start
     w_half = ((t_k + 0.5 * h) - t_k) / h
     w_full = ((t_k + h) - t_k) / h
     return start, start + w_half * delta, start + w_full * delta

@@ -22,7 +22,11 @@ docs/costate_derivation.md).  Two solution routes:
 ``solve_fbsm``
     Forward-backward sweep: alternate forward state integration, backward
     costate integration from the transversality condition lam(t_end) = 0,
-    and a relaxed update toward the pointwise control law.
+    and a relaxed update toward the pointwise control law.  The costate
+    field is affine in lam, so each backward RK4 step is one affine map;
+    the iterations scan those maps (``_costate_scan``, sharing its float
+    loop ``_affine_scan`` with the reverse gradient), and the float RK4
+    loop of :func:`integrate_backward` runs once, on the returned iterate.
 
 ``solve_direct``
     Direct transcription: projected-gradient descent on the control node
@@ -56,6 +60,7 @@ from .integrate import (
     Trajectory,
     integrate_backward,
     integrate_forward,
+    stage_samples,
 )
 from .model import DrainField, Drains, EpidemicState, ModelParams, treatment_education_rates
 
@@ -133,6 +138,8 @@ class StrategySpec:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"weight {name} must be positive, got {v}")
+            if not math.isfinite(1.0 / float(v)):  # the control laws divide by it
+                raise ValueError(f"weight {name} = {v} is too small: its reciprocal overflows")
         self.x0.validate(self.params.n)
 
     @property
@@ -337,6 +344,80 @@ def _admissible_forward(spec: StrategySpec, field: DrainField, signal: ControlSi
     return _admissible(traj, spec.params.n)
 
 
+# -- affine scans ------------------------------------------------------------
+
+
+def _affine_scan(x_s: float, x_i: float, coef: np.ndarray) -> np.ndarray:
+    """``x_0 = (x_s, x_i)`` and ``x_{j+1} = P_j x_j + q_j``, one row per ``j``.
+
+    Column ``j`` of ``coef`` holds ``(P_ss, P_si, q_s, P_is, P_ii, q_i)`` of
+    step ``j``.  One float loop of four multiply-adds per step; the
+    operation order is part of the bits of the reverse gradient.
+    """
+    out = [x_s, x_i]
+    for p_ss, p_si, q_s, p_is, p_ii, q_i in zip(*coef.tolist()):
+        x_s, x_i = p_ss * x_s + p_si * x_i + q_s, p_is * x_s + p_ii * x_i + q_i
+        out += (x_s, x_i)
+    return np.array(out).reshape(-1, 2)
+
+
+def _costate_scan(spec: StrategySpec, traj: Trajectory, signal: ControlSignal) -> Trajectory:
+    """The costate of :func:`integrate_backward`, as a scan of its affine RK4 steps.
+
+    The costate field is affine in lam, so one backward RK4 step of it is
+    ``(lam_S, lam_I)_k = M_k (lam_S, lam_I)_{k+1} + m_k``, with coefficients
+    that depend only on the stage samples of the state and the controls.
+    They come for every step at once from the layout's ``vjp`` on a stack
+    of three seeds: ``e_S`` and ``e_I`` give the columns of ``M_k``, and
+    ``(0, 0, lam_R)`` with the field's constant gives ``m_k``.  lam_R adds
+    the same increment at every step, so it is the float loop's bit for
+    bit; lam_S and lam_I agree with it to roundoff (see
+    docs/costate_derivation.md).  A costate that is not finite is the float
+    loop's to report: its result, or its :class:`IntegrationError` naming
+    the step at which it blew up, is returned in place of the scan's.
+    """
+    field, _, vjp = _fields(spec)
+    (cs, ci, cr), _ = _weights(spec)
+    grid = spec.grid
+    n = grid.steps
+    back = -grid.dt
+    half, sixth = 0.5 * back, back / 6.0
+    zero = np.zeros(grid.n_nodes)
+    nodes = np.array((traj.s, traj.i, *field.drains.split(signal.values, zero)))
+    (s1, i1, a1, v1), (sm, im, am, vm), (s4, i4, a4, v4) = stage_samples(grid, nodes, True)
+    # the float loop's R stages are nr + 0.0*lam_R: nr itself, or 0.0 where nr is -0.0
+    kr = -cr + 0.0
+    lam_r = np.full(n + 1, sixth * (kr + 2.0 * kr + 2.0 * kr + kr))
+    lam_r[0] = 0.0
+    lam_r = lam_r.cumsum()
+    # seeds e_S, e_I and (0, 0, lam_R) on a leading axis; only the last
+    # carries the field's constant -c_x
+    ys, yi = np.eye(3)[:2, :, None]
+    yr = np.zeros((3, n))
+    yr[2] = lam_r[:-1]
+    ns, ni, nr = np.zeros((3, 3, 1))
+    ns[2], ni[2], nr[2] = -cs, -ci, kr
+
+    def stage(s, i, a, v, y_s, y_i, y_r):
+        f_s, f_i, _, _ = vjp(s, i, a, v, y_s, y_i, y_r)
+        return ns - f_s, ni - f_i
+
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is diagnosed below
+        k1s, k1i = stage(s1, i1, a1, v1, ys, yi, yr)
+        yr_m = yr + half * nr
+        k2s, k2i = stage(sm, im, am, vm, ys + half * k1s, yi + half * k1i, yr_m)
+        k3s, k3i = stage(sm, im, am, vm, ys + half * k2s, yi + half * k2i, yr_m)
+        k4s, k4i = stage(s4, i4, a4, v4, ys + back * k3s, yi + back * k3i, yr + back * nr)
+        coef = np.concatenate((
+            ys + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s),
+            yi + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i),
+        ))
+        lam = _affine_scan(0.0, 0.0, coef)
+    if not np.isfinite(lam).all():
+        return integrate_backward(adjoint_field(spec), grid, traj, signal)
+    return Trajectory(grid, np.column_stack((lam, lam_r))[::-1])
+
+
 # -- forward-backward sweep --------------------------------------------------
 
 
@@ -361,35 +442,36 @@ def solve_fbsm(
     Each iteration integrates the states forward under the current control,
     integrates the costates backward from lam(t_end) = 0, evaluates the
     pointwise control law, and blends toward it,
-    ``u <- (1 - c) u + c u_law`` with ``c = relaxation``.  A blend that
-    raises the objective is retried with ``c`` halved (the plain relaxed
-    iteration limit-cycles on strongly state-weighted problems); ``c``
-    resets to ``relaxation`` at the next iteration.  At ``relaxation/64``
-    the blend is accepted as it is, unless it blew up (see
-    :func:`_admissible_forward`): such a trial scores +inf and is never
-    accepted, and when every damped trial of an iteration blows up the
-    sweep stops.  A blow-up of the initial zero-control sweep, or of the
-    costate sweep of an accepted iterate, still raises.  Convergence is declared
-    when every channel satisfies the relative-L1 test
-    ``tol * ||u_new||_1 - ||u_new - u_old||_1 >= 0``.
+    ``u <- (1 - c) u + c u_law`` with ``c = relaxation``.  The costate that
+    steers an iteration comes from :func:`_costate_scan`; the float loop
+    :func:`integrate_backward` runs once, on the returned iterate, and
+    gives its ``adjoints``.  A blend that raises the objective is retried
+    with ``c`` halved (the plain relaxed iteration limit-cycles on strongly
+    state-weighted problems); ``c`` resets to ``relaxation`` at the next
+    iteration.  At ``relaxation/64`` the blend is accepted as it is, unless
+    it blew up (see :func:`_admissible_forward`): such a trial scores +inf
+    and is never accepted, and when every damped trial of an iteration
+    blows up the sweep stops.  A blow-up of the initial zero-control sweep,
+    or of the costate of an iterate the sweep steers from or returns, still
+    raises.  Convergence is declared when every channel satisfies the
+    relative-L1 test ``tol * ||u_new||_1 - ||u_new - u_old||_1 >= 0``.
 
     On non-convergence the best iterate (lowest objective) is returned with
     ``converged=False``.
     """
     field = dynamics_field(spec)
-    adj_dynamics = adjoint_field(spec)
 
     u = np.zeros((spec.grid.n_nodes, spec.channels))
     signal = ControlSignal(spec.grid, u)
     traj = _admissible_forward(spec, field, signal)
-    lam = integrate_backward(adj_dynamics, spec.grid, traj, signal)
     j = objective(spec, traj, signal)
     history = [j]
-    best = (j, traj, signal, lam)
+    best = (j, traj, signal)
 
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
+        lam = _costate_scan(spec, traj, signal)
         u_law = control_law(spec, traj.s, traj.i, *lam.values.T)
 
         damp = relaxation
@@ -407,10 +489,9 @@ def solve_fbsm(
             break
 
         signal, traj, j = signal_new, traj_new, j_new
-        lam = integrate_backward(adj_dynamics, spec.grid, traj, signal)
         history.append(j)
         if j < best[0]:
-            best = (j, traj, signal, lam)
+            best = (j, traj, signal)
         # accepted steps descend by construction; log the forced exceptions
         if iterations > 5 and j > history[-2] + 1e-6:
             logger.warning(
@@ -432,8 +513,9 @@ def solve_fbsm(
             break
 
     if not converged:
-        j, traj, signal, lam = best
+        j, traj, signal = best
         logger.warning("%s sweep did not converge in %d iterations", spec.kind.name, iterations)
+    lam = integrate_backward(adjoint_field(spec), spec.grid, traj, signal)
     return OcpSolution(traj, signal, lam, j, iterations, converged, history)
 
 
@@ -456,10 +538,10 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     with finite differences of :func:`objective` on the forward trajectory
     to roundoff.  The state adjoint obeys an affine recursion whose
     coefficients depend only on the trajectory and the controls: they come
-    for every step at once from the layout's ``vjp`` on node arrays, and one
-    float loop scans the adjoint's S and I components (its R component has
-    a closed form; see docs/costate_derivation.md).  The stage states come
-    from :func:`treatment_education_rates` on node arrays.
+    for every step at once from the layout's ``vjp`` on node arrays, and
+    :func:`_affine_scan` scans the adjoint's S and I components (its R
+    component has a closed form; see docs/costate_derivation.md).  The
+    stage states come from :func:`treatment_education_rates` on node arrays.
 
     Returns ``(objective_value, gradient)`` with the gradient shaped like
     ``u_values``.  Raises :class:`IntegrationError` when the forward sweep
@@ -514,15 +596,11 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
 
     # b_k, the adjoint of x[k+1]; its R component is c_R times a sum of node weights
     br = cr * (w_end + w_mid * np.arange(n - 1, -1, -1))
-    p_ss, p_si, q_s = (1.0 + m_ss).tolist(), m_si.tolist(), (m_sr * br + w_mid * cs).tolist()
-    p_is, p_ii, q_i = m_is.tolist(), (1.0 + m_ii).tolist(), (m_ir * br + w_mid * ci).tolist()
-    bs, bi = [0.0] * n, [0.0] * n
-    b_s, b_i = w_end * cs, w_end * ci
-    for k in range(n - 1, 0, -1):
-        bs[k], bi[k] = b_s, b_i
-        b_s, b_i = p_ss[k] * b_s + p_si[k] * b_i + q_s[k], p_is[k] * b_s + p_ii[k] * b_i + q_i[k]
-    bs[0], bi[0] = b_s, b_i
-    b = np.array((bs, bi, br))
+    coef = np.array((
+        1.0 + m_ss, m_si, m_sr * br + w_mid * cs, m_is, 1.0 + m_ii, m_ir * br + w_mid * ci
+    ))
+    b_si = _affine_scan(w_end * cs, w_end * ci, coef[:, :0:-1])[::-1]
+    b = np.vstack((b_si.T, br))
 
     grad = np.empty(u_values.shape)
     for c in range(spec.channels):

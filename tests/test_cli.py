@@ -82,6 +82,11 @@ def test_config_rejects_bad_numbers():
     # each value is finite, but the population they sum to is not
     with pytest.raises(ConfigError, match=r"s0 \+ i0 \+ r0"):
         config_from_entries({"s0": "1e308", "i0": "1e308"})
+    # each weight is positive, but the control law divides by it
+    with pytest.raises(ConfigError, match="nu is too small"):
+        config_from_entries({"strategy": "1", "nu": "5e-324"})
+    with pytest.raises(ConfigError, match="b1 is too small"):
+        config_from_entries({"strategy": "3", "b1": "1e-310"})
 
 
 FLOAT_KEYS = (
@@ -433,6 +438,16 @@ def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot read config {path}: 'utf-8' codec")
     assert not (tmp_path / "o").exists()
+
+
+def test_a_weight_whose_reciprocal_overflows_is_a_config_error(tmp_path, capsys):
+    """1/nu overflows, and so would the control law's division by nu: exit 2, no output."""
+    path = write_cfg(tmp_path, "tiny.cfg", "strategy = 1\nnu = 5e-324\nsteps = 10\n")
+    out = tmp_path / "o"
+    assert main(["optimize", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config field nu is too small")
+    assert not out.exists()
 
 
 def test_a_step_count_numpy_refuses_is_a_config_error(tmp_path, capsys):

@@ -1,0 +1,87 @@
+"""The sweep's scanned costate against the float loop it stands in for.
+
+``ocp._costate_scan`` computes the costate of ``integrate_backward`` as one
+affine map per RK4 step.  It must agree with the float loop to roundoff,
+carry the loop's lam_R bit for bit and name the same step when it blows up;
+a sweep steered by it must take the same path as one steered by the loop,
+and both must report the loop's costate of the iterate they return.
+"""
+
+import numpy as np
+import pytest
+
+from sircontrol import integrate, ocp
+from sircontrol.integrate import IntegrationError, TimeGrid, integrate_forward
+from sircontrol.model import ModelParams
+from sircontrol.ocp import ControlSignal, Strategy, StrategySpec, adjoint_field, default_spec
+from test_float_loops import GRADIENT_GRIDS, KINDS, random_controls
+
+SCAN_RTOL = 1e-13
+
+
+def float_loop_costate(spec, traj, signal):
+    return integrate.integrate_backward(adjoint_field(spec), spec.grid, traj, signal)
+
+
+def raised_message(fn, *args):
+    with pytest.raises(IntegrationError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("steps, t_end", GRADIENT_GRIDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_scan_matches_the_float_loop(kind, steps, t_end):
+    spec = StrategySpec(kind=Strategy(kind), grid=TimeGrid(0.0, t_end, steps))
+    signal = random_controls(spec, seed=100 * kind + steps + 3)
+    traj = integrate_forward(ocp.dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
+    scan = ocp._costate_scan(spec, traj, signal).values
+    loop = float_loop_costate(spec, traj, signal).values
+    assert scan.shape == loop.shape
+    assert np.max(np.abs(scan - loop)) <= SCAN_RTOL * np.max(np.abs(loop))
+    assert scan[:, 2].tobytes() == loop[:, 2].tobytes()
+
+
+def test_scan_blowup_names_the_same_step():
+    spec = StrategySpec(kind=Strategy.VACCINATION, params=ModelParams(beta=1e8, mu=0.1))
+    signal = ControlSignal.zeros(spec.grid, 1)
+    states = integrate_forward(
+        ocp.dynamics_field(default_spec(1)), spec.x0.as_array(), spec.grid, signal
+    )
+    scanned = raised_message(ocp._costate_scan, spec, states, signal)
+    assert scanned == raised_message(float_loop_costate, spec, states, signal)
+    assert scanned.startswith("non-finite state after step at t=")
+
+
+def solve_counting_float_loops(monkeypatch, spec, tol, steer_with_loop):
+    """``solve_fbsm`` and the number of its own calls of ``integrate_backward``."""
+    calls = []
+    original = ocp.integrate_backward
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(ocp, "integrate_backward", counting)
+        if steer_with_loop:
+            m.setattr(ocp, "_costate_scan", float_loop_costate)
+        sol = ocp.solve_fbsm(spec, tol=tol)
+    return sol, len(calls)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-4])
+@pytest.mark.parametrize("steps", [100, 1000])
+@pytest.mark.parametrize("kind", KINDS)
+def test_sweep_steered_by_the_scan_follows_the_float_loop(monkeypatch, kind, steps, tol):
+    spec = default_spec(kind, steps=steps)
+    scanned, scanned_calls = solve_counting_float_loops(monkeypatch, spec, tol, False)
+    looped, looped_calls = solve_counting_float_loops(monkeypatch, spec, tol, True)
+    assert scanned.converged and looped.converged
+    assert scanned.iterations == looped.iterations
+    assert scanned.objective == pytest.approx(looped.objective, rel=1e-12, abs=0.0)
+    assert np.max(np.abs(scanned.control.values - looped.control.values)) <= 1e-10
+    for sol, calls in ((scanned, scanned_calls), (looped, looped_calls)):
+        assert calls == 1
+        again = float_loop_costate(spec, sol.trajectory, sol.control)
+        assert sol.adjoints.values.tobytes() == again.values.tobytes()

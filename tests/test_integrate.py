@@ -146,6 +146,16 @@ def test_linear_control_interpolation_is_exact():
         assert x == pytest.approx(area, rel=1e-13)
 
 
+@pytest.mark.parametrize("backward", [False, True])
+def test_stage_samples_of_a_stack_are_those_of_each_series(backward):
+    """On GRID the half-stage weights round away from 0.5, so the bits are telling."""
+    stack = np.random.default_rng(7).uniform(size=(2, 3, GRID.n_nodes))
+    samples = stage_samples(GRID, stack, backward)
+    for row in np.ndindex(stack.shape[:-1]):
+        for stacked, single in zip(samples, stage_samples(GRID, stack[row], backward)):
+            assert stacked[row].tobytes() == single.tobytes()
+
+
 # -- backward integration ----------------------------------------------------------
 
 

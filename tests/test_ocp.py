@@ -74,6 +74,12 @@ def test_spec_validation():
         StrategySpec(kind=Strategy.VACCINATION, x0=EpidemicState(0.5, 0.1, 0.1))
 
 
+@pytest.mark.parametrize("kind, name, value", [(1, "nu", 5e-324), (3, "b1", 1e-310)])
+def test_spec_rejects_a_weight_whose_reciprocal_overflows(kind, name, value):
+    with pytest.raises(ValueError, match=f"weight {name} .* reciprocal overflows"):
+        StrategySpec(kind=Strategy(kind), **{name: value})
+
+
 def test_strategy_channel_counts():
     assert Strategy.VACCINATION.channels == 1
     assert Strategy.VACCINATION_WEIGHTED.channels == 1
