@@ -62,6 +62,10 @@ class ConfigError(ValueError):
     """Invalid scenario configuration (maps to exit code 2)."""
 
 
+# consecutive configs on one grid share it, with its node times and stage weights
+_shared_grid = functools.lru_cache(maxsize=1)(TimeGrid)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One scenario: model, strategy weights, grid, solver settings, outputs.
@@ -132,7 +136,7 @@ class ScenarioConfig:
                 f"config field relaxation must be in (0, 1], got {self.relaxation}"
             )
         try:  # built once, here, so that a grid numpy cannot allocate fails before any output
-            object.__setattr__(self, "_grid", TimeGrid(0.0, self.t_end, self.steps))
+            object.__setattr__(self, "_grid", _shared_grid(0.0, self.t_end, self.steps))
         except (ValueError, MemoryError) as e:
             raise ConfigError(f"config field steps = {self.steps} is too large: {e}") from None
 
@@ -238,22 +242,31 @@ def _write_columns(path: Path, header: str, columns: list[list[str]]) -> None:
     path.write_text("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
 
 
+@functools.lru_cache(maxsize=1)
+def _time_column(grid: TimeGrid) -> tuple[str, ...]:
+    """The grid's node times as CSV fields, formatted once for consecutive runs on it."""
+    return tuple(_column(grid.times()))
+
+
 def write_timeseries_csv(
     path: Path,
     traj: Trajectory,
     control: ControlSignal | None = None,
     adjoints: Trajectory | None = None,
-) -> None:
+) -> list[str]:
+    """Write one run's CSV; return its S, I, R columns, each as one newline-joined string."""
     absent = [""] * traj.grid.n_nodes
+    states = [_column(x) for x in traj.values.T]
     controls = [] if control is None else [_column(u) for u in control.values.T]
     columns = [
-        _column(traj.grid.times()),
-        *(_column(x) for x in traj.values.T),
+        _time_column(traj.grid),
+        *states,
         *controls,
         *[absent] * (2 - len(controls)),
         *([absent] * 3 if adjoints is None else (_column(lam) for lam in adjoints.values.T)),
     ]
     _write_columns(path, CSV_HEADER, columns)
+    return ["\n".join(column) for column in states]
 
 
 @functools.cache
@@ -300,19 +313,20 @@ def write_comparison(out_dir: Path, labels: list[str], summaries: list[RunSummar
     (out_dir / "comparison.json").write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def write_plot_bundles(out_dir: Path, runs: list[tuple[str, Trajectory]]) -> bool:
+def write_plot_bundles(out_dir: Path, runs: list[tuple[str, Trajectory, list[str]]]) -> bool:
     """Side-by-side S/I/R series (fig_S_compare.csv etc.); one column per run.
 
-    Requires all runs on a common grid; returns False (and writes nothing)
-    otherwise.
+    Each run is its label, trajectory and S, I, R columns as
+    :func:`write_timeseries_csv` returns them.  Requires all runs on a common
+    grid; returns False (and writes nothing) otherwise.
     """
-    grids = {traj.grid for _, traj in runs}
+    grids = {traj.grid for _, traj, _ in runs}
     if len(grids) != 1:
         return False
-    times = _column(runs[0][1].grid.times())
-    header = ",".join(["t"] + [label for label, _ in runs])
-    for name, col in (("S", 0), ("I", 1), ("R", 2)):
-        columns = [times] + [_column(traj.values[:, col]) for _, traj in runs]
+    header = ",".join(["t"] + [label for label, _, _ in runs])
+    times = _time_column(grids.pop())
+    for col, name in enumerate("SIR"):
+        columns = [times] + [states[col].split("\n") for _, _, states in runs]
         _write_columns(out_dir / f"fig_{name}_compare.csv", header, columns)
     return True
 
@@ -335,9 +349,12 @@ def _print_summary(label: str, summary: RunSummary, sol: OcpSolution | None = No
     print(line)
 
 
-def _run_scenario(cfg: ScenarioConfig, cross_check: bool) -> tuple[int, Trajectory, RunSummary]:
+def _run_scenario(
+    cfg: ScenarioConfig, cross_check: bool
+) -> tuple[int, Trajectory, RunSummary, list[str]]:
     """Run one scenario, write its CSV and JSON summary, and print its summary line.
 
+    Returns the exit code, trajectory, summary and CSV columns S, I, R.
     Strategy none is the uncontrolled run, which raises :class:`IntegrationError`
     under the solvers' blow-up rule; strategies 1-3 are solved by the sweep
     and, with ``cross_check``, also by direct transcription.
@@ -384,10 +401,10 @@ def _run_scenario(cfg: ScenarioConfig, cross_check: bool) -> tuple[int, Trajecto
         code = EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
     with _output_errors():
-        write_timeseries_csv(out_dir / f"{cfg.label}.csv", traj, control, adjoints)
+        states = write_timeseries_csv(out_dir / f"{cfg.label}.csv", traj, control, adjoints)
         write_summary_json(out_dir / f"{cfg.label}.json", cfg, summary, convergence, cross)
     _print_summary(cfg.label, summary, sol)
-    return code, traj, summary
+    return code, traj, summary, states
 
 
 def cmd_compare(
@@ -407,11 +424,11 @@ def cmd_compare(
         for cfg in cfgs:
             Path(cfg.out).mkdir(parents=True, exist_ok=True)
 
-    runs: list[tuple[str, Trajectory]] = []
+    runs: list[tuple[str, Trajectory, list[str]]] = []
     summaries: list[RunSummary] = []
     for k, cfg in enumerate(cfgs):
         try:
-            code, traj, summary = _run_scenario(cfg, cross_check)
+            code, traj, summary, states = _run_scenario(cfg, cross_check)
         except IntegrationError as e:
             code = _integration_failure(e)
         if code != EXIT_OK:
@@ -421,11 +438,11 @@ def cmd_compare(
                 file=sys.stderr,
             )
             return code
-        runs.append((cfg.label, traj))
+        runs.append((cfg.label, traj, states))
         summaries.append(summary)
 
     with _output_errors():
-        write_comparison(out_dir, [label for label, _ in runs], summaries)
+        write_comparison(out_dir, [label for label, _, _ in runs], summaries)
         if emit_plot_data and not write_plot_bundles(out_dir, runs):
             print("plot bundles skipped: scenarios use different grids", file=sys.stderr)
     return EXIT_OK
@@ -505,10 +522,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"simulate requires strategy = none, got {cfg.strategy!r}")
         if args.command == "optimize" and cfg.strategy == "none":
             raise ConfigError("an optimization scenario requires strategy 1, 2, or 3")
-        code, traj, _ = _run_scenario(cfg, getattr(args, "cross_check", False))
+        code, traj, _, states = _run_scenario(cfg, getattr(args, "cross_check", False))
         if args.emit_plot_data:
             with _output_errors():
-                write_plot_bundles(Path(cfg.out), [(cfg.label, traj)])
+                write_plot_bundles(Path(cfg.out), [(cfg.label, traj, states)])
         return code
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -12,7 +12,8 @@ without it.
 
 Both sweeps serve every scenario with one loop per direction, on plain
 Python floats.  Once per call, :func:`stage_samples` computes with numpy the
-node, half-stage and full-stage samples of every step: of the drain rates
+node, half-stage and full-stage samples of every step, from interpolation
+weights each :class:`TimeGrid` computes once: of the drain rates
 ``a`` (S -> R) and ``v`` (I -> R) that a :class:`~sircontrol.model.Drains`
 map picks from the control columns, and backward also of S and I.  Each loop
 then runs over the zipped float lists:
@@ -31,9 +32,10 @@ then runs over the zipped float lists:
 
 A drain the layout lacks, or every drain when ``controls`` is None, has rate
 0.0.  A control signal whose channel count differs from the layout's, or
-that lives on another grid, raises ValueError.  A step whose result is not
-finite raises :class:`IntegrationError` naming the step's start time.  Nodes
-are collected in one flat list and reshaped once.
+that lives on another grid, raises ValueError.  Nodes are collected in one
+flat list and reshaped once, and checked for finiteness once per sweep: a
+non-finite node raises :class:`IntegrationError` naming the start time of
+the first step that produced one.
 
 The loops keep the operation order of the classical 3-vector formulation
 (one numpy RK4 step per interval, applied to a closure that interpolates at
@@ -78,7 +80,9 @@ class IntegrationError(RuntimeError):
 class TimeGrid:
     """Uniform grid of ``steps`` intervals on [t0, t_end].
 
-    The node times are computed once, at construction, as a read-only array.
+    The node times, and the stage weights of the forward and the backward
+    steps (see :func:`stage_samples`), are computed once, at construction,
+    as read-only arrays.
     """
 
     t0: float
@@ -93,8 +97,14 @@ class TimeGrid:
         if self.steps < 1:
             raise ValueError(f"steps={self.steps} must be >= 1")
         times = np.linspace(self.t0, self.t_end, self.n_nodes)
-        times.flags.writeable = False
+        weights = tuple(
+            (((t_k + 0.5 * h) - t_k) / h, ((t_k + h) - t_k) / h)
+            for t_k, h in ((times[:-1], self.dt), (times[:0:-1], -self.dt))
+        )
+        for array in (times, *weights[0], *weights[1]):
+            array.flags.writeable = False
         object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_stage_weights", weights)
 
     @property
     def dt(self) -> float:
@@ -155,14 +165,11 @@ def stage_samples(grid: TimeGrid, nodes: np.ndarray, backward: bool = False):
     backward from the last node.  Each sample is the linear interpolant of
     the step's bracketing nodes under the module's operation-order rule.
     """
-    times = grid.times()
-    h = -grid.dt if backward else grid.dt
+    w_half, w_full = grid._stage_weights[backward]
     if backward:
-        times, nodes = times[::-1], nodes[..., ::-1]
-    t_k, start = times[:-1], nodes[..., :-1]
+        nodes = nodes[..., ::-1]
+    start = nodes[..., :-1]
     delta = nodes[..., 1:] - start
-    w_half = ((t_k + 0.5 * h) - t_k) / h
-    w_full = ((t_k + h) - t_k) / h
     return start, start + w_half * delta, start + w_full * delta
 
 
@@ -184,6 +191,19 @@ def _drain_samples(drains: Drains, controls, grid: TimeGrid, backward: bool = Fa
     )
 
 
+def _finite_nodes(out: list, times: np.ndarray) -> np.ndarray:
+    """The flat node list ``out`` as rows; :class:`IntegrationError` if one is not finite.
+
+    The error names the step (``times`` in sweep order) of the first such
+    row: a sweep's arithmetic never makes a non-finite value finite again.
+    """
+    nodes = np.array(out).reshape(-1, 3)
+    if not np.isfinite(nodes).all():
+        step = int(np.argmin(np.isfinite(nodes[1:]).all(axis=1)))
+        raise IntegrationError(f"non-finite state after step at t={times[step].item()}")
+    return nodes
+
+
 def integrate_forward(
     field: DrainField,
     x0: np.ndarray,
@@ -198,15 +218,12 @@ def integrate_forward(
     """
     beta, mu = field.beta, field.mu
     (a1, am, a4), (v1, vm, v4) = _drain_samples(field.drains, controls, grid)
-    times = grid.times().tolist()
     dt = grid.dt
     half = 0.5 * dt
     sixth = dt / 6.0
-    isfinite = math.isfinite
     s, i, r = np.asarray(x0, dtype=float).tolist()
     out = [s, i, r]
-    for t_k, a, g, a_m, g_m, a_4, g_4 in zip(
-        times,
+    for a, g, a_m, g_m, a_4, g_4 in zip(
         a1.tolist(), (mu + v1).tolist(),
         am.tolist(), (mu + vm).tolist(),
         a4.tolist(), (mu + v4).tolist(),
@@ -237,10 +254,8 @@ def integrate_forward(
         s = s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
         i = i + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
         r = r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        if not (isfinite(s) and isfinite(i) and isfinite(r)):
-            raise IntegrationError(f"non-finite state after step at t={t_k}")
         out += (s, i, r)
-    return Trajectory(grid, np.array(out).reshape(-1, 3))
+    return Trajectory(grid, _finite_nodes(out, grid.times()))
 
 
 def integrate_backward(
@@ -261,17 +276,13 @@ def integrate_backward(
         raise ValueError("state trajectory lives on a different grid")
     drains = getattr(adjoint_dynamics, "drains", Drains())
     (a1, am, a4), (v1, vm, v4) = _drain_samples(drains, controls, grid, backward=True)
-    s1, sm, s4 = stage_samples(grid, states.values[:, 0], backward=True)
-    i1, im, i4 = stage_samples(grid, states.values[:, 1], backward=True)
-    times = grid.times()[:0:-1].tolist()
+    (s1, i1), (sm, im), (s4, i4) = stage_samples(grid, states.values[:, :2].T, backward=True)
     back = -grid.dt
     half = 0.5 * back
     sixth = back / 6.0
-    isfinite = math.isfinite
     ls = li = lr = 0.0
     out = [ls, li, lr]
-    for t_k, s, i, a, v, s_m, i_m, a_m, v_m, s_4, i_4, a_4, v_4 in zip(
-        times,
+    for s, i, a, v, s_m, i_m, a_m, v_m, s_4, i_4, a_4, v_4 in zip(
         s1.tolist(), i1.tolist(), a1.tolist(), v1.tolist(),
         sm.tolist(), im.tolist(), am.tolist(), vm.tolist(),
         s4.tolist(), i4.tolist(), a4.tolist(), v4.tolist(),
@@ -289,7 +300,5 @@ def integrate_backward(
         ls = ls + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
         li = li + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
         lr = lr + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        if not (isfinite(ls) and isfinite(li) and isfinite(lr)):
-            raise IntegrationError(f"non-finite state after step at t={t_k}")
         out += (ls, li, lr)
-    return Trajectory(grid, np.array(out).reshape(-1, 3)[::-1].copy())
+    return Trajectory(grid, _finite_nodes(out, grid.times()[::-1])[::-1].copy())

@@ -221,11 +221,13 @@ def _drain_layout(beta, mu, c_x, drains):
     and ``f_a^T k``, ``f_v^T k``; both take floats or arrays (see
     docs/costate_derivation.md).  The costate field is written out, not
     composed from vjp, so that it stays as fast as, and bit for bit equal
-    to, the published equations; ``f_a^T k`` is written ``(k_R - k_S) s``
-    for the same reason.  A drain at rate 0 gives the bits of a layout
-    without it: ``beta*s - mu - 0.0`` and ``(mu + 0.0)*i`` round as
-    ``beta*s - mu`` and ``mu*i``.  The costate carries ``drains``, from
-    which :func:`integrate_backward` samples ``a`` and ``v``.
+    to, the published equations; ``f_x^T k`` comes from :func:`_state_vjp`,
+    which the scanned costate calls alone, and ``f_a^T k``, ``f_v^T k`` from
+    :func:`_drain_products`, which the control law calls alone.  A drain
+    at rate 0 gives the bits of a layout without it: ``beta*s - mu - 0.0``
+    and ``(mu + 0.0)*i`` round as ``beta*s - mu`` and ``mu*i``.  The
+    costate carries ``drains``, from which :func:`integrate_backward`
+    samples ``a`` and ``v``.
     """
     ns, ni, nr = -c_x[0], -c_x[1], -c_x[2]
 
@@ -237,15 +239,21 @@ def _drain_layout(beta, mu, c_x, drains):
         )
 
     def vjp(s, i, a, v, ks, ki, kr):
-        return (
-            (-beta * i - a) * ks + beta * i * ki + a * kr,
-            -beta * s * ks + (beta * s - mu - v) * ki + (mu + v) * kr,
-            (kr - ks) * s,
-            (kr - ki) * i,
-        )
+        return (*_state_vjp(beta, mu, s, i, a, v)(ks, ki, kr), *_drain_products(s, i, ks, ki, kr))
 
     costate.drains = drains
     return costate, vjp
+
+
+def _state_vjp(beta, mu, s, i, a, v):
+    """``k -> f_x^T k`` (S and I rows) at samples ``s, i, a, v``, whose entries it computes once."""
+    c_ss, c_si, c_is, c_ii, c_ir = -beta * i - a, beta * i, -beta * s, beta * s - mu - v, mu + v
+    return lambda ks, ki, kr: (c_ss * ks + c_si * ki + a * kr, c_is * ks + c_ii * ki + c_ir * kr)
+
+
+def _drain_products(s, i, ks, ki, kr):
+    """``(f_a^T k, f_v^T k)``: ``(k_R - k_S) s`` and ``(k_R - k_I) i``, on floats or arrays."""
+    return (kr - ks) * s, (kr - ki) * i
 
 
 def _fields(spec: StrategySpec):
@@ -294,10 +302,11 @@ def control_law(spec: StrategySpec, s, i, lam_s, lam_i, lam_r) -> np.ndarray:
     Takes floats or node arrays; returns one column per control channel.
     """
     _, w = _weights(spec)
-    f_u = _DRAINS[spec.kind].join(*_fields(spec)[2](s, i, 0.0, 0.0, lam_s, lam_i, lam_r)[2:])
-    return np.column_stack(
-        [np.clip(-f_u[c] / w[c], 0.0, spec.u_max) for c in range(spec.channels)]
-    )
+    f_u = _DRAINS[spec.kind].join(*_drain_products(s, i, lam_s, lam_i, lam_r))
+    with np.errstate(over="ignore"):  # a quotient that overflows saturates at the bound
+        return np.column_stack(
+            [np.clip(-f_u[c] / w[c], 0.0, spec.u_max) for c in range(spec.channels)]
+        )
 
 
 # -- dynamics/costate fields for the integrator ------------------------------
@@ -366,25 +375,36 @@ def _costate_scan(spec: StrategySpec, traj: Trajectory, signal: ControlSignal) -
 
     The costate field is affine in lam, so one backward RK4 step of it is
     ``(lam_S, lam_I)_k = M_k (lam_S, lam_I)_{k+1} + m_k``, with coefficients
-    that depend only on the stage samples of the state and the controls.
-    They come for every step at once from the layout's ``vjp`` on a stack
-    of three seeds: ``e_S`` and ``e_I`` give the columns of ``M_k``, and
-    ``(0, 0, lam_R)`` with the field's constant gives ``m_k``.  lam_R adds
-    the same increment at every step, so it is the float loop's bit for
-    bit; lam_S and lam_I agree with it to roundoff (see
+    from :func:`_costate_steps`, whose temporaries are freed before the
+    scan.  lam_R adds the same increment at every step, so it is the float
+    loop's bit for bit; lam_S and lam_I agree with it to roundoff (see
     docs/costate_derivation.md).  A costate that is not finite is the float
     loop's to report: its result, or its :class:`IntegrationError` naming
     the step at which it blew up, is returned in place of the scan's.
     """
-    field, _, vjp = _fields(spec)
+    coef, lam_r = _costate_steps(spec, traj, signal)
+    lam = _affine_scan(0.0, 0.0, coef)
+    if not np.isfinite(lam).all():
+        return integrate_backward(adjoint_field(spec), spec.grid, traj, signal)
+    return Trajectory(spec.grid, np.column_stack((lam, lam_r))[::-1])
+
+
+def _costate_steps(spec: StrategySpec, traj: Trajectory, signal: ControlSignal):
+    """``(coef, lam_R)``: lam_S and lam_I's backward steps for :func:`_affine_scan`, and lam_R.
+
+    For every step at once, :func:`_state_vjp`, built once per sample set
+    (stages 2 and 3 share one), is applied to three seeds: ``e_S`` and
+    ``e_I`` give the columns of ``M_k``, and ``(0, 0, lam_R)`` with the
+    field's constant gives ``m_k``.
+    """
     (cs, ci, cr), _ = _weights(spec)
+    beta, mu, drains = spec.params.beta, spec.params.mu, _DRAINS[spec.kind]
     grid = spec.grid
     n = grid.steps
     back = -grid.dt
     half, sixth = 0.5 * back, back / 6.0
-    zero = np.zeros(grid.n_nodes)
-    nodes = np.array((traj.s, traj.i, *field.drains.split(signal.values, zero)))
-    (s1, i1, a1, v1), (sm, im, am, vm), (s4, i4, a4, v4) = stage_samples(grid, nodes, True)
+    nodes = np.array((traj.s, traj.i, *drains.split(signal.values, np.zeros(n + 1))))
+    start, mid, end = stage_samples(grid, nodes, True)
     # the float loop's R stages are nr + 0.0*lam_R: nr itself, or 0.0 where nr is -0.0
     kr = -cr + 0.0
     lam_r = np.full(n + 1, sixth * (kr + 2.0 * kr + 2.0 * kr + kr))
@@ -398,24 +418,22 @@ def _costate_scan(spec: StrategySpec, traj: Trajectory, signal: ControlSignal) -
     ns, ni, nr = np.zeros((3, 3, 1))
     ns[2], ni[2], nr[2] = -cs, -ci, kr
 
-    def stage(s, i, a, v, y_s, y_i, y_r):
-        f_s, f_i, _, _ = vjp(s, i, a, v, y_s, y_i, y_r)
+    def stage(f_x, y_s, y_i, y_r):
+        f_s, f_i = f_x(y_s, y_i, y_r)
         return ns - f_s, ni - f_i
 
-    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is diagnosed below
-        k1s, k1i = stage(s1, i1, a1, v1, ys, yi, yr)
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is diagnosed by the scan
+        k1s, k1i = stage(_state_vjp(beta, mu, *start), ys, yi, yr)
+        f_mid = _state_vjp(beta, mu, *mid)  # stages 2 and 3 share the half-stage samples
         yr_m = yr + half * nr
-        k2s, k2i = stage(sm, im, am, vm, ys + half * k1s, yi + half * k1i, yr_m)
-        k3s, k3i = stage(sm, im, am, vm, ys + half * k2s, yi + half * k2i, yr_m)
-        k4s, k4i = stage(s4, i4, a4, v4, ys + back * k3s, yi + back * k3i, yr + back * nr)
-        coef = np.concatenate((
+        k2s, k2i = stage(f_mid, ys + half * k1s, yi + half * k1i, yr_m)
+        k3s, k3i = stage(f_mid, ys + half * k2s, yi + half * k2i, yr_m)
+        f_end = _state_vjp(beta, mu, *end)
+        k4s, k4i = stage(f_end, ys + back * k3s, yi + back * k3i, yr + back * nr)
+        return np.concatenate((
             ys + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s),
             yi + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i),
-        ))
-        lam = _affine_scan(0.0, 0.0, coef)
-    if not np.isfinite(lam).all():
-        return integrate_backward(adjoint_field(spec), grid, traj, signal)
-    return Trajectory(grid, np.column_stack((lam, lam_r))[::-1])
+        )), lam_r
 
 
 # -- forward-backward sweep --------------------------------------------------
@@ -677,12 +695,13 @@ def solve_direct(
             iterations -= 1
             break
 
-        d = np.clip(u - alpha * g / metric, lo, hi) - u
-        slope = float((g * d).sum())
-        if slope >= 0.0:  # safeguarded step produced a non-descent arc
-            alpha = 1.0
-            d = np.clip(u - g / metric, lo, hi) - u
+        with np.errstate(over="ignore"):  # a quotient that overflows saturates at the bound
+            d = np.clip(u - alpha * g / metric, lo, hi) - u
             slope = float((g * d).sum())
+            if slope >= 0.0:  # safeguarded step produced a non-descent arc
+                alpha = 1.0
+                d = np.clip(u - g / metric, lo, hi) - u
+                slope = float((g * d).sum())
 
         j_ref = max(recent)
         lam_step = 1.0

@@ -5,14 +5,18 @@ plain floats: ``rk4_step``-based forward and backward integrators driven by
 per-step closures, numpy dynamics and costate fields, and the reverse-mode
 objective gradient built from 3x3 stage Jacobians.  Only the tests use them,
 as an oracle: the float loops must reproduce every state and costate node of
-these integrators bit for bit, and their gradient to roundoff.
+these integrators bit for bit, and their gradient to roundoff.  The scanned
+costate's first coefficient build, which called the layout's full ``vjp`` at
+every stage, is kept too, with that ``vjp``'s rows typed out as they were
+first written: ``ocp._costate_scan`` must equal it bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from sircontrol.integrate import IntegrationError, Trajectory
+from sircontrol import ocp
+from sircontrol.integrate import IntegrationError, Trajectory, stage_samples
 from sircontrol.ocp import ControlSignal, Strategy, objective
 
 
@@ -289,3 +293,54 @@ def objective_gradient(spec, u_values):
         grad[k] += w_node * cu(x1, u_a)
 
     return j, grad
+
+
+# -- the scanned costate with one full vjp call per stage ----------------------
+
+
+def state_vjp(beta, mu, s, i, a, v, ks, ki, kr):
+    """The S and I rows of the layout's ``vjp``, ``f_x^T k``, as first written."""
+    return (
+        (-beta * i - a) * ks + beta * i * ki + a * kr,
+        -beta * s * ks + (beta * s - mu - v) * ki + (mu + v) * kr,
+    )
+
+
+def costate_scan(spec, traj, signal):
+    """``ocp._costate_scan`` as first written: the layout's ``vjp`` on three seeds per stage."""
+    field = ocp.dynamics_field(spec)
+    beta, mu = field.beta, field.mu
+    (cs, ci, cr), _ = ocp._weights(spec)
+    grid = spec.grid
+    n = grid.steps
+    back = -grid.dt
+    half, sixth = 0.5 * back, back / 6.0
+    zero = np.zeros(grid.n_nodes)
+    nodes = np.array((traj.s, traj.i, *field.drains.split(signal.values, zero)))
+    (s1, i1, a1, v1), (sm, im, am, vm), (s4, i4, a4, v4) = stage_samples(grid, nodes, True)
+    kr = -cr + 0.0
+    lam_r = np.full(n + 1, sixth * (kr + 2.0 * kr + 2.0 * kr + kr))
+    lam_r[0] = 0.0
+    lam_r = lam_r.cumsum()
+    ys, yi = np.eye(3)[:2, :, None]
+    yr = np.zeros((3, n))
+    yr[2] = lam_r[:-1]
+    ns, ni, nr = np.zeros((3, 3, 1))
+    ns[2], ni[2], nr[2] = -cs, -ci, kr
+
+    def stage(s, i, a, v, y_s, y_i, y_r):
+        f_s, f_i = state_vjp(beta, mu, s, i, a, v, y_s, y_i, y_r)
+        return ns - f_s, ni - f_i
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1s, k1i = stage(s1, i1, a1, v1, ys, yi, yr)
+        yr_m = yr + half * nr
+        k2s, k2i = stage(sm, im, am, vm, ys + half * k1s, yi + half * k1i, yr_m)
+        k3s, k3i = stage(sm, im, am, vm, ys + half * k2s, yi + half * k2i, yr_m)
+        k4s, k4i = stage(s4, i4, a4, v4, ys + back * k3s, yi + back * k3i, yr + back * nr)
+        coef = np.concatenate((
+            ys + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s),
+            yi + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i),
+        ))
+        lam = ocp._affine_scan(0.0, 0.0, coef)
+    return Trajectory(grid, np.column_stack((lam, lam_r))[::-1])

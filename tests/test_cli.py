@@ -450,6 +450,23 @@ def test_a_weight_whose_reciprocal_overflows_is_a_config_error(tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [
+        "strategy = 1\nnu = 1e-308",
+        "strategy = 1\nnu = 3e-308",
+        "strategy = 3\nb1 = 1e-308\nb2 = 1e-308",
+    ],
+    ids=["nu=1e-308", "nu=3e-308", "b1=b2=1e-308"],
+)
+def test_a_weight_near_the_reciprocal_limit_is_solved(tmp_path, capsys, weights):
+    """1/w is finite, but the control law's quotient overflows: it saturates, with no warning."""
+    path = write_cfg(tmp_path, "tiny.cfg", f"{weights}\nsteps = 100\n")
+    argv = ["optimize", "--cross-check", "--config", path, "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_a_step_count_numpy_refuses_is_a_config_error(tmp_path, capsys):
     """10**23 nodes exceed numpy's maximum array size; nothing is allocated."""
     path = write_cfg(tmp_path, "huge.cfg", f"steps = {10**23}\n")
@@ -614,17 +631,50 @@ def test_timeseries_csv_bytes_equal_per_value_formatting(tmp_path, channels):
 
 
 def test_plot_bundle_bytes_equal_per_value_formatting(tmp_path):
+    """The bundles take each run's columns as the scenario CSV writer returns them."""
     grid = TimeGrid(0.0, 5.0, 5)
     values = np.array(SPECIAL_VALUES * 3).reshape(6, 3)
-    runs = [("a", Trajectory(grid, values)), ("b", Trajectory(grid, values[::-1].copy()))]
+    trajs = {"a": Trajectory(grid, values), "b": Trajectory(grid, values[::-1].copy())}
+    runs = [
+        (label, traj, write_timeseries_csv(tmp_path / f"{label}.csv", traj))
+        for label, traj in trajs.items()
+    ]
     assert write_plot_bundles(tmp_path, runs)
     for name, col in (("S", 0), ("I", 1), ("R", 2)):
         rows = [
-            [t] + [traj.values[k, col].item() for _, traj in runs]
+            [t] + [traj.values[k, col].item() for traj in trajs.values()]
             for k, t in enumerate(grid.times().tolist())
         ]
         text = (tmp_path / f"fig_{name}_compare.csv").read_text()
         assert text == per_value_csv("t,a,b", rows)
+
+
+def test_compare_formats_each_column_once(tmp_path, monkeypatch):
+    """One time column per grid; the bundles reuse the scenario CSVs' S, I and R columns."""
+    formatted = []
+    column = cli._column
+    cli._time_column.cache_clear()  # an earlier run may have formatted this grid's times
+    monkeypatch.setattr(cli, "_column", lambda values: formatted.append(values) or column(values))
+    assert main(["compare", "--out", str(tmp_path), "--emit-plot-data", "--steps", "50"]) == EXIT_OK
+    times = np.linspace(0.0, 100.0, 51)
+    assert sum(np.array_equal(values, times) for values in formatted) == 1
+    # t once, then per scenario S, I, R, its controls (0, 1, 1, 2) and costates (0, 3, 3, 3)
+    assert len(formatted) == 1 + 4 * 3 + 4 + 9
+
+
+def test_plot_bundles_are_skipped_on_different_grids(tmp_path, capsys):
+    a = write_cfg(tmp_path, "a.cfg", f"strategy = none\nsteps = 10\nout = {tmp_path / 'a'}\n")
+    b = write_cfg(tmp_path, "b.cfg", f"strategy = none\nsteps = 20\nout = {tmp_path / 'b'}\n")
+    assert main(["compare", "--config", a, "--config", b, "--emit-plot-data"]) == EXIT_OK
+    assert capsys.readouterr().err == "plot bundles skipped: scenarios use different grids\n"
+    assert not list(tmp_path.glob("*/fig_*"))
+
+
+def test_configs_on_one_grid_share_it():
+    """Consecutive equal grids are one object: its times and stage weights are built once."""
+    grid = ScenarioConfig().grid()
+    assert ScenarioConfig(strategy="2").grid() is grid
+    assert ScenarioConfig(steps=50).grid() == TimeGrid(0.0, grid.t_end, 50)
 
 
 def test_import_defers_package_metadata():

@@ -1,7 +1,8 @@
 """The sweep's scanned costate against the float loop it stands in for.
 
 ``ocp._costate_scan`` computes the costate of ``integrate_backward`` as one
-affine map per RK4 step.  It must agree with the float loop to roundoff,
+affine map per RK4 step.  It must equal its first coefficient build, kept in
+``_reference_loops``, bit for bit, agree with the float loop to roundoff,
 carry the loop's lam_R bit for bit and name the same step when it blows up;
 a sweep steered by it must take the same path as one steered by the loop,
 and both must report the loop's costate of the iterate they return.
@@ -10,6 +11,7 @@ and both must report the loop's costate of the iterate they return.
 import numpy as np
 import pytest
 
+import _reference_loops as ref
 from sircontrol import integrate, ocp
 from sircontrol.integrate import IntegrationError, TimeGrid, integrate_forward
 from sircontrol.model import ModelParams
@@ -40,6 +42,28 @@ def test_scan_matches_the_float_loop(kind, steps, t_end):
     assert scan.shape == loop.shape
     assert np.max(np.abs(scan - loop)) <= SCAN_RTOL * np.max(np.abs(loop))
     assert scan[:, 2].tobytes() == loop[:, 2].tobytes()
+
+
+@pytest.mark.parametrize("steps, t_end", GRADIENT_GRIDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_scan_equals_the_full_vjp_build_bit_for_bit(kind, steps, t_end):
+    """One f_x^T per stage sample gives the bits of one full vjp call per stage."""
+    spec = StrategySpec(kind=Strategy(kind), grid=TimeGrid(0.0, t_end, steps))
+    signal = random_controls(spec, seed=100 * kind + steps + 4)
+    traj = integrate_forward(ocp.dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
+    scan = ocp._costate_scan(spec, traj, signal).values
+    assert scan.tobytes() == ref.costate_scan(spec, traj, signal).values.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_vjp_state_rows_equal_the_written_out_rows_bit_for_bit(kind):
+    """The reverse gradient's ``vjp`` keeps its first operation order through ``_state_vjp``."""
+    spec = default_spec(kind)
+    field, _, vjp = ocp._fields(spec)
+    s, i, a, v, ks, ki, kr = np.random.default_rng(40 + kind).uniform(-2.0, 2.0, (7, 500))
+    rows = np.array(vjp(s, i, a, v, ks, ki, kr)[:2])
+    expected = np.array(ref.state_vjp(field.beta, field.mu, s, i, a, v, ks, ki, kr))
+    assert rows.tobytes() == expected.tobytes()
 
 
 def test_scan_blowup_names_the_same_step():

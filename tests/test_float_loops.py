@@ -138,3 +138,29 @@ def test_backward_blowup_names_the_same_step():
     )
     assert new == old
     assert "t=" in new
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_controlled_blowup_mid_grid_names_the_same_step(backward):
+    """Strategy-3 rates of 50 and 25 on [20, 80], far past RK4's stability limit at dt = 1.
+
+    The float loops check finiteness once per sweep, after the loop; the
+    reference raises at the step itself.
+    """
+    spec = default_spec(3, steps=100)
+    t = spec.grid.times()
+    u = np.where((t >= 20.0) & (t <= 80.0), 50.0, 0.0)
+    signal = ControlSignal(spec.grid, np.column_stack((u, 0.5 * u)))
+    x0 = spec.x0.as_array()
+    if backward:
+        zero = ControlSignal.zeros(spec.grid, 2)
+        states = ref.integrate_forward(ref.dynamics_field(spec), x0, spec.grid, zero)
+        new = raised_message(integrate_backward, adjoint_field(spec), spec.grid, states, signal)
+        old = raised_message(
+            ref.integrate_backward, ref.adjoint_field(spec), np.zeros(3), spec.grid, states, signal
+        )
+    else:
+        new = raised_message(integrate_forward, dynamics_field(spec), x0, spec.grid, signal)
+        old = raised_message(ref.integrate_forward, ref.dynamics_field(spec), x0, spec.grid, signal)
+    assert new == old
+    assert 20.0 < float(new.rpartition("t=")[2]) < 80.0

@@ -48,6 +48,18 @@ def test_grid_times_are_computed_once_and_read_only():
         g.times()[0] = 1.0
 
 
+def test_grid_stage_weights_are_computed_once_and_read_only():
+    g = TimeGrid(0.0, 100.0, 1000)
+    for backward in (False, True):
+        w_half, w_full = g._stage_weights[backward]
+        assert g._stage_weights[backward][0] is w_half
+        assert w_half.shape == w_full.shape == (1000,)
+        for w in (w_half, w_full):
+            assert not w.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                w[0] = 0.5
+
+
 def test_grid_rejects_degenerate_spans():
     with pytest.raises(ValueError):
         TimeGrid(0.0, 0.0, 10)
@@ -154,6 +166,26 @@ def test_stage_samples_of_a_stack_are_those_of_each_series(backward):
     for row in np.ndindex(stack.shape[:-1]):
         for stacked, single in zip(samples, stage_samples(GRID, stack[row], backward)):
             assert stacked[row].tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("steps", [1, 7, 100, 1000])
+def test_stage_samples_equal_the_inline_formula(steps, backward):
+    """The per-grid weights give the bits of the weights rebuilt on every call."""
+    grid = TimeGrid(0.0, 100.0, steps)
+    nodes = np.random.default_rng(steps).uniform(size=(2, grid.n_nodes))
+    times, h, series = grid.times(), grid.dt, nodes
+    if backward:
+        times, h, series = times[::-1], -h, nodes[..., ::-1]
+    t_k, start = times[:-1], series[..., :-1]
+    delta = series[..., 1:] - start
+    expected = (
+        start,
+        start + (((t_k + 0.5 * h) - t_k) / h) * delta,
+        start + (((t_k + h) - t_k) / h) * delta,
+    )
+    for got, want in zip(stage_samples(grid, nodes, backward), expected, strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 # -- backward integration ----------------------------------------------------------

@@ -541,6 +541,32 @@ def fail_calls(monkeypatch, name, fails):
     return calls
 
 
+NEAR_LIMIT_WEIGHTS = [
+    pytest.param(1, {"nu": 1e-308}, id="nu=1e-308"),
+    pytest.param(1, {"nu": 3e-308}, id="nu=3e-308"),
+    pytest.param(3, {"b1": 1e-308, "b2": 1e-308}, id="b1=b2=1e-308"),
+]
+
+
+@pytest.mark.parametrize("kind, weights", NEAR_LIMIT_WEIGHTS)
+def test_both_solvers_saturate_at_near_limit_weights(kind, weights):
+    """1/w is finite, but -f_u/w and g/(w_node w) overflow: the control saturates at u_max.
+
+    A RuntimeWarning is an error under the suite's filter.  The sweep's
+    relaxed iterates approach the bound geometrically; the direct solves land on it.
+    """
+    spec = StrategySpec(kind=Strategy(kind), grid=TimeGrid(0.0, 100.0, 100), **weights)
+    sweep = solve_fbsm(spec)
+    direct = solve_direct(spec, start=sweep.control)
+    cold = solve_direct(spec)
+    early = slice(0, spec.grid.steps // 2)
+    assert sweep.converged and direct.converged and cold.converged
+    assert np.all(sweep.control.values[early] >= (1.0 - 2e-3) * spec.u_max)
+    assert np.all(direct.control.values[early] == spec.u_max)
+    assert np.array_equal(cold.control.values, direct.control.values)
+    assert direct.objective <= sweep.objective
+
+
 def test_fbsm_rejects_a_trial_that_blows_up(monkeypatch):
     spec = default_spec(1, steps=200)
     expected = solve_fbsm(spec)
