@@ -19,9 +19,12 @@ map picks from the control columns, and backward also of S and I.  Each loop
 then runs over the zipped float lists:
 
 * forward: ``integrate_forward(field, ...)`` takes a
-  :class:`~sircontrol.model.DrainField` and writes its rate law inline,
-  ``dS = -beta*S*I - a*S``, ``dI = beta*S*I - (mu + v)*I``,
-  ``dR = -(dS + dI)`` (``mu + v`` is sampled as one array);
+  :class:`~sircontrol.model.DrainField` and writes its rate law inline as
+  ``d = -dS = beta*S*I + a*S``, ``dI = beta*S*I - (mu + v)*I`` and
+  ``-dR = dI - d`` (``mu + v`` sampled as one array).  IEEE negation is
+  exact, so the steps ``S + (dt/6) * (-d1 - 2*d2 - ...)`` and
+  ``R - (dt/6) * (...)`` keep the law's bits, and its signed zeros under
+  in-box controls (``S - (dt/6) * (d1 + ...)`` would keep ``S = -0.0``);
 * backward: from lam(t_end) = 0, one call per stage of
   ``costate(lam_s, lam_i, lam_r, s, i, a, v) -> (dlam_s, dlam_i, dlam_r)``,
   whose ``drains`` attribute, if any, names the control columns (see
@@ -228,32 +231,28 @@ def integrate_forward(
         am.tolist(), (mu + vm).tolist(),
         a4.tolist(), (mu + v4).tolist(),
     ):
-        # dS = -x - a*S, dI = x - (mu + v)*I with x = beta*S*I, dR = -(dS + dI)
+        # d = -dS = x + a*S, dI = x - (mu + v)*I with x = beta*S*I, -dR = dI - d
         x = beta * s * i
-        k1s = -x - a * s
+        d1 = x + a * s
         k1i = x - g * i
-        ss = s + half * k1s
+        ss = s - half * d1
         ii = i + half * k1i
         x = beta * ss * ii
-        k2s = -x - a_m * ss
+        d2 = x + a_m * ss
         k2i = x - g_m * ii
-        ss = s + half * k2s
+        ss = s - half * d2
         ii = i + half * k2i
         x = beta * ss * ii
-        k3s = -x - a_m * ss
+        d3 = x + a_m * ss
         k3i = x - g_m * ii
-        ss = s + dt * k3s
+        ss = s - dt * d3
         ii = i + dt * k3i
         x = beta * ss * ii
-        k4s = -x - a_4 * ss
+        d4 = x + a_4 * ss
         k4i = x - g_4 * ii
-        k1r = -(k1s + k1i)
-        k2r = -(k2s + k2i)
-        k3r = -(k3s + k3i)
-        k4r = -(k4s + k4i)
-        s = s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+        s = s + sixth * (-d1 - 2.0 * d2 - 2.0 * d3 - d4)
         i = i + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
-        r = r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        r = r - sixth * ((k1i - d1) + 2.0 * (k2i - d2) + 2.0 * (k3i - d3) + (k4i - d4))
         out += (s, i, r)
     return Trajectory(grid, _finite_nodes(out, grid.times()))
 

@@ -11,7 +11,8 @@ S drains into R at rate ``a(t)`` (vaccination or education) and I at rate
 column is ``a`` and which is ``v``; a drain a layout lacks has rate 0, which
 gives the same bits as leaving its term out.  ``treatment_education_rates``
 is the one rate law; the forward RK4 loop in :mod:`sircontrol.integrate`
-writes the same law inline, in the same operation order.
+writes the same law inline as ``d = -dS = beta*S*I + a*S`` and
+``-dR = dI - d``, exact negations of the terms below, with the same bits.
 
 The R component is computed as the balance of the other two, so the float
 sum of the derivative is exactly 0.

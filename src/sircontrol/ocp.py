@@ -47,6 +47,7 @@ discrete objective (reverse gradient) and of the Hamiltonian (costate field).
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -245,10 +246,15 @@ def _drain_layout(beta, mu, c_x, drains):
     return costate, vjp
 
 
+def _state_jacobian(beta, mu, s, i, a, v):
+    """S and I rows of ``f_x^T``: block ``((c_ss, c_si), (c_is, c_ii))``, R column ``(a, c_ir)``."""
+    return ((-beta * i - a, beta * i), (-beta * s, beta * s - mu - v)), (a, mu + v)
+
+
 def _state_vjp(beta, mu, s, i, a, v):
     """``k -> f_x^T k`` (S and I rows) at samples ``s, i, a, v``, whose entries it computes once."""
-    c_ss, c_si, c_is, c_ii, c_ir = -beta * i - a, beta * i, -beta * s, beta * s - mu - v, mu + v
-    return lambda ks, ki, kr: (c_ss * ks + c_si * ki + a * kr, c_is * ks + c_ii * ki + c_ir * kr)
+    ((c_ss, c_si), (c_is, c_ii)), (c_sr, c_ir) = _state_jacobian(beta, mu, s, i, a, v)
+    return lambda ks, ki, kr: (c_ss * ks + c_si * ki + c_sr * kr, c_is * ks + c_ii * ki + c_ir * kr)
 
 
 def _drain_products(s, i, ks, ki, kr):
@@ -389,51 +395,69 @@ def _costate_scan(spec: StrategySpec, traj: Trajectory, signal: ControlSignal) -
     return Trajectory(spec.grid, np.column_stack((lam, lam_r))[::-1])
 
 
+@functools.lru_cache(maxsize=1)
+def _scan_constants(grid: TimeGrid, cs: float, ci: float, cr: float):
+    """``(lam_R, y0, n_si, y_r)`` of :func:`_costate_steps`, once per grid and ``c_x``, read-only.
+
+    The seeds' S and I rows, their share of the field's constant ``-c_x``
+    (the last seed carries it) and their R values at the three sample sets.
+    """
+    back = -grid.dt
+    # the float loop's R stages are nr + 0.0*lam_R: nr itself, or 0.0 where nr is -0.0
+    kr = -cr + 0.0
+    lam_r = np.full(grid.n_nodes, back / 6.0 * (kr + 2.0 * kr + 2.0 * kr + kr))
+    lam_r[0] = 0.0
+    lam_r = lam_r.cumsum()
+    y0 = np.eye(3)[:2, :, None]
+    n_si = np.zeros((2, 3, 1))
+    n_si[:, 2, 0] = -cs, -ci
+    y_r = np.zeros((3, 3, grid.steps))
+    # lam_R holds no -0.0 (its sum starts at +0.0), so the first set's + 0.0 keeps its bits
+    y_r[:, 2] = lam_r[:-1] + np.array((0.0, 0.5 * back * kr, back * kr))[:, None]
+    for array in (lam_r, y0, n_si, y_r):
+        array.flags.writeable = False
+    return lam_r, y0, n_si, y_r
+
+
 def _costate_steps(spec: StrategySpec, traj: Trajectory, signal: ControlSignal):
     """``(coef, lam_R)``: lam_S and lam_I's backward steps for :func:`_affine_scan`, and lam_R.
 
-    For every step at once, :func:`_state_vjp`, built once per sample set
-    (stages 2 and 3 share one), is applied to three seeds: ``e_S`` and
-    ``e_I`` give the columns of ``M_k``, and ``(0, 0, lam_R)`` with the
-    field's constant gives ``m_k``.
+    Seeds ``e_S``, ``e_I`` give the columns of ``M_k``, and ``(0, 0, lam_R)``
+    with the field's constant gives ``m_k``.  :func:`_state_jacobian` runs
+    once, on the three sample sets stacked; a stage is one broadcast product
+    of its 2x2 block with both rows of all seeds, plus its R column times
+    the seeds' R values, in :func:`_state_vjp`'s order.  The RK4 sum
+    accumulates in place, and no stage keeps another's temporaries.
     """
-    (cs, ci, cr), _ = _weights(spec)
-    beta, mu, drains = spec.params.beta, spec.params.mu, _DRAINS[spec.kind]
-    grid = spec.grid
-    n = grid.steps
-    back = -grid.dt
+    lam_r, y0, n_si, y_r = _scan_constants(spec.grid, *_weights(spec)[0])
+    back = -spec.grid.dt
     half, sixth = 0.5 * back, back / 6.0
-    nodes = np.array((traj.s, traj.i, *drains.split(signal.values, np.zeros(n + 1))))
-    start, mid, end = stage_samples(grid, nodes, True)
-    # the float loop's R stages are nr + 0.0*lam_R: nr itself, or 0.0 where nr is -0.0
-    kr = -cr + 0.0
-    lam_r = np.full(n + 1, sixth * (kr + 2.0 * kr + 2.0 * kr + kr))
-    lam_r[0] = 0.0
-    lam_r = lam_r.cumsum()
-    # seeds e_S, e_I and (0, 0, lam_R) on a leading axis; only the last
-    # carries the field's constant -c_x
-    ys, yi = np.eye(3)[:2, :, None]
-    yr = np.zeros((3, n))
-    yr[2] = lam_r[:-1]
-    ns, ni, nr = np.zeros((3, 3, 1))
-    ns[2], ni[2], nr[2] = -cs, -ci, kr
+    nodes = (traj.s, traj.i, *_DRAINS[spec.kind].split(signal.values, np.zeros(spec.grid.n_nodes)))
+    samples = np.array(stage_samples(spec.grid, np.array(nodes), True)).swapaxes(0, 1)
+    # the (2, 2, 3, n) block and the (2, 3, n) R column; no stage holds the samples
+    block, col_r = map(np.array, _state_jacobian(spec.params.beta, spec.params.mu, *samples))
+    del nodes, samples
 
-    def stage(f_x, y_s, y_i, y_r):
-        f_s, f_i = f_x(y_s, y_i, y_r)
-        return ns - f_s, ni - f_i
+    def stage(j, y):
+        p = block[:, :, j, None] * y
+        f = p[:, 0] + p[:, 1]
+        del p
+        f += col_r[:, j, None] * y_r[j]
+        return np.subtract(n_si, f, out=f)
 
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is diagnosed by the scan
-        k1s, k1i = stage(_state_vjp(beta, mu, *start), ys, yi, yr)
-        f_mid = _state_vjp(beta, mu, *mid)  # stages 2 and 3 share the half-stage samples
-        yr_m = yr + half * nr
-        k2s, k2i = stage(f_mid, ys + half * k1s, yi + half * k1i, yr_m)
-        k3s, k3i = stage(f_mid, ys + half * k2s, yi + half * k2i, yr_m)
-        f_end = _state_vjp(beta, mu, *end)
-        k4s, k4i = stage(f_end, ys + back * k3s, yi + back * k3i, yr + back * nr)
-        return np.concatenate((
-            ys + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s),
-            yi + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i),
-        )), lam_r
+        acc = stage(0, y0)
+        k = stage(1, y0 + half * acc)
+        y = y0 + half * k
+        acc += 2.0 * k
+        k = stage(1, y)
+        y = y0 + back * k
+        acc += 2.0 * k
+        del k
+        acc += stage(2, y)
+        acc *= sixth
+        acc += y0
+    return acc.reshape(6, -1), lam_r
 
 
 # -- forward-backward sweep --------------------------------------------------

@@ -2,11 +2,15 @@
 
 ``ocp._costate_scan`` computes the costate of ``integrate_backward`` as one
 affine map per RK4 step.  It must equal its first coefficient build, kept in
-``_reference_loops``, bit for bit, agree with the float loop to roundoff,
-carry the loop's lam_R bit for bit and name the same step when it blows up;
-a sweep steered by it must take the same path as one steered by the loop,
-and both must report the loop's costate of the iterate they return.
+``_reference_loops``, bit for bit, and peak no higher in memory; agree with
+the float loop to roundoff, carry the loop's lam_R bit for bit and name the
+same step when it blows up; and reuse its grid constants only on the same
+grid and cost.  A sweep steered by it must take the same path as one steered
+by the loop, and both must report the loop's costate of the iterate they
+return.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +23,12 @@ from sircontrol.ocp import ControlSignal, Strategy, StrategySpec, adjoint_field,
 from test_float_loops import GRADIENT_GRIDS, KINDS, random_controls
 
 SCAN_RTOL = 1e-13
+
+# the larger grids of the benchmark's sweep pool
+POOL_GRIDS = [
+    pytest.param(200, 100.0, id="200"),
+    pytest.param(400, 100.0, id="400"),
+]
 
 
 def float_loop_costate(spec, traj, signal):
@@ -44,15 +54,76 @@ def test_scan_matches_the_float_loop(kind, steps, t_end):
     assert scan[:, 2].tobytes() == loop[:, 2].tobytes()
 
 
+def scan_problem(kind, steps, t_end, controls="random"):
+    """``(spec, traj, signal)``: a problem on the grid and its forward sweep under ``controls``."""
+    spec = StrategySpec(kind=Strategy(kind), grid=TimeGrid(0.0, t_end, steps))
+    if controls == "zero":
+        signal = ControlSignal.zeros(spec.grid, spec.channels)
+    else:
+        signal = random_controls(spec, seed=100 * kind + steps + 4)
+    traj = integrate_forward(ocp.dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
+    return spec, traj, signal
+
+
+def assert_scan_equals_the_full_vjp_build(spec, traj, signal):
+    scan = ocp._costate_scan(spec, traj, signal).values
+    assert scan.tobytes() == ref.costate_scan(spec, traj, signal).values.tobytes()
+
+
 @pytest.mark.parametrize("steps, t_end", GRADIENT_GRIDS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_scan_equals_the_full_vjp_build_bit_for_bit(kind, steps, t_end):
     """One f_x^T per stage sample gives the bits of one full vjp call per stage."""
-    spec = StrategySpec(kind=Strategy(kind), grid=TimeGrid(0.0, t_end, steps))
-    signal = random_controls(spec, seed=100 * kind + steps + 4)
-    traj = integrate_forward(ocp.dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
-    scan = ocp._costate_scan(spec, traj, signal).values
-    assert scan.tobytes() == ref.costate_scan(spec, traj, signal).values.tobytes()
+    assert_scan_equals_the_full_vjp_build(*scan_problem(kind, steps, t_end))
+
+
+# the zero control, which the sweep's first iteration scans, on every grid,
+# and random controls on the pool's grids
+FULL_VJP_CASES = [
+    *(pytest.param(*p.values, "zero", id=f"{p.id}-zero") for p in GRADIENT_GRIDS + POOL_GRIDS),
+    *(pytest.param(*p.values, "random", id=f"{p.id}-random") for p in POOL_GRIDS),
+]
+
+
+@pytest.mark.parametrize("steps, t_end, controls", FULL_VJP_CASES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_scan_equals_the_full_vjp_build_on_more_grids_and_controls(kind, steps, t_end, controls):
+    assert_scan_equals_the_full_vjp_build(*scan_problem(kind, steps, t_end, controls))
+
+
+def test_scan_constants_are_computed_once_per_grid_and_cost():
+    """Consecutive scans of one problem share them; alternating costs never see stale ones."""
+    problems = [scan_problem(kind, 200, 100.0) for kind in (1, 2)]
+    ocp._scan_constants.cache_clear()
+    for _ in range(3):
+        ocp._costate_scan(*problems[0])
+    info = ocp._scan_constants.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    grid, c_x = problems[0][0].grid, ocp._weights(problems[0][0])[0]
+    for array in ocp._scan_constants(grid, *c_x):
+        assert not array.flags.writeable
+    for problem in problems * 2:  # strategy 2's c_x differs in every component
+        assert_scan_equals_the_full_vjp_build(*problem)
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scan_peak_memory_is_no_higher_than_the_full_vjp_build(kind):
+    """One 1000-step scan, its grid constants computed inside the traced call."""
+    problem = scan_problem(kind, 1000, 100.0)
+    for fn in (ocp._costate_scan, ref.costate_scan):  # warm both up
+        fn(*problem)
+    ocp._scan_constants.cache_clear()
+    assert traced_peak(ocp._costate_scan, *problem) <= traced_peak(ref.costate_scan, *problem)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -12,7 +12,7 @@ import pytest
 
 import _reference_loops as ref
 from sircontrol.integrate import IntegrationError, TimeGrid, integrate_backward, integrate_forward
-from sircontrol.model import ModelParams
+from sircontrol.model import EpidemicState, ModelParams
 from sircontrol.ocp import (
     DEFAULT_PARAMS,
     DEFAULT_T_END,
@@ -54,6 +54,32 @@ def test_forward_sweep_is_bit_identical(kind, steps):
     new = integrate_forward(dynamics_field(spec), x0, spec.grid, signal)
     old = ref.integrate_forward(ref.dynamics_field(spec), x0, spec.grid, signal)
     assert np.array_equal(new.values, old.values)
+
+
+SIGNED_ZERO_STARTS = [
+    pytest.param((1.0, 0.0, 0.0), id="I0=0"),
+    pytest.param((1.0, 0.0, -0.0), id="I0=0-R0=-0"),
+    pytest.param((-0.0, 0.1, 0.9), id="S0=-0"),
+]
+
+
+@pytest.mark.parametrize("x0", SIGNED_ZERO_STARTS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_forward_sweep_keeps_the_signs_of_zeros(kind, x0):
+    """I = 0 or S = -0.0 makes the infection a zero at every stage; controls of -0.0 add more.
+
+    The loop folds the signs of dS and dR into its updates; the nodes must
+    still be the reference's bytes, signs of zeros included.
+    """
+    x0 = EpidemicState(*x0)
+    spec = StrategySpec(kind=Strategy(kind), x0=x0, grid=TimeGrid(0.0, DEFAULT_T_END, 100))
+    values = random_controls(spec, seed=10 * kind).values
+    values[::2] = -0.0
+    for u in (values, np.full_like(values, -0.0)):
+        signal = ControlSignal(spec.grid, u)
+        new = integrate_forward(dynamics_field(spec), x0.as_array(), spec.grid, signal)
+        old = ref.integrate_forward(ref.dynamics_field(spec), x0.as_array(), spec.grid, signal)
+        assert new.values.tobytes() == old.values.tobytes()
 
 
 @pytest.mark.parametrize("steps", STEPS)
