@@ -47,7 +47,6 @@ discrete objective (reverse gradient) and of the Hamiltonian (costate field).
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -222,11 +221,12 @@ def _drain_layout(beta, mu, c_x, drains):
     and ``f_a^T k``, ``f_v^T k``; both take floats or arrays (see
     docs/costate_derivation.md).  The costate field is written out, not
     composed from vjp, so that it stays as fast as, and bit for bit equal
-    to, the published equations; ``f_x^T k`` comes from :func:`_state_vjp`,
-    which the scanned costate calls alone, and ``f_a^T k``, ``f_v^T k`` from
-    :func:`_drain_products`, which the control law calls alone.  A drain
-    at rate 0 gives the bits of a layout without it: ``beta*s - mu - 0.0``
-    and ``(mu + 0.0)*i`` round as ``beta*s - mu`` and ``mu*i``.  The
+    to, the published equations; the entries of ``f_x^T`` come from
+    :func:`_state_jacobian`, which the scanned costate also calls, and
+    ``f_a^T k``, ``f_v^T k`` from :func:`_drain_products`, which the
+    control law calls alone.  A drain at rate 0 gives the bits of a layout
+    without it: ``beta*s - mu - 0.0`` and ``(mu + 0.0)*i`` round as
+    ``beta*s - mu`` and ``mu*i``.  The
     costate carries ``drains``, from which :func:`integrate_backward`
     samples ``a`` and ``v``.
     """
@@ -240,7 +240,12 @@ def _drain_layout(beta, mu, c_x, drains):
         )
 
     def vjp(s, i, a, v, ks, ki, kr):
-        return (*_state_vjp(beta, mu, s, i, a, v)(ks, ki, kr), *_drain_products(s, i, ks, ki, kr))
+        ((c_ss, c_si), (c_is, c_ii)), (c_sr, c_ir) = _state_jacobian(beta, mu, s, i, a, v)
+        return (
+            c_ss * ks + c_si * ki + c_sr * kr,
+            c_is * ks + c_ii * ki + c_ir * kr,
+            *_drain_products(s, i, ks, ki, kr),
+        )
 
     costate.drains = drains
     return costate, vjp
@@ -249,12 +254,6 @@ def _drain_layout(beta, mu, c_x, drains):
 def _state_jacobian(beta, mu, s, i, a, v):
     """S and I rows of ``f_x^T``: block ``((c_ss, c_si), (c_is, c_ii))``, R column ``(a, c_ir)``."""
     return ((-beta * i - a, beta * i), (-beta * s, beta * s - mu - v)), (a, mu + v)
-
-
-def _state_vjp(beta, mu, s, i, a, v):
-    """``k -> f_x^T k`` (S and I rows) at samples ``s, i, a, v``, whose entries it computes once."""
-    ((c_ss, c_si), (c_is, c_ii)), (c_sr, c_ir) = _state_jacobian(beta, mu, s, i, a, v)
-    return lambda ks, ki, kr: (c_ss * ks + c_si * ki + c_sr * kr, c_is * ks + c_ii * ki + c_ir * kr)
 
 
 def _drain_products(s, i, ks, ki, kr):
@@ -395,30 +394,6 @@ def _costate_scan(spec: StrategySpec, traj: Trajectory, signal: ControlSignal) -
     return Trajectory(spec.grid, np.column_stack((lam, lam_r))[::-1])
 
 
-@functools.lru_cache(maxsize=1)
-def _scan_constants(grid: TimeGrid, cs: float, ci: float, cr: float):
-    """``(lam_R, y0, n_si, y_r)`` of :func:`_costate_steps`, once per grid and ``c_x``, read-only.
-
-    The seeds' S and I rows, their share of the field's constant ``-c_x``
-    (the last seed carries it) and their R values at the three sample sets.
-    """
-    back = -grid.dt
-    # the float loop's R stages are nr + 0.0*lam_R: nr itself, or 0.0 where nr is -0.0
-    kr = -cr + 0.0
-    lam_r = np.full(grid.n_nodes, back / 6.0 * (kr + 2.0 * kr + 2.0 * kr + kr))
-    lam_r[0] = 0.0
-    lam_r = lam_r.cumsum()
-    y0 = np.eye(3)[:2, :, None]
-    n_si = np.zeros((2, 3, 1))
-    n_si[:, 2, 0] = -cs, -ci
-    y_r = np.zeros((3, 3, grid.steps))
-    # lam_R holds no -0.0 (its sum starts at +0.0), so the first set's + 0.0 keeps its bits
-    y_r[:, 2] = lam_r[:-1] + np.array((0.0, 0.5 * back * kr, back * kr))[:, None]
-    for array in (lam_r, y0, n_si, y_r):
-        array.flags.writeable = False
-    return lam_r, y0, n_si, y_r
-
-
 def _costate_steps(spec: StrategySpec, traj: Trajectory, signal: ControlSignal):
     """``(coef, lam_R)``: lam_S and lam_I's backward steps for :func:`_affine_scan`, and lam_R.
 
@@ -426,12 +401,25 @@ def _costate_steps(spec: StrategySpec, traj: Trajectory, signal: ControlSignal):
     with the field's constant gives ``m_k``.  :func:`_state_jacobian` runs
     once, on the three sample sets stacked; a stage is one broadcast product
     of its 2x2 block with both rows of all seeds, plus its R column times
-    the seeds' R values, in :func:`_state_vjp`'s order.  The RK4 sum
-    accumulates in place, and no stage keeps another's temporaries.
+    the seeds' R values, in ``vjp``'s order.  The RK4 sum accumulates in
+    place, and no stage keeps another's temporaries.
     """
-    lam_r, y0, n_si, y_r = _scan_constants(spec.grid, *_weights(spec)[0])
+    (cs, ci, cr), _ = _weights(spec)
     back = -spec.grid.dt
     half, sixth = 0.5 * back, back / 6.0
+    # the float loop's R stages are nr + 0.0*lam_R: nr itself, or 0.0 where nr is -0.0
+    kr = -cr + 0.0
+    lam_r = np.full(spec.grid.n_nodes, sixth * (kr + 2.0 * kr + 2.0 * kr + kr))
+    lam_r[0] = 0.0
+    lam_r = lam_r.cumsum()
+    # the seeds' S and I rows, their share of the constant (the last seed
+    # carries it) and their R values at the three sample sets; lam_R holds
+    # no -0.0 (its sum starts at +0.0), so the first set's + 0.0 keeps its bits
+    y0 = np.eye(3)[:2, :, None]
+    n_si = np.zeros((2, 3, 1))
+    n_si[:, 2, 0] = -cs, -ci
+    y_r = np.zeros((3, 3, spec.grid.steps))
+    y_r[:, 2] = lam_r[:-1] + np.array((0.0, half * kr, back * kr))[:, None]
     nodes = (traj.s, traj.i, *_DRAINS[spec.kind].split(signal.values, np.zeros(spec.grid.n_nodes)))
     samples = np.array(stage_samples(spec.grid, np.array(nodes), True)).swapaxes(0, 1)
     # the (2, 2, 3, n) block and the (2, 3, n) R column; no stage holds the samples

@@ -4,10 +4,9 @@
 affine map per RK4 step.  It must equal its first coefficient build, kept in
 ``_reference_loops``, bit for bit, and peak no higher in memory; agree with
 the float loop to roundoff, carry the loop's lam_R bit for bit and name the
-same step when it blows up; and reuse its grid constants only on the same
-grid and cost.  A sweep steered by it must take the same path as one steered
-by the loop, and both must report the loop's costate of the iterate they
-return.
+same step when it blows up.  A sweep steered by it must take the same path
+as one steered by the loop, and both must report the loop's costate of the
+iterate they return.
 """
 
 import tracemalloc
@@ -65,45 +64,21 @@ def scan_problem(kind, steps, t_end, controls="random"):
     return spec, traj, signal
 
 
-def assert_scan_equals_the_full_vjp_build(spec, traj, signal):
-    scan = ocp._costate_scan(spec, traj, signal).values
-    assert scan.tobytes() == ref.costate_scan(spec, traj, signal).values.tobytes()
-
-
-@pytest.mark.parametrize("steps, t_end", GRADIENT_GRIDS)
-@pytest.mark.parametrize("kind", KINDS)
-def test_scan_equals_the_full_vjp_build_bit_for_bit(kind, steps, t_end):
-    """One f_x^T per stage sample gives the bits of one full vjp call per stage."""
-    assert_scan_equals_the_full_vjp_build(*scan_problem(kind, steps, t_end))
-
-
-# the zero control, which the sweep's first iteration scans, on every grid,
-# and random controls on the pool's grids
+# random controls on every grid, and the zero control, which the sweep's
+# first iteration scans
 FULL_VJP_CASES = [
+    *(pytest.param(*p.values, "random", id=p.id) for p in GRADIENT_GRIDS + POOL_GRIDS),
     *(pytest.param(*p.values, "zero", id=f"{p.id}-zero") for p in GRADIENT_GRIDS + POOL_GRIDS),
-    *(pytest.param(*p.values, "random", id=f"{p.id}-random") for p in POOL_GRIDS),
 ]
 
 
 @pytest.mark.parametrize("steps, t_end, controls", FULL_VJP_CASES)
 @pytest.mark.parametrize("kind", KINDS)
-def test_scan_equals_the_full_vjp_build_on_more_grids_and_controls(kind, steps, t_end, controls):
-    assert_scan_equals_the_full_vjp_build(*scan_problem(kind, steps, t_end, controls))
-
-
-def test_scan_constants_are_computed_once_per_grid_and_cost():
-    """Consecutive scans of one problem share them; alternating costs never see stale ones."""
-    problems = [scan_problem(kind, 200, 100.0) for kind in (1, 2)]
-    ocp._scan_constants.cache_clear()
-    for _ in range(3):
-        ocp._costate_scan(*problems[0])
-    info = ocp._scan_constants.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    grid, c_x = problems[0][0].grid, ocp._weights(problems[0][0])[0]
-    for array in ocp._scan_constants(grid, *c_x):
-        assert not array.flags.writeable
-    for problem in problems * 2:  # strategy 2's c_x differs in every component
-        assert_scan_equals_the_full_vjp_build(*problem)
+def test_scan_equals_the_full_vjp_build_bit_for_bit(kind, steps, t_end, controls):
+    """One f_x^T per stage sample gives the bits of one full vjp call per stage."""
+    spec, traj, signal = scan_problem(kind, steps, t_end, controls)
+    scan = ocp._costate_scan(spec, traj, signal).values
+    assert scan.tobytes() == ref.costate_scan(spec, traj, signal).values.tobytes()
 
 
 def traced_peak(fn, *args):
@@ -118,17 +93,16 @@ def traced_peak(fn, *args):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_scan_peak_memory_is_no_higher_than_the_full_vjp_build(kind):
-    """One 1000-step scan, its grid constants computed inside the traced call."""
+    """One 1000-step scan."""
     problem = scan_problem(kind, 1000, 100.0)
     for fn in (ocp._costate_scan, ref.costate_scan):  # warm both up
         fn(*problem)
-    ocp._scan_constants.cache_clear()
     assert traced_peak(ocp._costate_scan, *problem) <= traced_peak(ref.costate_scan, *problem)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_vjp_state_rows_equal_the_written_out_rows_bit_for_bit(kind):
-    """The reverse gradient's ``vjp`` keeps its first operation order through ``_state_vjp``."""
+    """The reverse gradient's ``vjp`` keeps its first operation order through ``_state_jacobian``."""
     spec = default_spec(kind)
     field, _, vjp = ocp._fields(spec)
     s, i, a, v, ks, ki, kr = np.random.default_rng(40 + kind).uniform(-2.0, 2.0, (7, 500))
