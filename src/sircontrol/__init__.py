@@ -3,13 +3,13 @@
 Library layout:
 
 * :mod:`sircontrol.model` -- compartment states, parameters, the drain-form rate law
-* :mod:`sircontrol.integrate` -- fixed-step RK4 forward/backward integration
+* :mod:`sircontrol.integrate` -- fixed-step RK4 integration and stage sampling
 * :mod:`sircontrol.ocp` -- the three control problems and their two solvers
 * :mod:`sircontrol.metrics` -- peak, infection period, terminal values
 * :mod:`sircontrol.cli` -- the ``sircontrol`` command-line tool
 """
 
-from .integrate import IntegrationError, TimeGrid, Trajectory, integrate_backward, integrate_forward
+from .integrate import IntegrationError, TimeGrid, Trajectory, integrate_forward
 from .metrics import (
     RunSummary,
     infection_period,
@@ -37,7 +37,6 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "integrate_forward",
-    "integrate_backward",
     "DrainField",
     "Drains",
     "EpidemicState",

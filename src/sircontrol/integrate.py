@@ -1,46 +1,38 @@
-"""Fixed-step RK4 integration on a shared uniform grid, forward and backward.
+"""Fixed-step RK4 integration on a shared uniform grid.
 
-The forward state sweep and the backward costate sweep of the optimal-control
-solver must live on exactly the same grid nodes, so the step size is fixed
-and non-adaptive.  Control (and, in the backward sweep, state) samples at the
-RK4 half-stages are linearly interpolated between the bracketing node values.
-The direct-transcription gradient differentiates this rule with the midpoint
-weight taken as exactly 0.5, while the sweeps use the rounded weight below;
-the two half-stage controls can differ in the last bits, so the gradient is
-that of the sweeps' map up to roundoff, and the rule must not change
-without it.
+The forward state sweep and the backward costate scan of the optimal-control
+solver (``sircontrol.ocp._costate_scan``) must live on exactly the same grid
+nodes, so the step size is fixed and non-adaptive.  Control (and, for the
+costate, state) samples at the RK4 half-stages are linearly interpolated
+between the bracketing node values by :func:`stage_samples`, in either sweep
+direction.  The direct-transcription gradient differentiates this rule with
+the midpoint weight taken as exactly 0.5, while the sweeps use the rounded
+weight below; the two half-stage controls can differ in the last bits, so
+the gradient is that of the sweeps' map up to roundoff, and the rule must
+not change without it.
 
-Both sweeps serve every scenario with one loop per direction, on plain
-Python floats.  Once per call, :func:`stage_samples` computes with numpy the
-node, half-stage and full-stage samples of every step, from interpolation
-weights each :class:`TimeGrid` computes once: of the drain rates
-``a`` (S -> R) and ``v`` (I -> R) that a :class:`~sircontrol.model.Drains`
-map picks from the control columns, and backward also of S and I.  Each loop
-then runs over the zipped float lists:
-
-* forward: ``integrate_forward(field, ...)`` takes a
-  :class:`~sircontrol.model.DrainField` and writes its rate law inline as
-  ``d = -dS = beta*S*I + a*S``, ``dI = beta*S*I - (mu + v)*I`` and
-  ``-dR = dI - d`` (``mu + v`` sampled as one array).  IEEE negation is
-  exact, so the steps ``S + (dt/6) * (-d1 - 2*d2 - ...)`` and
-  ``R - (dt/6) * (...)`` keep the law's bits, and its signed zeros under
-  in-box controls (``S - (dt/6) * (d1 + ...)`` would keep ``S = -0.0``);
-* backward: from lam(t_end) = 0, one call per stage of
-  ``costate(lam_s, lam_i, lam_r, s, i, a, v) -> (dlam_s, dlam_i, dlam_r)``,
-  whose ``drains`` attribute, if any, names the control columns (see
-  :func:`sircontrol.ocp.adjoint_field`).  The sweep solver runs it once per
-  solve, for the costate it reports; its iterations take the same costate,
-  to roundoff, from the affine scan of ``sircontrol.ocp._costate_scan``,
-  for which this loop is the oracle.
+The forward sweep serves every scenario with one loop on plain Python
+floats.  Once per call, :func:`stage_samples` computes with numpy the node,
+half-stage and full-stage samples of every step, from interpolation weights
+each :class:`TimeGrid` computes once, of the drain rates ``a`` (S -> R) and
+``v`` (I -> R) that a :class:`~sircontrol.model.Drains` map picks from the
+control columns.  ``integrate_forward(field, ...)`` takes a
+:class:`~sircontrol.model.DrainField` and writes its rate law inline as
+``d = -dS = beta*S*I + a*S``, ``dI = beta*S*I - (mu + v)*I`` and
+``-dR = dI - d`` (``mu + v`` sampled as one array).  IEEE negation is exact,
+so the steps ``S + (dt/6) * (-d1 - 2*d2 - ...)`` and ``R - (dt/6) * (...)``
+keep the law's bits, and its signed zeros under in-box controls
+(``S - (dt/6) * (d1 + ...)`` would keep ``S = -0.0``).
 
 A drain the layout lacks, or every drain when ``controls`` is None, has rate
 0.0.  A control signal whose channel count differs from the layout's, or
 that lives on another grid, raises ValueError.  Nodes are collected in one
-flat list and reshaped once, and checked for finiteness once per sweep: a
-non-finite node raises :class:`IntegrationError` naming the start time of
-the first step that produced one.
+flat list and reshaped once, and checked for finiteness once per sweep
+(:func:`_finite_nodes`, which the costate scan shares): a non-finite node
+raises :class:`IntegrationError` naming the start time of the first step
+that produced one.
 
-The loops keep the operation order of the classical 3-vector formulation
+The loop keeps the operation order of the classical 3-vector formulation
 (one numpy RK4 step per interval, applied to a closure that interpolates at
 ``t``; the tests keep it as their reference), so every node agrees with it
 bit for bit.  Operation-order rule: a stage at time ``t`` of the step that
@@ -59,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -71,7 +62,6 @@ __all__ = [
     "Trajectory",
     "stage_samples",
     "integrate_forward",
-    "integrate_backward",
 ]
 
 
@@ -176,7 +166,7 @@ def stage_samples(grid: TimeGrid, nodes: np.ndarray, backward: bool = False):
     return start, start + w_half * delta, start + w_full * delta
 
 
-def _drain_samples(drains: Drains, controls, grid: TimeGrid, backward: bool = False):
+def _drain_samples(drains: Drains, controls, grid: TimeGrid):
     """``(a, v)``: the stage samples of the two drain rates, each a triple of arrays."""
     if controls is not None:
         if controls.grid != grid:
@@ -189,18 +179,18 @@ def _drain_samples(drains: Drains, controls, grid: TimeGrid, backward: bool = Fa
     zero = np.zeros(grid.steps)
     return tuple(
         (zero, zero, zero) if c is None or controls is None
-        else stage_samples(grid, controls.values[:, c], backward)
+        else stage_samples(grid, controls.values[:, c])
         for c in drains
     )
 
 
-def _finite_nodes(out: list, times: np.ndarray) -> np.ndarray:
-    """The flat node list ``out`` as rows; :class:`IntegrationError` if one is not finite.
+def _finite_nodes(out, times: np.ndarray) -> np.ndarray:
+    """Node rows of ``out``, a flat list or an array; :class:`IntegrationError` if not finite.
 
     The error names the step (``times`` in sweep order) of the first such
     row: a sweep's arithmetic never makes a non-finite value finite again.
     """
-    nodes = np.array(out).reshape(-1, 3)
+    nodes = np.asarray(out).reshape(-1, 3)
     if not np.isfinite(nodes).all():
         step = int(np.argmin(np.isfinite(nodes[1:]).all(axis=1)))
         raise IntegrationError(f"non-finite state after step at t={times[step].item()}")
@@ -255,49 +245,3 @@ def integrate_forward(
         r = r - sixth * ((k1i - d1) + 2.0 * (k2i - d2) + 2.0 * (k3i - d3) + (k4i - d4))
         out += (s, i, r)
     return Trajectory(grid, _finite_nodes(out, grid.times()))
-
-
-def integrate_backward(
-    adjoint_dynamics: Callable[..., tuple[float, float, float]],
-    grid: TimeGrid,
-    states: Trajectory,
-    controls=None,
-) -> Trajectory:
-    """Integrate ``adjoint_dynamics`` (see the module docstring) from t_end down to t0.
-
-    The sweep starts from lam(t_end) = 0, the transversality condition of a
-    free terminal state, and stores that node exactly.  State and control
-    samples at the (negative) RK4 half-stages follow the same linear
-    interpolation rule as the forward sweep.  The control columns come from
-    ``adjoint_dynamics.drains``; a callable without one reads no channel.
-    """
-    if states.grid != grid:
-        raise ValueError("state trajectory lives on a different grid")
-    drains = getattr(adjoint_dynamics, "drains", Drains())
-    (a1, am, a4), (v1, vm, v4) = _drain_samples(drains, controls, grid, backward=True)
-    (s1, i1), (sm, im), (s4, i4) = stage_samples(grid, states.values[:, :2].T, backward=True)
-    back = -grid.dt
-    half = 0.5 * back
-    sixth = back / 6.0
-    ls = li = lr = 0.0
-    out = [ls, li, lr]
-    for s, i, a, v, s_m, i_m, a_m, v_m, s_4, i_4, a_4, v_4 in zip(
-        s1.tolist(), i1.tolist(), a1.tolist(), v1.tolist(),
-        sm.tolist(), im.tolist(), am.tolist(), vm.tolist(),
-        s4.tolist(), i4.tolist(), a4.tolist(), v4.tolist(),
-    ):
-        k1s, k1i, k1r = adjoint_dynamics(ls, li, lr, s, i, a, v)
-        k2s, k2i, k2r = adjoint_dynamics(
-            ls + half * k1s, li + half * k1i, lr + half * k1r, s_m, i_m, a_m, v_m
-        )
-        k3s, k3i, k3r = adjoint_dynamics(
-            ls + half * k2s, li + half * k2i, lr + half * k2r, s_m, i_m, a_m, v_m
-        )
-        k4s, k4i, k4r = adjoint_dynamics(
-            ls + back * k3s, li + back * k3i, lr + back * k3r, s_4, i_4, a_4, v_4
-        )
-        ls = ls + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-        li = li + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
-        lr = lr + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        out += (ls, li, lr)
-    return Trajectory(grid, _finite_nodes(out, grid.times()[::-1])[::-1].copy())

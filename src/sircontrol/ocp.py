@@ -24,9 +24,9 @@ docs/costate_derivation.md).  Two solution routes:
     costate integration from the transversality condition lam(t_end) = 0,
     and a relaxed update toward the pointwise control law.  The costate
     field is affine in lam, so each backward RK4 step is one affine map;
-    the iterations scan those maps (``_costate_scan``, sharing its float
-    loop ``_affine_scan`` with the reverse gradient), and the float RK4
-    loop of :func:`integrate_backward` runs once, on the returned iterate.
+    ``_costate_scan`` scans those maps, sharing its float loop
+    ``_affine_scan`` with the reverse gradient, and gives both the costate
+    that steers each iteration and the one the solution reports.
 
 ``solve_direct``
     Direct transcription: projected-gradient descent on the control node
@@ -58,7 +58,7 @@ from .integrate import (
     IntegrationError,
     TimeGrid,
     Trajectory,
-    integrate_backward,
+    _finite_nodes,
     integrate_forward,
     stage_samples,
 )
@@ -213,7 +213,7 @@ _DRAINS = {
 }
 
 
-def _drain_layout(beta, mu, c_x, drains):
+def _drain_layout(beta, mu, c_x):
     """``(costate, vjp)`` of the drain-form field in the drain rates ``a`` and ``v``.
 
     ``costate(lam_s, lam_i, lam_r, s, i, a, v)`` is the costate field, and
@@ -226,9 +226,7 @@ def _drain_layout(beta, mu, c_x, drains):
     ``f_a^T k``, ``f_v^T k`` from :func:`_drain_products`, which the
     control law calls alone.  A drain at rate 0 gives the bits of a layout
     without it: ``beta*s - mu - 0.0`` and ``(mu + 0.0)*i`` round as
-    ``beta*s - mu`` and ``mu*i``.  The
-    costate carries ``drains``, from which :func:`integrate_backward`
-    samples ``a`` and ``v``.
+    ``beta*s - mu`` and ``mu*i``.
     """
     ns, ni, nr = -c_x[0], -c_x[1], -c_x[2]
 
@@ -247,7 +245,6 @@ def _drain_layout(beta, mu, c_x, drains):
             *_drain_products(s, i, ks, ki, kr),
         )
 
-    costate.drains = drains
     return costate, vjp
 
 
@@ -265,7 +262,7 @@ def _fields(spec: StrategySpec):
     """``(field, costate, vjp)`` of the spec's drain layout at its rates and weights."""
     c_x, _ = _weights(spec)
     beta, mu, drains = spec.params.beta, spec.params.mu, _DRAINS[spec.kind]
-    return (DrainField(beta, mu, drains), *_drain_layout(beta, mu, c_x, drains))
+    return (DrainField(beta, mu, drains), *_drain_layout(beta, mu, c_x))
 
 
 # -- derived problem functions -------------------------------------------------
@@ -328,9 +325,9 @@ def dynamics_field(spec: StrategySpec) -> DrainField:
 
 
 def adjoint_field(spec: StrategySpec):
-    """Costate field ``costate(lam_s, lam_i, lam_r, s, i, a, v)`` for :func:`integrate_backward`.
+    """Costate field ``costate(lam_s, lam_i, lam_r, s, i, a, v) -> -(c_x + f_x^T lam)``.
 
-    It returns ``-(c_x + f_x^T lam)`` and carries the spec's ``drains``.
+    At the origin it is the constant term of the scanned costate's steps.
     """
     return _fields(spec)[1]
 
@@ -376,22 +373,19 @@ def _affine_scan(x_s: float, x_i: float, coef: np.ndarray) -> np.ndarray:
 
 
 def _costate_scan(spec: StrategySpec, traj: Trajectory, signal: ControlSignal) -> Trajectory:
-    """The costate of :func:`integrate_backward`, as a scan of its affine RK4 steps.
+    """The costate of ``traj`` under ``signal``: backward RK4 from lam(t_end) = 0, as a scan.
 
     The costate field is affine in lam, so one backward RK4 step of it is
     ``(lam_S, lam_I)_k = M_k (lam_S, lam_I)_{k+1} + m_k``, with coefficients
     from :func:`_costate_steps`, whose temporaries are freed before the
-    scan.  lam_R adds the same increment at every step, so it is the float
-    loop's bit for bit; lam_S and lam_I agree with it to roundoff (see
-    docs/costate_derivation.md).  A costate that is not finite is the float
-    loop's to report: its result, or its :class:`IntegrationError` naming
-    the step at which it blew up, is returned in place of the scan's.
+    scan.  lam_R adds the same increment at every step (see
+    docs/costate_derivation.md).  A costate that is not finite raises
+    :class:`IntegrationError`, naming the start time of the first step,
+    in sweep order, whose node is not finite.
     """
     coef, lam_r = _costate_steps(spec, traj, signal)
-    lam = _affine_scan(0.0, 0.0, coef)
-    if not np.isfinite(lam).all():
-        return integrate_backward(adjoint_field(spec), spec.grid, traj, signal)
-    return Trajectory(spec.grid, np.column_stack((lam, lam_r))[::-1])
+    lam = np.column_stack((_affine_scan(0.0, 0.0, coef), lam_r))
+    return Trajectory(spec.grid, _finite_nodes(lam, spec.grid.times()[::-1])[::-1])
 
 
 def _costate_steps(spec: StrategySpec, traj: Trajectory, signal: ControlSignal):
@@ -404,20 +398,20 @@ def _costate_steps(spec: StrategySpec, traj: Trajectory, signal: ControlSignal):
     the seeds' R values, in ``vjp``'s order.  The RK4 sum accumulates in
     place, and no stage keeps another's temporaries.
     """
-    (cs, ci, cr), _ = _weights(spec)
+    # the field's constant term; its R entry nr + 0.0 is the R rate of every
+    # stage, as lam_R holds no -0.0 (its sum starts at +0.0)
+    ns, ni, kr = adjoint_field(spec)(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     back = -spec.grid.dt
     half, sixth = 0.5 * back, back / 6.0
-    # the float loop's R stages are nr + 0.0*lam_R: nr itself, or 0.0 where nr is -0.0
-    kr = -cr + 0.0
     lam_r = np.full(spec.grid.n_nodes, sixth * (kr + 2.0 * kr + 2.0 * kr + kr))
     lam_r[0] = 0.0
     lam_r = lam_r.cumsum()
     # the seeds' S and I rows, their share of the constant (the last seed
-    # carries it) and their R values at the three sample sets; lam_R holds
-    # no -0.0 (its sum starts at +0.0), so the first set's + 0.0 keeps its bits
+    # carries it) and their R values at the three sample sets; as lam_R holds
+    # no -0.0, the first set's + 0.0 keeps its bits
     y0 = np.eye(3)[:2, :, None]
     n_si = np.zeros((2, 3, 1))
-    n_si[:, 2, 0] = -cs, -ci
+    n_si[:, 2, 0] = ns, ni
     y_r = np.zeros((3, 3, spec.grid.steps))
     y_r[:, 2] = lam_r[:-1] + np.array((0.0, half * kr, back * kr))[:, None]
     nodes = (traj.s, traj.i, *_DRAINS[spec.kind].split(signal.values, np.zeros(spec.grid.n_nodes)))
@@ -470,25 +464,31 @@ def solve_fbsm(
     """Solve the control problem by forward-backward sweeping.
 
     Each iteration integrates the states forward under the current control,
-    integrates the costates backward from lam(t_end) = 0, evaluates the
-    pointwise control law, and blends toward it,
-    ``u <- (1 - c) u + c u_law`` with ``c = relaxation``.  The costate that
-    steers an iteration comes from :func:`_costate_scan`; the float loop
-    :func:`integrate_backward` runs once, on the returned iterate, and
-    gives its ``adjoints``.  A blend that raises the objective is retried
-    with ``c`` halved (the plain relaxed iteration limit-cycles on strongly
-    state-weighted problems); ``c`` resets to ``relaxation`` at the next
-    iteration.  At ``relaxation/64`` the blend is accepted as it is, unless
-    it blew up (see :func:`_admissible_forward`): such a trial scores +inf
-    and is never accepted, and when every damped trial of an iteration
-    blows up the sweep stops.  A blow-up of the initial zero-control sweep,
-    or of the costate of an iterate the sweep steers from or returns, still
-    raises.  Convergence is declared when every channel satisfies the
-    relative-L1 test ``tol * ||u_new||_1 - ||u_new - u_old||_1 >= 0``.
+    integrates the costates backward from lam(t_end) = 0
+    (:func:`_costate_scan`), evaluates the pointwise control law, and blends
+    toward it, ``u <- (1 - c) u + c u_law`` with ``c = relaxation``, which
+    must lie in (0, 1]; ``tol`` must be finite and positive, or
+    :class:`ValueError` is raised.  The solution's ``adjoints`` are the
+    scanned costate of the returned iterate.  A blend that raises the
+    objective is retried with ``c`` halved (the plain relaxed iteration
+    limit-cycles on strongly state-weighted problems); ``c`` resets to
+    ``relaxation`` at the next iteration.  At ``relaxation/64`` the blend
+    is accepted as it is, unless it blew up (see
+    :func:`_admissible_forward`): such a trial scores +inf and is never
+    accepted, and when every damped trial of an iteration blows up the
+    sweep stops.  A blow-up of the initial zero-control sweep, or of the
+    costate of an iterate the sweep steers from or returns, raises
+    :class:`IntegrationError`.  Convergence is declared when every channel
+    satisfies the relative-L1 test
+    ``tol * ||u_new||_1 - ||u_new - u_old||_1 >= 0``.
 
     On non-convergence the best iterate (lowest objective) is returned with
     ``converged=False``.
     """
+    if not 0.0 < relaxation <= 1.0:
+        raise ValueError(f"relaxation must be in (0, 1], got {relaxation}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     field = dynamics_field(spec)
 
     u = np.zeros((spec.grid.n_nodes, spec.channels))
@@ -545,7 +545,7 @@ def solve_fbsm(
     if not converged:
         j, traj, signal = best
         logger.warning("%s sweep did not converge in %d iterations", spec.kind.name, iterations)
-    lam = integrate_backward(adjoint_field(spec), spec.grid, traj, signal)
+    lam = _costate_scan(spec, traj, signal)
     return OcpSolution(traj, signal, lam, j, iterations, converged, history)
 
 

@@ -4,11 +4,14 @@ These are the 3-vector numpy loops the package used before its sweeps ran on
 plain floats: ``rk4_step``-based forward and backward integrators driven by
 per-step closures, numpy dynamics and costate fields, and the reverse-mode
 objective gradient built from 3x3 stage Jacobians.  Only the tests use them,
-as an oracle: the float loops must reproduce every state and costate node of
-these integrators bit for bit, and their gradient to roundoff.  The scanned
-costate's first coefficient build, which called the layout's full ``vjp`` at
-every stage, is kept too, with that ``vjp``'s rows typed out as they were
-first written: ``ocp._costate_scan`` must equal it bit for bit.
+as an oracle.  The float forward sweep must reproduce every state node bit
+for bit, and the gradient must agree to roundoff.  The backward integrator
+is the one step-by-step costate loop left: the package's scanned costate
+(``ocp._costate_scan``) must match its nodes to roundoff, its lam_R and
+lam(t_end) = 0 bit for bit, and report its blow-ups.  The scanned costate's
+first coefficient build, which called the layout's full ``vjp`` at every
+stage, is kept too, with that ``vjp``'s rows typed out as they were first
+written: ``ocp._costate_scan`` must equal it bit for bit.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Command-line front end tests: config parsing, file outputs, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,10 +333,16 @@ def test_optimize_threshold_flag_changes_period(tmp_path):
 # -- compare ------------------------------------------------------------------------
 
 
-def test_compare_default_bundle(tmp_path):
-    rc = main(["compare", "--out", str(tmp_path), "--emit-plot-data"])
-    assert rc == EXIT_OK
+@pytest.fixture(scope="module")
+def default_compare(tmp_path_factory):
+    """The output directory of ``compare --emit-plot-data`` on the default scenarios and grid."""
+    out = tmp_path_factory.mktemp("compare")
+    assert main(["compare", "--out", str(out), "--emit-plot-data"]) == EXIT_OK
+    return out
 
+
+def test_compare_default_bundle(default_compare):
+    tmp_path = default_compare
     rows = read_csv(tmp_path / "comparison.csv")
     assert rows[0][0] == "label"
     labels = [r[0] for r in rows[1:]]
@@ -361,6 +369,15 @@ def test_compare_default_bundle(tmp_path):
 
     payload = json.loads((tmp_path / "comparison.json").read_text())
     assert len(payload["rows"]) == 4
+
+
+def test_compare_csv_bytes_equal_the_benchmark_reference(default_compare):
+    """The CSV files hash, by sorted name, NUL and bytes, to the benchmark's ``csv_sha256``."""
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    h = hashlib.sha256()
+    for path in sorted(default_compare.glob("*.csv")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == json.loads(reference.read_text())["compare"]["csv_sha256"]
 
 
 def test_compare_single_scenario_degenerates(tmp_path):

@@ -1,27 +1,36 @@
-"""The sweep's scanned costate against the float loop it stands in for.
+"""The sweep's scanned costate against the backward RK4 loop it stands for.
 
-``ocp._costate_scan`` computes the costate of ``integrate_backward`` as one
-affine map per RK4 step.  It must equal its first coefficient build, kept in
-``_reference_loops``, bit for bit, and peak no higher in memory; agree with
-the float loop to roundoff, carry the loop's lam_R bit for bit and name the
-same step when it blows up.  A sweep steered by it must take the same path
-as one steered by the loop, and both must report the loop's costate of the
-iterate they return.
+``ocp._costate_scan`` computes the costate of one backward RK4 sweep from
+lam(t_end) = 0 as one affine map per step.  It must equal its first
+coefficient build, kept in ``_reference_loops``, bit for bit, and peak no
+higher in memory.  Against the step-by-step numpy loop of
+``_reference_loops.integrate_backward`` (the float loop of the test names)
+it must agree to roundoff, carry lam_R bit for bit, and report its
+blow-ups: the same ones, at the same step or a later one in sweep order.  A
+sweep steered by the scan must take the same path as one steered by that
+loop, and report the scan of the iterate it returns.
 """
 
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import _reference_loops as ref
-from sircontrol import integrate, ocp
+from sircontrol import ocp
 from sircontrol.integrate import IntegrationError, TimeGrid, integrate_forward
 from sircontrol.model import ModelParams
-from sircontrol.ocp import ControlSignal, Strategy, StrategySpec, adjoint_field, default_spec
-from test_float_loops import GRADIENT_GRIDS, KINDS, random_controls
-
-SCAN_RTOL = 1e-13
+from sircontrol.ocp import ControlSignal, Strategy, StrategySpec, default_spec
+from test_float_loops import (
+    GRADIENT_GRIDS,
+    KINDS,
+    assert_costate_matches_the_reference,
+    random_controls,
+    raised_message,
+    reference_costate,
+)
 
 # the larger grids of the benchmark's sweep pool
 POOL_GRIDS = [
@@ -30,27 +39,14 @@ POOL_GRIDS = [
 ]
 
 
-def float_loop_costate(spec, traj, signal):
-    return integrate.integrate_backward(adjoint_field(spec), spec.grid, traj, signal)
-
-
-def raised_message(fn, *args):
-    with pytest.raises(IntegrationError) as info:
-        fn(*args)
-    return str(info.value)
-
-
 @pytest.mark.parametrize("steps, t_end", GRADIENT_GRIDS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_scan_matches_the_float_loop(kind, steps, t_end):
     spec = StrategySpec(kind=Strategy(kind), grid=TimeGrid(0.0, t_end, steps))
     signal = random_controls(spec, seed=100 * kind + steps + 3)
     traj = integrate_forward(ocp.dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
-    scan = ocp._costate_scan(spec, traj, signal).values
-    loop = float_loop_costate(spec, traj, signal).values
-    assert scan.shape == loop.shape
-    assert np.max(np.abs(scan - loop)) <= SCAN_RTOL * np.max(np.abs(loop))
-    assert scan[:, 2].tobytes() == loop[:, 2].tobytes()
+    lam = ocp._costate_scan(spec, traj, signal)
+    assert_costate_matches_the_reference(lam, spec, traj, signal)
 
 
 def scan_problem(kind, steps, t_end, controls="random"):
@@ -112,29 +108,90 @@ def test_vjp_state_rows_equal_the_written_out_rows_bit_for_bit(kind):
 
 
 def test_scan_blowup_names_the_same_step():
-    spec = StrategySpec(kind=Strategy.VACCINATION, params=ModelParams(beta=1e8, mu=0.1))
-    signal = ControlSignal.zeros(spec.grid, 1)
-    states = integrate_forward(
-        ocp.dynamics_field(default_spec(1)), spec.x0.as_array(), spec.grid, signal
+    """A sweep whose costate overflows at its first step raises the reference loop's error.
+
+    At ``kappa = 5e307`` the RK4 sum ``k1 + 2 k2 + ...`` of lam_I overflows,
+    while the objective, on a 10-day horizon, stays finite.
+    """
+    grid = TimeGrid(0.0, 10.0, 10)
+    spec = StrategySpec(kind=Strategy.TREATMENT_EDUCATION, grid=grid, kappa=5e307)
+    with pytest.raises(IntegrationError) as info:
+        ocp.solve_fbsm(spec)
+    signal = ControlSignal.zeros(spec.grid, 2)
+    states = integrate_forward(ocp.dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
+    assert str(info.value) == raised_message(reference_costate, spec, states, signal)
+    assert str(info.value) == "non-finite state after step at t=10.0"
+
+
+def blowup_step(fn, spec, *args):
+    """The sweep-order index of the step ``fn``'s IntegrationError names; ``steps`` if none."""
+    try:
+        fn(spec, *args)
+    except IntegrationError as e:
+        t = float(str(e).rpartition("t=")[2])
+        return spec.grid.steps - int(np.flatnonzero(spec.grid.times() == t)[0])
+    return spec.grid.steps
+
+
+def blowup_problem(rng):
+    """A small problem whose costate may blow up, or None if its states do first.
+
+    The states are an admissible forward sweep of the default rates under
+    random in-box controls; the costate reads them at a rate ``beta`` drawn
+    log-uniformly from 1 to 1e40, mostly far past RK4's stability limit.
+    From ``beta * dt`` of about 1e77 on, one step's RK4 polynomial overflows
+    by itself, and the scan can name an earlier step than the loop or a
+    blow-up the loop does not have (docs/costate_derivation.md); the draws
+    stay below that.
+    """
+    spec = StrategySpec(
+        kind=Strategy(int(rng.integers(1, 4))),
+        grid=TimeGrid(0.0, rng.uniform(1.0, 30.0), int(rng.integers(1, 31))),
     )
-    scanned = raised_message(ocp._costate_scan, spec, states, signal)
-    assert scanned == raised_message(float_loop_costate, spec, states, signal)
-    assert scanned.startswith("non-finite state after step at t=")
+    values = rng.uniform(0.0, spec.u_max, (spec.grid.n_nodes, spec.channels))
+    signal = ControlSignal(spec.grid, values)
+    try:
+        traj = ocp._admissible_forward(spec, ocp.dynamics_field(spec), signal)
+    except IntegrationError:
+        return None
+    beta = 10.0 ** rng.uniform(0.0, 40.0)
+    return replace(spec, params=ModelParams(beta=beta, mu=0.1)), traj, signal
 
 
-def solve_counting_float_loops(monkeypatch, spec, tol, steer_with_loop):
-    """``solve_fbsm`` and the number of its own calls of ``integrate_backward``."""
+def test_scan_reports_the_blowups_of_the_reference_loop():
+    """The scan names the reference loop's step or the next one, never an earlier one.
+
+    The loop's stages can overflow while the step's result, which the scan
+    forms as one affine map, is still finite; the scan then overflows one
+    step later.  At the last step there is no later one, so a finite scan
+    there is the one blow-up it misses.  A blow-up the loop does not
+    report, the scan never reports.
+    """
+    rng = np.random.default_rng(14)
+    lags = Counter()
+    for _ in range(600):
+        problem = blowup_problem(rng)
+        if problem is None:
+            continue
+        looped = blowup_step(reference_costate, *problem)
+        lag = blowup_step(ocp._costate_scan, *problem) - looped
+        assert 0 <= lag <= 1, problem[0]
+        if looped < problem[0].grid.steps:
+            lags[lag] += 1
+    assert lags[0] >= 300
+
+
+def solve_counting_costates(monkeypatch, spec, tol, steer_with_reference):
+    """``solve_fbsm`` steered by the scan or by the reference loop, and its costate count."""
+    costate = reference_costate if steer_with_reference else ocp._costate_scan
     calls = []
-    original = ocp.integrate_backward
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        return original(*args, **kwargs)
+        return costate(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(ocp, "integrate_backward", counting)
-        if steer_with_loop:
-            m.setattr(ocp, "_costate_scan", float_loop_costate)
+        m.setattr(ocp, "_costate_scan", counting)
         sol = ocp.solve_fbsm(spec, tol=tol)
     return sol, len(calls)
 
@@ -143,14 +200,19 @@ def solve_counting_float_loops(monkeypatch, spec, tol, steer_with_loop):
 @pytest.mark.parametrize("steps", [100, 1000])
 @pytest.mark.parametrize("kind", KINDS)
 def test_sweep_steered_by_the_scan_follows_the_float_loop(monkeypatch, kind, steps, tol):
+    """The reference loop steers a sweep on 100 steps only: a 1000-step call takes ~50 ms."""
     spec = default_spec(kind, steps=steps)
-    scanned, scanned_calls = solve_counting_float_loops(monkeypatch, spec, tol, False)
-    looped, looped_calls = solve_counting_float_loops(monkeypatch, spec, tol, True)
-    assert scanned.converged and looped.converged
-    assert scanned.iterations == looped.iterations
-    assert scanned.objective == pytest.approx(looped.objective, rel=1e-12, abs=0.0)
-    assert np.max(np.abs(scanned.control.values - looped.control.values)) <= 1e-10
-    for sol, calls in ((scanned, scanned_calls), (looped, looped_calls)):
-        assert calls == 1
-        again = float_loop_costate(spec, sol.trajectory, sol.control)
-        assert sol.adjoints.values.tobytes() == again.values.tobytes()
+    scanned, calls = solve_counting_costates(monkeypatch, spec, tol, False)
+    assert scanned.converged
+    assert calls == scanned.iterations + 1  # one per iteration, one for the returned iterate
+    again = ocp._costate_scan(spec, scanned.trajectory, scanned.control)
+    assert scanned.adjoints.values.tobytes() == again.values.tobytes()
+    assert_costate_matches_the_reference(
+        scanned.adjoints, spec, scanned.trajectory, scanned.control
+    )
+    if steps == 100:
+        looped, _ = solve_counting_costates(monkeypatch, spec, tol, True)
+        assert looped.converged
+        assert scanned.iterations == looped.iterations
+        assert scanned.objective == pytest.approx(looped.objective, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(scanned.control.values - looped.control.values)) <= 1e-10

@@ -1,8 +1,12 @@
-"""The float RK4 sweeps and reverse gradient against the numpy reference loops.
+"""The sweeps and reverse gradient against the numpy reference loops.
 
 ``_reference_loops`` holds the 3-vector numpy integrators and the 3x3
-stage-Jacobian gradient that the float loops replaced.  The float sweeps must
-reproduce every state and costate node bit for bit; the gradient sums its
+stage-Jacobian gradient that the package's loops replaced.  The float
+forward sweep must reproduce every state node bit for bit.  The scanned
+costate (``ocp._costate_scan``) evaluates each backward RK4 step as one
+affine map, so its lam_S and lam_I must agree with the reference loop's to
+``1e-13 * max|lam|``, its lam_R and lam(t_end) = 0 bit for bit, and a
+blow-up must name the reference's step.  The gradient sums its
 Jacobian-transpose products in a different order, so it must agree to
 ``1e-12 * max|g|``.
 """
@@ -11,7 +15,8 @@ import numpy as np
 import pytest
 
 import _reference_loops as ref
-from sircontrol.integrate import IntegrationError, TimeGrid, integrate_backward, integrate_forward
+from sircontrol import ocp
+from sircontrol.integrate import IntegrationError, TimeGrid, integrate_forward
 from sircontrol.model import EpidemicState, ModelParams
 from sircontrol.ocp import (
     DEFAULT_PARAMS,
@@ -20,7 +25,6 @@ from sircontrol.ocp import (
     ControlSignal,
     Strategy,
     StrategySpec,
-    adjoint_field,
     default_spec,
     dynamics_field,
     objective_gradient,
@@ -28,6 +32,7 @@ from sircontrol.ocp import (
 )
 
 GRADIENT_RTOL = 1e-12
+SCAN_RTOL = 1e-13
 STEPS = (100, 1000)
 KINDS = (1, 2, 3)
 
@@ -37,6 +42,20 @@ def random_controls(spec, seed):
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, spec.u_max, size=(spec.grid.n_nodes, spec.channels))
     return ControlSignal(spec.grid, values)
+
+
+def reference_costate(spec, traj, signal):
+    """The reference loop's costate of ``traj`` under ``signal``, from lam(t_end) = 0."""
+    return ref.integrate_backward(ref.adjoint_field(spec), np.zeros(3), spec.grid, traj, signal)
+
+
+def assert_costate_matches_the_reference(lam, spec, traj, signal):
+    """``lam`` is the reference costate to roundoff, with lam_R and lam(t_end) = 0 exact."""
+    scan, loop = lam.values, reference_costate(spec, traj, signal).values
+    assert scan.shape == loop.shape
+    assert np.max(np.abs(scan - loop)) <= SCAN_RTOL * np.max(np.abs(loop))
+    assert scan[:, 2].tobytes() == loop[:, 2].tobytes()
+    assert scan[-1].tobytes() == np.zeros(3).tobytes()
 
 
 def raised_message(fn, *args):
@@ -94,29 +113,15 @@ def test_uncontrolled_forward_sweep_is_bit_identical(steps):
 @pytest.mark.parametrize("steps", STEPS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_backward_sweep_is_bit_identical(kind, steps):
+    """The scanned costate of the reference's states: lam_R and lam(t_end) bit for bit."""
     spec = default_spec(kind, steps=steps)
     signal = random_controls(spec, seed=100 * kind + steps + 1)
     states = ref.integrate_forward(
         ref.dynamics_field(spec), spec.x0.as_array(), spec.grid, signal
     )
-    new = integrate_backward(adjoint_field(spec), spec.grid, states, signal)
-    old = ref.integrate_backward(ref.adjoint_field(spec), np.zeros(3), spec.grid, states, signal)
-    assert np.array_equal(new.values, old.values)
-
-
-@pytest.mark.parametrize("steps", STEPS)
-def test_uncontrolled_backward_sweep_is_bit_identical(steps):
-    """No control signal: the float loop passes 0.0, the reference None."""
-    spec = default_spec(1, steps=steps)
-    states = ref.integrate_forward(
-        ref.uncontrolled_field(DEFAULT_PARAMS), DEFAULT_X0.as_array(), spec.grid
+    assert_costate_matches_the_reference(
+        ocp._costate_scan(spec, states, signal), spec, states, signal
     )
-    old_field = ref.adjoint_field(spec)
-    new = integrate_backward(adjoint_field(spec), spec.grid, states)
-    old = ref.integrate_backward(
-        lambda t, lam, x, u: old_field(t, lam, x, np.zeros(1)), np.zeros(3), spec.grid, states
-    )
-    assert np.array_equal(new.values, old.values)
 
 
 # (steps, t_end): the default horizon, and short grids at the edges of the
@@ -153,25 +158,23 @@ def test_forward_blowup_names_the_same_step():
 
 
 def test_backward_blowup_names_the_same_step():
+    """A costate at ``beta = 1e8`` on the default run's states overflows near t_end."""
     spec = StrategySpec(kind=Strategy.VACCINATION, params=ModelParams(beta=1e8, mu=0.1))
     signal = ControlSignal.zeros(spec.grid, 1)
     states = ref.integrate_forward(
         ref.dynamics_field(default_spec(1)), spec.x0.as_array(), spec.grid, signal
     )
-    new = raised_message(integrate_backward, adjoint_field(spec), spec.grid, states, signal)
-    old = raised_message(
-        ref.integrate_backward, ref.adjoint_field(spec), np.zeros(3), spec.grid, states, signal
-    )
-    assert new == old
-    assert "t=" in new
+    new = raised_message(ocp._costate_scan, spec, states, signal)
+    assert new == raised_message(reference_costate, spec, states, signal)
+    assert new == "non-finite state after step at t=98.7"
 
 
 @pytest.mark.parametrize("backward", [False, True])
 def test_controlled_blowup_mid_grid_names_the_same_step(backward):
     """Strategy-3 rates of 50 and 25 on [20, 80], far past RK4's stability limit at dt = 1.
 
-    The float loops check finiteness once per sweep, after the loop; the
-    reference raises at the step itself.
+    The package's sweeps check finiteness once per sweep, after the loop;
+    the reference raises at the step itself.
     """
     spec = default_spec(3, steps=100)
     t = spec.grid.times()
@@ -181,10 +184,8 @@ def test_controlled_blowup_mid_grid_names_the_same_step(backward):
     if backward:
         zero = ControlSignal.zeros(spec.grid, 2)
         states = ref.integrate_forward(ref.dynamics_field(spec), x0, spec.grid, zero)
-        new = raised_message(integrate_backward, adjoint_field(spec), spec.grid, states, signal)
-        old = raised_message(
-            ref.integrate_backward, ref.adjoint_field(spec), np.zeros(3), spec.grid, states, signal
-        )
+        new = raised_message(ocp._costate_scan, spec, states, signal)
+        old = raised_message(reference_costate, spec, states, signal)
     else:
         new = raised_message(integrate_forward, dynamics_field(spec), x0, spec.grid, signal)
         old = raised_message(ref.integrate_forward, ref.dynamics_field(spec), x0, spec.grid, signal)

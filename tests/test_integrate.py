@@ -1,15 +1,15 @@
-"""Integrator tests: RK4 accuracy/order, grid handling, forward/backward sweeps."""
+"""Integrator tests: RK4 accuracy/order, grid handling, stage samples, the forward sweep."""
 
 import math
 
 import numpy as np
 import pytest
 
+from sircontrol import ocp
 from sircontrol.integrate import (
     IntegrationError,
     TimeGrid,
     Trajectory,
-    integrate_backward,
     integrate_forward,
     stage_samples,
 )
@@ -18,7 +18,6 @@ from sircontrol.ocp import (
     DEFAULT_PARAMS,
     DEFAULT_X0,
     ControlSignal,
-    adjoint_field,
     default_spec,
     dynamics_field,
     uncontrolled_field,
@@ -188,46 +187,13 @@ def test_stage_samples_equal_the_inline_formula(steps, backward):
         assert got.tobytes() == want.tobytes()
 
 
-# -- backward integration ----------------------------------------------------------
-
-
-def zero_costate_field(ls, li, lr, s, i, a, v):
-    return 0.0, 0.0, 0.0
-
-
-def test_backward_zero_terminal_zero_dynamics_stays_zero(uncontrolled_traj):
-    """The sweep starts from lam(t_end) = 0, stored exactly, and a zero field keeps it there."""
-    adj = integrate_backward(zero_costate_field, GRID, uncontrolled_traj)
-    assert np.array_equal(adj.values, np.zeros((1001, 3)))
-
-
-def test_backward_grid_matches_forward(uncontrolled_traj):
-    adj = integrate_backward(zero_costate_field, GRID, uncontrolled_traj)
-    assert adj.grid == uncontrolled_traj.grid
-    assert adj.values.shape[0] == uncontrolled_traj.values.shape[0]
-
-
-def test_backward_recovers_exponential():
-    """lam' = lam - 1 backward from lam(1) = 0 must give lam(0) = 1 - e^-1."""
-    grid = TimeGrid(0.0, 1.0, 100)
-    states = Trajectory(grid, np.zeros((101, 3)))
-    adj = integrate_backward(
-        lambda ls, li, lr, s, i, a, v: (ls - 1.0, li - 1.0, lr - 1.0), grid, states
-    )
-    assert adj.values[0] == pytest.approx(np.full(3, 1.0 - math.exp(-1.0)), rel=1e-9)
-
-
 @pytest.mark.parametrize("kind, channels", [(1, 2), (3, 1)])
 def test_sweeps_reject_a_signal_with_the_wrong_channel_count(kind, channels):
     """Strategy 1 reads one control column and strategy 3 two; neither takes the other's."""
     spec = default_spec(kind, steps=10)
     signal = ControlSignal.zeros(spec.grid, channels)
-    x0 = spec.x0.as_array()
     with pytest.raises(ValueError, match="control channel"):
-        integrate_forward(dynamics_field(spec), x0, spec.grid, signal)
-    states = integrate_forward(dynamics_field(spec), x0, spec.grid)
-    with pytest.raises(ValueError, match="control channel"):
-        integrate_backward(adjoint_field(spec), spec.grid, states, signal)
+        integrate_forward(dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
 
 
 def test_uncontrolled_field_rejects_any_control_signal():
@@ -239,14 +205,16 @@ def test_uncontrolled_field_rejects_any_control_signal():
         )
 
 
+# -- the costate of the sweep solver --------------------------------------------
+
+
 def test_strategy1_costate_for_recovered_is_constant(fbsm_solutions):
     lam_r = fbsm_solutions[1].adjoints.values[:, 2]
     assert np.max(np.abs(lam_r)) <= 1e-12  # lam_R' = 0 with lam_R(t_end) = 0
 
 
 def test_backward_on_spec_grid_is_reproducible(fbsm_solutions):
-    """Re-running the final backward sweep reproduces the stored costates."""
+    """Re-running the costate scan of the returned iterate reproduces the stored costates."""
     sol = fbsm_solutions[1]
-    spec = default_spec(1)
-    again = integrate_backward(adjoint_field(spec), spec.grid, sol.trajectory, sol.control)
+    again = ocp._costate_scan(default_spec(1), sol.trajectory, sol.control)
     assert np.array_equal(again.values, sol.adjoints.values)

@@ -618,3 +618,23 @@ def test_fbsm_full_relaxation_still_terminates(caplog):
     for record in caplog.records:
         msg = record.getMessage()
         assert ("objective rose" in msg) or ("did not converge" in msg)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"relaxation": 0.0},  # would stop at once, "converged" at the zero control
+        {"relaxation": -0.5},
+        {"relaxation": 1.5},
+        {"relaxation": math.nan},
+        {"tol": math.nan},  # would pass the stop test after one iteration
+        {"tol": 0.0},
+        {"tol": -1e-3},
+        {"tol": math.inf},
+    ],
+    ids=lambda settings: "-".join(f"{k}={v}" for k, v in settings.items()),
+)
+def test_fbsm_rejects_settings_outside_their_range(settings):
+    """``relaxation`` must lie in (0, 1] and ``tol`` be finite and positive."""
+    with pytest.raises(ValueError, match=next(iter(settings))):
+        solve_fbsm(default_spec(1, steps=100), **settings)
