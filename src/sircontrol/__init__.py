@@ -29,7 +29,6 @@ from .ocp import (
     running_cost,
     solve_direct,
     solve_fbsm,
-    uncontrolled_field,
 )
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "running_cost",
     "solve_direct",
     "solve_fbsm",
-    "uncontrolled_field",
     "RunSummary",
     "infection_period",
     "peak_infected",

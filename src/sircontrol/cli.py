@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .integrate import IntegrationError, TimeGrid, Trajectory, integrate_forward
 from .metrics import DEFAULT_PERIOD_THRESHOLD, RunSummary, summarize_run
-from .model import EpidemicState, ModelParams
+from .model import DrainField, EpidemicState, ModelParams
 from .ocp import (
     DEFAULT_PARAMS,
     DEFAULT_STEPS,
@@ -43,7 +43,6 @@ from .ocp import (
     StrategySpec,
     solve_direct,
     solve_fbsm,
-    uncontrolled_field,
 )
 
 __all__ = ["ScenarioConfig", "ConfigError", "cmd_compare", "main"]
@@ -366,8 +365,8 @@ def _run_scenario(
     sol = control = adjoints = convergence = cross = None
     if cfg.strategy == "none":
         params = cfg.params()
-        traj = integrate_forward(uncontrolled_field(params), cfg.x0().as_array(), cfg.grid())
-        traj = _admissible(traj, params.n)
+        field = DrainField(params.beta, params.mu)
+        traj = _admissible(integrate_forward(field, cfg.x0().as_array(), cfg.grid()), params.n)
         summary = summarize_run(traj, cfg.threshold)
         code = EXIT_OK
     else:

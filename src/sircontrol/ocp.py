@@ -12,12 +12,12 @@ Each running cost is ``c_x . (S, I, R) + (w1/2) u1^2 + (w2/2) u2^2`` and each
 control moves a compartment into R, so every strategy is the drain-form SIR
 field of :mod:`sircontrol.model`.  ``_weights(spec) -> (c_x, w)`` and
 ``_DRAINS``, the channel map of each strategy (u1 drains S; u1 drains I and
-u2 drains S), are the only code that branches on the strategy; one builder,
-``_drain_layout``, writes the costate field ``-(c_x + f_x^T lam)`` and the
-products ``f_x^T k``, ``f_u^T k`` in the drain rates ``a`` and ``v``.  The
-running cost, the control law ``clip(-(f_u^T lam)_c / w_c, 0, u_max)`` and
-the reverse gradient derive from these two tables (see
-docs/costate_derivation.md).  Two solution routes:
+u2 drains S), are the only code that branches on the strategy.  The field,
+the running cost, the costate field ``-(c_x + f_x^T lam)``, the control law
+``clip(-(f_u^T lam)_c / w_c, 0, u_max)`` and the reverse gradient read these
+two tables; ``_vjp`` gives the products ``f_x^T k``, ``f_u^T k`` in the
+drain rates ``a`` and ``v`` (see docs/costate_derivation.md).  Two solution
+routes:
 
 ``solve_fbsm``
     Forward-backward sweep: alternate forward state integration, backward
@@ -74,7 +74,6 @@ __all__ = [
     "objective",
     "control_law",
     "dynamics_field",
-    "uncontrolled_field",
     "adjoint_field",
     "objective_gradient",
     "solve_fbsm",
@@ -213,41 +212,6 @@ _DRAINS = {
 }
 
 
-def _drain_layout(beta, mu, c_x):
-    """``(costate, vjp)`` of the drain-form field in the drain rates ``a`` and ``v``.
-
-    ``costate(lam_s, lam_i, lam_r, s, i, a, v)`` is the costate field, and
-    ``vjp(s, i, a, v, k_s, k_i, k_r)`` returns ``f_x^T k`` (S and I rows)
-    and ``f_a^T k``, ``f_v^T k``; both take floats or arrays (see
-    docs/costate_derivation.md).  The costate field is written out, not
-    composed from vjp, so that it stays as fast as, and bit for bit equal
-    to, the published equations; the entries of ``f_x^T`` come from
-    :func:`_state_jacobian`, which the scanned costate also calls, and
-    ``f_a^T k``, ``f_v^T k`` from :func:`_drain_products`, which the
-    control law calls alone.  A drain at rate 0 gives the bits of a layout
-    without it: ``beta*s - mu - 0.0`` and ``(mu + 0.0)*i`` round as
-    ``beta*s - mu`` and ``mu*i``.
-    """
-    ns, ni, nr = -c_x[0], -c_x[1], -c_x[2]
-
-    def costate(ls, li, lr, s, i, a, v):
-        return (
-            ns + (ls - li) * beta * i + (ls - lr) * a,
-            ni + (ls - li) * beta * s + (li - lr) * (mu + v),
-            nr + 0.0 * lr,
-        )
-
-    def vjp(s, i, a, v, ks, ki, kr):
-        ((c_ss, c_si), (c_is, c_ii)), (c_sr, c_ir) = _state_jacobian(beta, mu, s, i, a, v)
-        return (
-            c_ss * ks + c_si * ki + c_sr * kr,
-            c_is * ks + c_ii * ki + c_ir * kr,
-            *_drain_products(s, i, ks, ki, kr),
-        )
-
-    return costate, vjp
-
-
 def _state_jacobian(beta, mu, s, i, a, v):
     """S and I rows of ``f_x^T``: block ``((c_ss, c_si), (c_is, c_ii))``, R column ``(a, c_ir)``."""
     return ((-beta * i - a, beta * i), (-beta * s, beta * s - mu - v)), (a, mu + v)
@@ -258,11 +222,17 @@ def _drain_products(s, i, ks, ki, kr):
     return (kr - ks) * s, (kr - ki) * i
 
 
-def _fields(spec: StrategySpec):
-    """``(field, costate, vjp)`` of the spec's drain layout at its rates and weights."""
-    c_x, _ = _weights(spec)
-    beta, mu, drains = spec.params.beta, spec.params.mu, _DRAINS[spec.kind]
-    return (DrainField(beta, mu, drains), *_drain_layout(beta, mu, c_x))
+def _vjp(beta, mu, s, i, a, v, ks, ki, kr):
+    """``f_x^T k`` (S and I rows), ``f_a^T k`` and ``f_v^T k`` at drain rates ``a``, ``v``.
+
+    On floats or arrays; a drain at rate 0 gives the bits of a field without it.
+    """
+    ((c_ss, c_si), (c_is, c_ii)), (c_sr, c_ir) = _state_jacobian(beta, mu, s, i, a, v)
+    return (
+        c_ss * ks + c_si * ki + c_sr * kr,
+        c_is * ks + c_ii * ki + c_ir * kr,
+        *_drain_products(s, i, ks, ki, kr),
+    )
 
 
 # -- derived problem functions -------------------------------------------------
@@ -286,16 +256,16 @@ def _check_controls(spec: StrategySpec, controls: ControlSignal) -> None:
 
 
 def objective(spec: StrategySpec, traj: Trajectory, controls: ControlSignal) -> float:
-    """Composite-trapezoid quadrature of the running cost over the horizon."""
+    """Composite-trapezoid quadrature of the running cost over the horizon; +inf if it overflows."""
     if traj.grid != spec.grid:
         raise ValueError("trajectory is not on the problem grid")
     _check_controls(spec, controls)
-    u = controls.values
-    c = running_cost(
-        spec, traj.s, traj.i, traj.r, u[:, 0], u[:, 1] if controls.channels == 2 else 0.0
-    )
-    dt = spec.grid.dt
-    return float(dt * (c.sum() - 0.5 * (c[0] + c[-1])))
+    u, dt = controls.values, spec.grid.dt
+    with np.errstate(over="ignore"):  # a cost that overflows scores +inf
+        c = running_cost(
+            spec, traj.s, traj.i, traj.r, u[:, 0], u[:, 1] if controls.channels == 2 else 0.0
+        )
+        return float(dt * (c.sum() - 0.5 * (c[0] + c[-1])))
 
 
 def control_law(spec: StrategySpec, s, i, lam_s, lam_i, lam_r) -> np.ndarray:
@@ -314,22 +284,30 @@ def control_law(spec: StrategySpec, s, i, lam_s, lam_i, lam_r) -> np.ndarray:
 # -- dynamics/costate fields for the integrator ------------------------------
 
 
-def uncontrolled_field(params: ModelParams) -> DrainField:
-    """The field without drains, for :func:`integrate_forward`."""
-    return DrainField(params.beta, params.mu)
-
-
 def dynamics_field(spec: StrategySpec) -> DrainField:
     """The spec's drain-form field, for :func:`integrate_forward`."""
-    return _fields(spec)[0]
+    return DrainField(spec.params.beta, spec.params.mu, _DRAINS[spec.kind])
 
 
 def adjoint_field(spec: StrategySpec):
     """Costate field ``costate(lam_s, lam_i, lam_r, s, i, a, v) -> -(c_x + f_x^T lam)``.
 
-    At the origin it is the constant term of the scanned costate's steps.
+    Written out, not composed from :func:`_vjp`, so that it is bit for bit
+    the published equations (docs/costate_derivation.md).  At the origin it
+    is the constant term of the scanned costate's steps.
     """
-    return _fields(spec)[1]
+    (cs, ci, cr), _ = _weights(spec)
+    ns, ni, nr = -cs, -ci, -cr
+    beta, mu = spec.params.beta, spec.params.mu
+
+    def costate(ls, li, lr, s, i, a, v):
+        return (
+            ns + (ls - li) * beta * i + (ls - lr) * a,
+            ni + (ls - li) * beta * s + (li - lr) * (mu + v),
+            nr + 0.0 * lr,
+        )
+
+    return costate
 
 
 # Smallest compartment, as a fraction of the population, of a solver's
@@ -349,9 +327,9 @@ def _admissible(traj: Trajectory, n: float) -> Trajectory:
     return traj
 
 
-def _admissible_forward(spec: StrategySpec, field: DrainField, signal: ControlSignal) -> Trajectory:
+def _admissible_forward(spec: StrategySpec, signal: ControlSignal) -> Trajectory:
     """Forward sweep of a solver iterate, checked by :func:`_admissible`."""
-    traj = integrate_forward(field, spec.x0.as_array(), spec.grid, signal)
+    traj = integrate_forward(dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
     return _admissible(traj, spec.params.n)
 
 
@@ -395,7 +373,7 @@ def _costate_steps(spec: StrategySpec, traj: Trajectory, signal: ControlSignal):
     with the field's constant gives ``m_k``.  :func:`_state_jacobian` runs
     once, on the three sample sets stacked; a stage is one broadcast product
     of its 2x2 block with both rows of all seeds, plus its R column times
-    the seeds' R values, in ``vjp``'s order.  The RK4 sum accumulates in
+    the seeds' R values, in :func:`_vjp`'s order.  The RK4 sum accumulates in
     place, and no stage keeps another's temporaries.
     """
     # the field's constant term; its R entry nr + 0.0 is the R rate of every
@@ -445,10 +423,10 @@ def _costate_steps(spec: StrategySpec, traj: Trajectory, signal: ControlSignal):
 # -- forward-backward sweep --------------------------------------------------
 
 
-def _trial_objective(spec, field, signal):
+def _trial_objective(spec, signal):
     """Objective and forward trajectory of a trial control; +inf if it blew up."""
     try:
-        traj = _admissible_forward(spec, field, signal)
+        traj = _admissible_forward(spec, signal)
     except IntegrationError:
         return math.inf, None
     return objective(spec, traj, signal), traj
@@ -489,11 +467,10 @@ def solve_fbsm(
         raise ValueError(f"relaxation must be in (0, 1], got {relaxation}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    field = dynamics_field(spec)
 
     u = np.zeros((spec.grid.n_nodes, spec.channels))
     signal = ControlSignal(spec.grid, u)
-    traj = _admissible_forward(spec, field, signal)
+    traj = _admissible_forward(spec, signal)
     j = objective(spec, traj, signal)
     history = [j]
     best = (j, traj, signal)
@@ -508,7 +485,7 @@ def solve_fbsm(
         while True:
             u_new = (1.0 - damp) * u + damp * u_law
             signal_new = ControlSignal(spec.grid, u_new)
-            j_new, traj_new = _trial_objective(spec, field, signal_new)
+            j_new, traj_new = _trial_objective(spec, signal_new)
             if j_new <= j + 1e-12 or damp <= relaxation / 64.0:
                 break
             damp *= 0.5
@@ -568,7 +545,7 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     with finite differences of :func:`objective` on the forward trajectory
     to roundoff.  The state adjoint obeys an affine recursion whose
     coefficients depend only on the trajectory and the controls: they come
-    for every step at once from the layout's ``vjp`` on node arrays, and
+    for every step at once from :func:`_vjp` on node arrays, and
     :func:`_affine_scan` scans the adjoint's S and I components (its R
     component has a closed form; see docs/costate_derivation.md).  The
     stage states come from :func:`treatment_education_rates` on node arrays.
@@ -578,17 +555,16 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     blows up (see :func:`_admissible_forward`).
     """
     signal = ControlSignal(spec.grid, u_values)
-    field, _, vjp = _fields(spec)
-    traj = _admissible_forward(spec, field, signal)
+    traj = _admissible_forward(spec, signal)
     j = objective(spec, traj, signal)
 
     (cs, ci, cr), w = _weights(spec)
-    beta, mu = field.beta, field.mu
+    beta, mu, drains = spec.params.beta, spec.params.mu, _DRAINS[spec.kind]
     dt = spec.grid.dt
     n = spec.grid.steps
     half, third, sixth = 0.5 * dt, dt / 3.0, dt / 6.0
     u = u_values.T
-    a, v = field.drains.split(u_values, np.zeros(n + 1))
+    a, v = drains.split(u_values, np.zeros(n + 1))
 
     # stage states of every step, as the forward sweep built them
     aa, va, ab, vb = a[:-1], v[:-1], a[1:], v[1:]
@@ -605,20 +581,19 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     # four stages of every step: row j of a_X is (M_k e_j)_X, and to_a, mid
     # and to_b give the control weights of nodes k and k+1, by channel
     ks, ki, kr = np.eye(3)[:, :, None]
-    join = field.drains.join
-    a4s, a4i, e1, e2 = vjp(s4, i4, ab, vb, sixth * ks, sixth * ki, sixth * kr)
-    to_b = join(e1, e2)
-    a3s, a3i, d1, d2 = vjp(
-        s3, i3, am, vm, third * ks + dt * a4s, third * ki + dt * a4i, third * kr
+    a4s, a4i, e1, e2 = _vjp(beta, mu, s4, i4, ab, vb, sixth * ks, sixth * ki, sixth * kr)
+    to_b = drains.join(e1, e2)
+    a3s, a3i, d1, d2 = _vjp(
+        beta, mu, s3, i3, am, vm, third * ks + dt * a4s, third * ki + dt * a4i, third * kr
     )
-    a2s, a2i, e1, e2 = vjp(
-        s2, i2, am, vm, third * ks + half * a3s, third * ki + half * a3i, third * kr
+    a2s, a2i, e1, e2 = _vjp(
+        beta, mu, s2, i2, am, vm, third * ks + half * a3s, third * ki + half * a3i, third * kr
     )
-    mid = join(0.5 * (d1 + e1), 0.5 * (d2 + e2))
-    a1s, a1i, e1, e2 = vjp(
-        s1, i1, aa, va, sixth * ks + half * a2s, sixth * ki + half * a2i, sixth * kr
+    mid = drains.join(0.5 * (d1 + e1), 0.5 * (d2 + e2))
+    a1s, a1i, e1, e2 = _vjp(
+        beta, mu, s1, i1, aa, va, sixth * ks + half * a2s, sixth * ki + half * a2i, sixth * kr
     )
-    to_a = join(e1, e2)
+    to_a = drains.join(e1, e2)
     (m_ss, m_si, m_sr), (m_is, m_ii, m_ir) = a1s + a2s + a3s + a4s, a1i + a2i + a3i + a4i
 
     w_node = _node_weights(spec.grid)
@@ -668,7 +643,8 @@ def solve_direct(
     Termination: sup-norm of the projected gradient residual
     ``P(u - g) - u`` below ``gtol`` (the discrete KKT condition; Hager,
     Numer. Math. 87, 2000), or ``max_iterations``; the residual is in raw
-    gradient units, not in the metric.
+    gradient units, not in the metric.  ``gtol`` must be finite and
+    positive, or :class:`ValueError` is raised.
 
     The descent starts from the zero control, or from ``start`` projected
     onto the box; ``start`` must lie on the spec's grid, carry its channel
@@ -682,6 +658,8 @@ def solve_direct(
     Shares the problem tables and forward integrator with :func:`solve_fbsm`,
     but not its optimization route; used as its cross-check.
     """
+    if not (math.isfinite(gtol) and gtol > 0.0):
+        raise ValueError(f"gtol must be finite and positive, got {gtol}")
     lo, hi = 0.0, spec.u_max
     if start is None:
         u = np.zeros((spec.grid.n_nodes, spec.channels))
@@ -758,5 +736,5 @@ def solve_direct(
         )
 
     signal = ControlSignal(spec.grid, u)
-    traj = integrate_forward(dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
+    traj = _admissible_forward(spec, signal)
     return OcpSolution(traj, signal, None, j, iterations, converged, history)

@@ -9,13 +9,13 @@ import re
 import pytest
 
 from sircontrol.integrate import TimeGrid, integrate_forward
+from sircontrol.model import DrainField
 from sircontrol.ocp import (
     DEFAULT_PARAMS,
     DEFAULT_X0,
     default_spec,
     solve_direct,
     solve_fbsm,
-    uncontrolled_field,
 )
 
 import _acceptance_log
@@ -25,7 +25,8 @@ import _acceptance_log
 def uncontrolled_traj():
     """Default uncontrolled run: beta=0.2, mu=0.1, x0=(0.95,0.05,0), dt=0.1."""
     grid = TimeGrid(0.0, 100.0, 1000)
-    return integrate_forward(uncontrolled_field(DEFAULT_PARAMS), DEFAULT_X0.as_array(), grid)
+    field = DrainField(DEFAULT_PARAMS.beta, DEFAULT_PARAMS.mu)
+    return integrate_forward(field, DEFAULT_X0.as_array(), grid)
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ import pytest
 
 from sircontrol.integrate import TimeGrid, integrate_forward
 from sircontrol.metrics import infection_period, peak_infected, terminal_values
+from sircontrol.model import DrainField
 from sircontrol.ocp import (
     DEFAULT_PARAMS,
     DEFAULT_X0,
@@ -30,7 +31,6 @@ from sircontrol.ocp import (
     objective_gradient,
     solve_direct,
     solve_fbsm,
-    uncontrolled_field,
 )
 
 from _acceptance_log import record
@@ -42,7 +42,7 @@ def test_criterion_01_uncontrolled_peak():
     """Peak infected 0.179 +- 0.002, matching the closed-form maximum; < 0.1 s."""
     t0 = time.perf_counter()
     traj = integrate_forward(
-        uncontrolled_field(DEFAULT_PARAMS), DEFAULT_X0.as_array(), GRID
+        DrainField(DEFAULT_PARAMS.beta, DEFAULT_PARAMS.mu), DEFAULT_X0.as_array(), GRID
     )
     runtime = time.perf_counter() - t0
 
@@ -293,7 +293,7 @@ def test_criterion_09_adjoint_gradient():
 
 def test_criterion_10_rk4_order():
     """Global error shrinks by a factor in [12, 20] when dt halves 0.2 -> 0.1."""
-    f = uncontrolled_field(DEFAULT_PARAMS)
+    f = DrainField(DEFAULT_PARAMS.beta, DEFAULT_PARAMS.mu)
     x0 = DEFAULT_X0.as_array()
 
     def endstate(steps):

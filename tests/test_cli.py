@@ -484,6 +484,16 @@ def test_a_weight_near_the_reciprocal_limit_is_solved(tmp_path, capsys, weights)
     assert capsys.readouterr().err == ""
 
 
+def test_an_objective_that_overflows_is_solved_without_a_warning(tmp_path, capsys):
+    """At ``kappa = 1e307`` the zero control's cost sum overflows to +inf; the sweep descends."""
+    path = write_cfg(tmp_path, "huge.cfg", "strategy = 3\nkappa = 1e307\n")
+    argv = ["optimize", "--cross-check", "--config", path, "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    cross = json.loads((tmp_path / "o" / "strategy3.json").read_text())["cross_check"]
+    assert math.isfinite(cross["objective_sweep"]) and math.isfinite(cross["objective_direct"])
+
+
 def test_a_step_count_numpy_refuses_is_a_config_error(tmp_path, capsys):
     """10**23 nodes exceed numpy's maximum array size; nothing is allocated."""
     path = write_cfg(tmp_path, "huge.cfg", f"steps = {10**23}\n")

@@ -98,12 +98,12 @@ def test_scan_peak_memory_is_no_higher_than_the_full_vjp_build(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_vjp_state_rows_equal_the_written_out_rows_bit_for_bit(kind):
-    """The reverse gradient's ``vjp`` keeps its first operation order through ``_state_jacobian``."""
+    """The reverse gradient's ``_vjp`` keeps its first operation order via ``_state_jacobian``."""
     spec = default_spec(kind)
-    field, _, vjp = ocp._fields(spec)
+    beta, mu = spec.params.beta, spec.params.mu
     s, i, a, v, ks, ki, kr = np.random.default_rng(40 + kind).uniform(-2.0, 2.0, (7, 500))
-    rows = np.array(vjp(s, i, a, v, ks, ki, kr)[:2])
-    expected = np.array(ref.state_vjp(field.beta, field.mu, s, i, a, v, ks, ki, kr))
+    rows = np.array(ocp._vjp(beta, mu, s, i, a, v, ks, ki, kr)[:2])
+    expected = np.array(ref.state_vjp(beta, mu, s, i, a, v, ks, ki, kr))
     assert rows.tobytes() == expected.tobytes()
 
 
@@ -151,7 +151,7 @@ def blowup_problem(rng):
     values = rng.uniform(0.0, spec.u_max, (spec.grid.n_nodes, spec.channels))
     signal = ControlSignal(spec.grid, values)
     try:
-        traj = ocp._admissible_forward(spec, ocp.dynamics_field(spec), signal)
+        traj = ocp._admissible_forward(spec, signal)
     except IntegrationError:
         return None
     beta = 10.0 ** rng.uniform(0.0, 40.0)

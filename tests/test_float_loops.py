@@ -17,7 +17,7 @@ import pytest
 import _reference_loops as ref
 from sircontrol import ocp
 from sircontrol.integrate import IntegrationError, TimeGrid, integrate_forward
-from sircontrol.model import EpidemicState, ModelParams
+from sircontrol.model import DrainField, EpidemicState, ModelParams
 from sircontrol.ocp import (
     DEFAULT_PARAMS,
     DEFAULT_T_END,
@@ -28,7 +28,6 @@ from sircontrol.ocp import (
     default_spec,
     dynamics_field,
     objective_gradient,
-    uncontrolled_field,
 )
 
 GRADIENT_RTOL = 1e-12
@@ -105,7 +104,7 @@ def test_forward_sweep_keeps_the_signs_of_zeros(kind, x0):
 def test_uncontrolled_forward_sweep_is_bit_identical(steps):
     grid = TimeGrid(0.0, 100.0, steps)
     x0 = DEFAULT_X0.as_array()
-    new = integrate_forward(uncontrolled_field(DEFAULT_PARAMS), x0, grid)
+    new = integrate_forward(DrainField(DEFAULT_PARAMS.beta, DEFAULT_PARAMS.mu), x0, grid)
     old = ref.integrate_forward(ref.uncontrolled_field(DEFAULT_PARAMS), x0, grid)
     assert np.array_equal(new.values, old.values)
 
@@ -151,7 +150,7 @@ def test_forward_blowup_names_the_same_step():
     params = ModelParams(beta=1e8, mu=0.1)
     grid = TimeGrid(0.0, 100.0, 10)
     x0 = DEFAULT_X0.as_array()
-    new = raised_message(integrate_forward, uncontrolled_field(params), x0, grid)
+    new = raised_message(integrate_forward, DrainField(params.beta, params.mu), x0, grid)
     old = raised_message(ref.integrate_forward, ref.uncontrolled_field(params), x0, grid)
     assert new == old
     assert "t=" in new

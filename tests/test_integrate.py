@@ -20,7 +20,6 @@ from sircontrol.ocp import (
     ControlSignal,
     default_spec,
     dynamics_field,
-    uncontrolled_field,
 )
 
 from _reference_loops import rk4_step
@@ -118,7 +117,7 @@ def test_rk4_fourth_order_on_closed_form():
 
 def test_forward_keeps_initial_state_and_length():
     traj = integrate_forward(
-        uncontrolled_field(DEFAULT_PARAMS), DEFAULT_X0.as_array(), GRID
+        DrainField(DEFAULT_PARAMS.beta, DEFAULT_PARAMS.mu), DEFAULT_X0.as_array(), GRID
     )
     assert traj.values.shape == (1001, 3)
     assert np.array_equal(traj.values[0], DEFAULT_X0.as_array())
@@ -142,7 +141,7 @@ def test_forward_rejects_mismatched_control_grid():
     signal = ControlSignal(TimeGrid(0.0, 100.0, 10), np.zeros((11, 1)))
     with pytest.raises(ValueError, match="different grid"):
         integrate_forward(
-            uncontrolled_field(DEFAULT_PARAMS), DEFAULT_X0.as_array(), GRID, signal
+            DrainField(DEFAULT_PARAMS.beta, DEFAULT_PARAMS.mu), DEFAULT_X0.as_array(), GRID, signal
         )
 
 
@@ -200,7 +199,7 @@ def test_uncontrolled_field_rejects_any_control_signal():
     grid = TimeGrid(0.0, 100.0, 10)
     with pytest.raises(ValueError, match="control channel"):
         integrate_forward(
-            uncontrolled_field(DEFAULT_PARAMS), DEFAULT_X0.as_array(), grid,
+            DrainField(DEFAULT_PARAMS.beta, DEFAULT_PARAMS.mu), DEFAULT_X0.as_array(), grid,
             ControlSignal.zeros(grid, 1),
         )
 

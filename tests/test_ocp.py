@@ -177,15 +177,16 @@ def test_adjoint_rhs_matches_hamiltonian_gradient(kind):
 
 @pytest.mark.parametrize("kind", [1, 2, 3])
 def test_costate_field_is_minus_cost_gradient_minus_vjp(kind):
-    """Each layout writes its costate field and its vjp out separately; they agree."""
+    """The costate field and ``_vjp`` are written out separately; they agree."""
     spec = default_spec(kind)
     (cs, ci, cr), _ = ocp._weights(spec)
-    _, costate, vjp = ocp._fields(spec)
+    costate = adjoint_field(spec)
+    beta, mu = spec.params.beta, spec.params.mu
     rng = np.random.default_rng(200 + kind)
     for _ in range(20):
         x, lam, u = random_point(rng, spec.channels)
         a, v = drain_rates(spec, u)
-        fx_s, fx_i, _, _ = vjp(x[0], x[1], a, v, *lam)
+        fx_s, fx_i, _, _ = ocp._vjp(beta, mu, x[0], x[1], a, v, *lam)
         expected = (-(cs + fx_s), -(ci + fx_i), -cr)  # R does not enter f
         assert costate(*lam, x[0], x[1], a, v) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
@@ -638,3 +639,10 @@ def test_fbsm_rejects_settings_outside_their_range(settings):
     """``relaxation`` must lie in (0, 1] and ``tol`` be finite and positive."""
     with pytest.raises(ValueError, match=next(iter(settings))):
         solve_fbsm(default_spec(1, steps=100), **settings)
+
+
+@pytest.mark.parametrize("gtol", [math.inf, math.nan, 0.0, -1e-7])
+def test_direct_rejects_a_gtol_outside_its_range(gtol):
+    """At ``gtol = inf`` the zero control would pass the stop test; at nan none would."""
+    with pytest.raises(ValueError, match="gtol"):
+        solve_direct(default_spec(1, steps=100), gtol=gtol)
