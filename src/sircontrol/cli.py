@@ -37,6 +37,7 @@ from .ocp import (
     DEFAULT_X0,
     _WEIGHT_FIELDS,
     _admissible,
+    _check_weights,
     ControlSignal,
     OcpSolution,
     Strategy,
@@ -105,16 +106,10 @@ class ScenarioConfig:
                 f"config field strategy must be one of {', '.join(_STRATEGY_CHOICES)}, "
                 f"got {self.strategy!r}"
             )
-        for name in ("beta", "mu", "t_end", "u_max") + _WEIGHT_FIELDS + ("tol", "threshold"):
+        for name in ("beta", "mu", "t_end", "tol", "threshold"):
             v = getattr(self, name)
             if not v > 0:
                 raise ConfigError(f"config field {name} must be positive, got {v}")
-        for name in _WEIGHT_FIELDS:
-            v = getattr(self, name)
-            if not math.isfinite(1.0 / v):
-                raise ConfigError(
-                    f"config field {name} is too small: its reciprocal overflows, got {v}"
-                )
         for name in ("s0", "i0", "r0"):
             if getattr(self, name) < 0:
                 raise ConfigError(
@@ -126,6 +121,10 @@ class ScenarioConfig:
             )
         if self.steps < 1:
             raise ConfigError(f"config field steps must be >= 1, got {self.steps}")
+        try:  # on the step of the grid built below
+            _check_weights(self, self.t_end / self.steps)
+        except ValueError as e:
+            raise ConfigError(f"config field {e}") from None
         if self.max_iterations < 1:
             raise ConfigError(
                 f"config field max_iterations must be >= 1, got {self.max_iterations}"

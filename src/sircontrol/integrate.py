@@ -89,6 +89,8 @@ class TimeGrid:
             raise ValueError(f"t_end={self.t_end} must exceed t0={self.t0}")
         if self.steps < 1:
             raise ValueError(f"steps={self.steps} must be >= 1")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt={self.dt} must be finite and positive")
         times = np.linspace(self.t0, self.t_end, self.n_nodes)
         weights = tuple(
             (((t_k + 0.5 * h) - t_k) / h, ((t_k + h) - t_k) / h)
@@ -141,13 +143,6 @@ class Trajectory:
     @property
     def r(self) -> np.ndarray:
         return self.values[:, 2]
-
-    def conservation_error(self, n: float = 1.0) -> float:
-        """Largest deviation of S+I+R from n over all nodes."""
-        return float(np.max(np.abs(self.values.sum(axis=1) - n)))
-
-    def min_component(self) -> float:
-        return float(self.values.min())
 
 
 def stage_samples(grid: TimeGrid, nodes: np.ndarray, backward: bool = False):

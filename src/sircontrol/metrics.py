@@ -68,24 +68,18 @@ def peak_infected(traj: Trajectory) -> tuple[float, float]:
     return float(traj.grid.times()[k]), float(i[k])
 
 
-def infection_period(
-    traj: Trajectory,
-    threshold: float = DEFAULT_PERIOD_THRESHOLD,
-    window: float = DEFAULT_PERIOD_WINDOW,
-) -> float:
+def infection_period(traj: Trajectory, threshold: float = DEFAULT_PERIOD_THRESHOLD) -> float:
     """Days until the infected fraction permanently falls below ``threshold``.
 
     The candidate end is the earliest grid time t* with I < threshold at
     every node >= t*.  A dip counts as permanent only when it is sustained:
-    at least ``window`` days of the horizon must remain below the threshold,
+    ``DEFAULT_PERIOD_WINDOW`` days of the horizon must remain below it,
     otherwise the epidemic is treated as ongoing and t_end is returned.
     Returns the start time (0 on default grids) when the curve never reaches
     the threshold at all.
     """
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be positive, got {threshold}")
-    if not (math.isfinite(window) and window >= 0):
-        raise ValueError(f"window must be non-negative, got {window}")
     i = traj.i
     above = np.flatnonzero(i >= threshold)
     times = traj.grid.times()
@@ -95,7 +89,7 @@ def infection_period(
     if last == i.size - 1:
         return float(traj.grid.t_end)
     t_star = float(times[last + 1])
-    if traj.grid.t_end - t_star < window:
+    if traj.grid.t_end - t_star < DEFAULT_PERIOD_WINDOW:
         return float(traj.grid.t_end)
     return t_star
 
@@ -110,7 +104,6 @@ def summarize_run(
     traj: Trajectory,
     threshold: float = DEFAULT_PERIOD_THRESHOLD,
     objective: float | None = None,
-    window: float = DEFAULT_PERIOD_WINDOW,
 ) -> RunSummary:
     """Bundle the headline metrics of one trajectory."""
     t_peak, i_peak = peak_infected(traj)
@@ -118,7 +111,7 @@ def summarize_run(
     return RunSummary(
         peak_infected=i_peak,
         t_peak=t_peak,
-        infection_period=infection_period(traj, threshold, window),
+        infection_period=infection_period(traj, threshold),
         s_end=s_end,
         i_end=i_end,
         r_end=r_end,

@@ -49,13 +49,13 @@ class EpidemicState:
     def as_array(self) -> np.ndarray:
         return np.array([self.s, self.i, self.r], dtype=float)
 
-    def validate(self, n: float = 1.0, tol: float = 1e-9) -> None:
-        """Raise ValueError unless components are >= -tol and sum to n +- tol."""
+    def validate(self, n: float = 1.0) -> None:
+        """Raise ValueError unless components are >= -1e-9 and sum to n +- 1e-9."""
         for name, v in (("s", self.s), ("i", self.i), ("r", self.r)):
-            if not np.isfinite(v) or v < -tol:
+            if not np.isfinite(v) or v < -1e-9:
                 raise ValueError(f"compartment {name}={v} violates non-negativity")
         total = self.s + self.i + self.r
-        if abs(total - n) > tol:
+        if abs(total - n) > 1e-9:
             raise ValueError(f"compartments sum to {total}, expected {n}")
 
 

@@ -103,10 +103,6 @@ class Strategy(IntEnum):
     VACCINATION_WEIGHTED = 2
     TREATMENT_EDUCATION = 3
 
-    @property
-    def channels(self) -> int:
-        return _DRAINS[self].channels
-
 
 @dataclass(frozen=True)
 class StrategySpec:
@@ -131,19 +127,29 @@ class StrategySpec:
     b2: float = 0.04
 
     def __post_init__(self):
-        if not (np.isfinite(self.u_max) and 0.0 < self.u_max):
-            raise ValueError(f"u_max must be in (0, inf), got {self.u_max}")
-        for name in _WEIGHT_FIELDS:
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"weight {name} must be positive, got {v}")
-            if not math.isfinite(1.0 / float(v)):  # the control laws divide by it
-                raise ValueError(f"weight {name} = {v} is too small: its reciprocal overflows")
+        _check_weights(self, self.grid.dt)
         self.x0.validate(self.params.n)
 
     @property
     def channels(self) -> int:
-        return self.kind.channels
+        return _DRAINS[self.kind].channels
+
+
+def _check_weights(problem, dt: float) -> None:
+    """:class:`ValueError` unless ``u_max`` and the weights of ``problem`` (a spec or config)
+    are finite and positive, and each weight's reciprocal (the control laws divide by it)
+    and product with the step ``dt`` (the cost and its gradient weigh nodes by it) are finite.
+    """
+    for name in ("u_max",) + _WEIGHT_FIELDS:
+        v = getattr(problem, name)
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be positive, got {v}")
+    for name in _WEIGHT_FIELDS:
+        v = float(getattr(problem, name))
+        if not math.isfinite(1.0 / v):
+            raise ValueError(f"{name} is too small: its reciprocal overflows, got {v}")
+        if not math.isfinite(dt * v):
+            raise ValueError(f"{name} is too large: its product with the step overflows, got {v}")
 
 
 def default_spec(kind: Strategy | int, steps: int = DEFAULT_STEPS) -> StrategySpec:
@@ -174,9 +180,6 @@ class ControlSignal:
     @classmethod
     def zeros(cls, grid: TimeGrid, channels: int) -> "ControlSignal":
         return cls(grid, np.zeros((grid.n_nodes, channels)))
-
-    def max_bound_violation(self, u_max: float) -> float:
-        return float(max(-self.values.min(), self.values.max() - u_max, 0.0))
 
 
 @dataclass
@@ -256,16 +259,17 @@ def _check_controls(spec: StrategySpec, controls: ControlSignal) -> None:
 
 
 def objective(spec: StrategySpec, traj: Trajectory, controls: ControlSignal) -> float:
-    """Composite-trapezoid quadrature of the running cost over the horizon; +inf if it overflows."""
+    """Composite-trapezoid quadrature of the running cost; +inf if it overflows or is NaN."""
     if traj.grid != spec.grid:
         raise ValueError("trajectory is not on the problem grid")
     _check_controls(spec, controls)
     u, dt = controls.values, spec.grid.dt
-    with np.errstate(over="ignore"):  # a cost that overflows scores +inf
+    with np.errstate(over="ignore", invalid="ignore"):
         c = running_cost(
             spec, traj.s, traj.i, traj.r, u[:, 0], u[:, 1] if controls.channels == 2 else 0.0
         )
-        return float(dt * (c.sum() - 0.5 * (c[0] + c[-1])))
+        j = float(dt * (c.sum() - 0.5 * (c[0] + c[-1])))
+    return math.inf if math.isnan(j) else j
 
 
 def control_law(spec: StrategySpec, s, i, lam_s, lam_i, lam_r) -> np.ndarray:
@@ -274,8 +278,8 @@ def control_law(spec: StrategySpec, s, i, lam_s, lam_i, lam_r) -> np.ndarray:
     Takes floats or node arrays; returns one column per control channel.
     """
     _, w = _weights(spec)
-    f_u = _DRAINS[spec.kind].join(*_drain_products(s, i, lam_s, lam_i, lam_r))
-    with np.errstate(over="ignore"):  # a quotient that overflows saturates at the bound
+    with np.errstate(over="ignore"):  # a product or quotient that overflows saturates
+        f_u = _DRAINS[spec.kind].join(*_drain_products(s, i, lam_s, lam_i, lam_r))
         return np.column_stack(
             [np.clip(-f_u[c] / w[c], 0.0, spec.u_max) for c in range(spec.channels)]
         )
@@ -321,7 +325,7 @@ def _admissible(traj: Trajectory, n: float) -> Trajectory:
     The exact dynamics keep every compartment non-negative, so such a state
     means RK4 is unstable on this grid (on 3 steps a trial reaches I = -1e12).
     """
-    low = traj.min_component()
+    low = float(traj.values.min())
     if low < -_ADMISSIBLE_TOL * n:
         raise IntegrationError(f"a compartment fell to {low:.3g}: RK4 is unstable on this grid")
     return traj
@@ -381,31 +385,31 @@ def _costate_steps(spec: StrategySpec, traj: Trajectory, signal: ControlSignal):
     ns, ni, kr = adjoint_field(spec)(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     back = -spec.grid.dt
     half, sixth = 0.5 * back, back / 6.0
-    lam_r = np.full(spec.grid.n_nodes, sixth * (kr + 2.0 * kr + 2.0 * kr + kr))
-    lam_r[0] = 0.0
-    lam_r = lam_r.cumsum()
-    # the seeds' S and I rows, their share of the constant (the last seed
-    # carries it) and their R values at the three sample sets; as lam_R holds
-    # no -0.0, the first set's + 0.0 keeps its bits
-    y0 = np.eye(3)[:2, :, None]
-    n_si = np.zeros((2, 3, 1))
-    n_si[:, 2, 0] = ns, ni
-    y_r = np.zeros((3, 3, spec.grid.steps))
-    y_r[:, 2] = lam_r[:-1] + np.array((0.0, half * kr, back * kr))[:, None]
-    nodes = (traj.s, traj.i, *_DRAINS[spec.kind].split(signal.values, np.zeros(spec.grid.n_nodes)))
-    samples = np.array(stage_samples(spec.grid, np.array(nodes), True)).swapaxes(0, 1)
-    # the (2, 2, 3, n) block and the (2, 3, n) R column; no stage holds the samples
-    block, col_r = map(np.array, _state_jacobian(spec.params.beta, spec.params.mu, *samples))
-    del nodes, samples
-
-    def stage(j, y):
-        p = block[:, :, j, None] * y
-        f = p[:, 0] + p[:, 1]
-        del p
-        f += col_r[:, j, None] * y_r[j]
-        return np.subtract(n_si, f, out=f)
-
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is diagnosed by the scan
+        lam_r = np.full(spec.grid.n_nodes, sixth * (kr + 2.0 * kr + 2.0 * kr + kr))
+        lam_r[0] = 0.0
+        lam_r = lam_r.cumsum()
+        # the seeds' S and I rows, their share of the constant (the last seed
+        # carries it) and their R values at the three sample sets; as lam_R
+        # holds no -0.0, the first set's + 0.0 keeps its bits
+        y0 = np.eye(3)[:2, :, None]
+        n_si = np.zeros((2, 3, 1))
+        n_si[:, 2, 0] = ns, ni
+        y_r = np.zeros((3, 3, spec.grid.steps))
+        y_r[:, 2] = lam_r[:-1] + np.array((0.0, half * kr, back * kr))[:, None]
+        nodes = (traj.s, traj.i, *_DRAINS[spec.kind].split(signal.values, np.zeros_like(traj.s)))
+        samples = np.array(stage_samples(spec.grid, np.array(nodes), True)).swapaxes(0, 1)
+        # the (2, 2, 3, n) block and the (2, 3, n) R column; no stage holds the samples
+        block, col_r = map(np.array, _state_jacobian(spec.params.beta, spec.params.mu, *samples))
+        del nodes, samples
+
+        def stage(j, y):
+            p = block[:, :, j, None] * y
+            f = p[:, 0] + p[:, 1]
+            del p
+            f += col_r[:, j, None] * y_r[j]
+            return np.subtract(n_si, f, out=f)
+
         acc = stage(0, y0)
         k = stage(1, y0 + half * acc)
         y = y0 + half * k
@@ -456,9 +460,9 @@ def solve_fbsm(
     accepted, and when every damped trial of an iteration blows up the
     sweep stops.  A blow-up of the initial zero-control sweep, or of the
     costate of an iterate the sweep steers from or returns, raises
-    :class:`IntegrationError`.  Convergence is declared when every channel
-    satisfies the relative-L1 test
-    ``tol * ||u_new||_1 - ||u_new - u_old||_1 >= 0``.
+    :class:`IntegrationError`, as does a cost that overflows at every iterate.
+    Convergence is declared when every channel satisfies the relative-L1
+    test ``tol * ||u_new||_1 - ||u_new - u_old||_1 >= 0``.
 
     On non-convergence the best iterate (lowest objective) is returned with
     ``converged=False``.
@@ -508,20 +512,21 @@ def solve_fbsm(
                 iterations,
             )
 
-        ok = True
-        for c in range(spec.channels):
-            gap = tol * np.abs(u_new[:, c]).sum() - np.abs(u_new[:, c] - u[:, c]).sum()
-            if gap < 0.0:
-                ok = False
-                break
+        # tol * ||u_new||_1 in float arithmetic, where an overflow is inf without a warning
+        gaps = [
+            tol * float(np.abs(u_new[:, c]).sum()) - np.abs(u_new[:, c] - u[:, c]).sum()
+            for c in range(spec.channels)
+        ]
         u = u_new
-        if ok:
+        if not any(gap < 0.0 for gap in gaps):
             converged = True
             break
 
     if not converged:
         j, traj, signal = best
         logger.warning("%s sweep did not converge in %d iterations", spec.kind.name, iterations)
+    if j == math.inf:
+        raise IntegrationError("the cost of every iterate overflows")
     lam = _costate_scan(spec, traj, signal)
     return OcpSolution(traj, signal, lam, j, iterations, converged, history)
 
@@ -672,7 +677,6 @@ def solve_direct(
     metric = _node_weights(spec.grid)[:, None] * np.array(w[: spec.channels])
     j, g = objective_gradient(spec, u)
     history = [j]
-    recent = [j]  # non-monotone line-search memory
     alpha = 1.0
     converged = False
     iterations = 0
@@ -693,7 +697,7 @@ def solve_direct(
                 d = np.clip(u - g / metric, lo, hi) - u
                 slope = float((g * d).sum())
 
-        j_ref = max(recent)
+        j_ref = max(history[-10:])  # non-monotone line-search memory
         lam_step = 1.0
         for _ in range(_MAX_BACKTRACKS):
             u_trial = u + lam_step * d
@@ -716,9 +720,6 @@ def solve_direct(
 
         u, j, g = u_trial, j_trial, g_trial
         history.append(j)
-        recent.append(j)
-        if len(recent) > 10:
-            recent.pop(0)
 
     if line_search_failed:
         # at the numerical floor; accept if the residual is already tiny

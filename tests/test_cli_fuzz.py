@@ -1,0 +1,109 @@
+"""A seeded fuzzer for the CLI's exit-code contract, and the inputs it has broken.
+
+Each draw writes a config that sets one to three float fields to adversarial
+values, on a 20-step grid with at most 5 solver iterations, and runs it
+through ``compare``, with or without ``--cross-check``, in this process and
+with every warning raised as an error.  The contract:
+
+* the exit code is 0, 2, 3 or 4, and nothing raises;
+* exit 2 leaves no output file;
+* every JSON file written parses as strict JSON (no NaN or Infinity).
+"""
+
+import json
+import random
+import warnings
+from dataclasses import fields
+
+import pytest
+
+from sircontrol.cli import (
+    EXIT_CONFIG,
+    EXIT_INTEGRATION,
+    EXIT_NO_CONVERGENCE,
+    EXIT_OK,
+    ScenarioConfig,
+    main,
+)
+
+FLOAT_FIELDS = [f.name for f in fields(ScenarioConfig) if f.type == "float"]
+
+# subnormals, values near the float limit, a literal that overflows to inf,
+# non-positive values, NaN, and literals float() reads in unusual ways
+POOL = (
+    "5e-324", "1e-310", "2e-308",
+    "1e306", "1e307", "5e307", "1e308", "1.7e308",
+    "1e400", "-1", "0", "nan", "1_0", "0x10",
+)
+
+
+def _strict(constant):
+    raise ValueError(f"non-strict JSON constant {constant}")
+
+
+def run_contract(tmp_path, name, command, text, cross_check):
+    """Exit code of the CLI on config ``text``, after asserting the contract."""
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(text)
+    out = tmp_path / name
+    argv = [command, "--config", str(path), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--cross-check"] * cross_check)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INTEGRATION, EXIT_NO_CONVERGENCE)
+    written = sorted(out.iterdir()) if out.exists() else []
+    if code == EXIT_CONFIG:
+        assert written == []
+    for json_path in out.glob("*.json"):
+        json.loads(json_path.read_text(), parse_constant=_strict)
+    return code
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_compare_keeps_the_exit_code_contract_on_adversarial_configs(tmp_path, seed):
+    rng = random.Random(seed)
+    broken = []
+    for k in range(100):
+        strategy = rng.choice(("none", "1", "2", "3"))
+        keys = rng.sample(FLOAT_FIELDS, rng.randint(1, 3))
+        text = f"strategy = {strategy}\nsteps = 20\nmax_iterations = 5\n" + "".join(
+            f"{key} = {rng.choice(POOL)}\n" for key in keys
+        )
+        cross_check = rng.random() < 0.5
+        try:
+            run_contract(tmp_path, f"draw{k}", "compare", text, cross_check)
+        except Exception as e:  # noqa: BLE001 -- every break is collected and reported
+            broken.append(f"cross_check={cross_check} {text!r}: {e!r}")
+    assert broken == []
+
+
+@pytest.mark.parametrize(
+    "text, cross_check, expected",
+    [
+        # trapezoid sum inf - inf: the cost cannot be represented and scores +inf
+        ("strategy = 2\na1 = 1.7e308\na2 = 1.7e308\ntau = 1.7e308\nsteps = 100", True, None),
+        # the same weights overflow when weighed by a node of a 20-step grid
+        ("strategy = 2\na1 = 1.7e308\na2 = 1.7e308\ntau = 1.7e308\nsteps = 20", True, EXIT_CONFIG),
+        # the costate's lam_R sum overflows, and is diagnosed by the scan
+        ("strategy = 2\na3 = 1e307\nsteps = 20", False, EXIT_INTEGRATION),
+        # tol * ||u||_1 overflows in the sweep's stop test
+        ("strategy = 3\ntol = 5e307\nsteps = 20", False, None),
+        # a horizon whose step underflows to 0.0
+        ("strategy = 1\nt_end = 5e-324\nsteps = 20", False, EXIT_CONFIG),
+        # the direct solve's metric dt * nu overflows
+        ("strategy = 1\nnu = 5e307\nsteps = 20", True, EXIT_CONFIG),
+        # the cost of every iterate overflows, so no objective can be reported
+        ("strategy = 2\nt_end = 2e-308\na1 = 1e307\nsteps = 20", False, EXIT_INTEGRATION),
+        # the costate's Jacobian overflows at a population near the float limit
+        ("strategy = 1\ns0 = 0\nbeta = 10\ni0 = 5e307\nsteps = 20", False, EXIT_INTEGRATION),
+    ],
+    ids=[
+        "nan-objective", "weight-times-step", "lam_r-sum", "stop-test", "zero-step", "metric",
+        "no-finite-cost", "jacobian",
+    ],
+)
+def test_optimize_keeps_the_contract_on_inputs_that_broke_it(
+    tmp_path, text, cross_check, expected
+):
+    code = run_contract(tmp_path, "run", "optimize", text + "\n", cross_check)
+    assert expected is None or code == expected

@@ -69,13 +69,13 @@ def test_period_finds_permanent_crossing():
 
 
 def test_period_ignores_short_lived_dips():
-    # dips below threshold at t=90 only: 10 days remain, not > window -> t_end
-    i = np.full(11, 0.2)
-    i[9] = i[10] = 0.01
-    traj = synthetic(i)
-    assert infection_period(traj, 0.1, window=15.0) == 100.0
-    # with a window short enough, the same dip counts
-    assert infection_period(traj, 0.1, window=5.0) == 90.0
+    # on a 5-day grid, a dip below threshold from t=95 leaves 5 days, fewer
+    # than the 10-day window -> t_end; one from t=85 leaves 15 and counts
+    i = np.full(21, 0.2)
+    i[19:] = 0.01
+    assert infection_period(synthetic(i), 0.1) == 100.0
+    i[17:] = 0.01
+    assert infection_period(synthetic(i), 0.1) == 85.0
 
 
 def test_period_counts_brief_rebounds_as_ongoing():
@@ -95,8 +95,6 @@ def test_period_monotone_in_threshold(fbsm_solutions):
 def test_period_rejects_bad_arguments(uncontrolled_traj):
     with pytest.raises(ValueError, match="threshold"):
         infection_period(uncontrolled_traj, 0.0)
-    with pytest.raises(ValueError, match="window"):
-        infection_period(uncontrolled_traj, 0.005, window=-1.0)
 
 
 def test_default_calibration_constants():

@@ -76,14 +76,23 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("kind, name, value", [(1, "nu", 5e-324), (3, "b1", 1e-310)])
 def test_spec_rejects_a_weight_whose_reciprocal_overflows(kind, name, value):
-    with pytest.raises(ValueError, match=f"weight {name} .* reciprocal overflows"):
+    with pytest.raises(ValueError, match=f"{name} .* reciprocal overflows"):
         StrategySpec(kind=Strategy(kind), **{name: value})
 
 
+@pytest.mark.parametrize("kind, name, value", [(1, "nu", 5e307), (2, "a1", 1.7e308)])
+def test_spec_rejects_a_weight_whose_product_with_the_step_overflows(kind, name, value):
+    """On 20 steps of 5 days; the cost and its gradient weigh every node by dt."""
+    grid = TimeGrid(0.0, 100.0, 20)
+    with pytest.raises(ValueError, match=f"{name} is too large: its product with the step"):
+        StrategySpec(kind=Strategy(kind), grid=grid, **{name: value})
+    StrategySpec(kind=Strategy(kind), grid=TimeGrid(0.0, 100.0, 1000), **{name: value})
+
+
 def test_strategy_channel_counts():
-    assert Strategy.VACCINATION.channels == 1
-    assert Strategy.VACCINATION_WEIGHTED.channels == 1
-    assert Strategy.TREATMENT_EDUCATION.channels == 2
+    assert default_spec(Strategy.VACCINATION).channels == 1
+    assert default_spec(Strategy.VACCINATION_WEIGHTED).channels == 1
+    assert default_spec(Strategy.TREATMENT_EDUCATION).channels == 2
 
 
 def test_control_signal_validation():
@@ -94,8 +103,9 @@ def test_control_signal_validation():
         ControlSignal(grid, np.zeros((11, 3)))
     signal = ControlSignal(grid, np.full((11, 2), 0.5))
     assert signal.channels == 2
-    assert signal.max_bound_violation(0.9) == 0.0
-    assert signal.max_bound_violation(0.4) == pytest.approx(0.1)
+    values = signal.values
+    assert max(-values.min(), values.max() - 0.9, 0.0) == 0.0
+    assert max(-values.min(), values.max() - 0.4, 0.0) == pytest.approx(0.1)
 
 
 # -- running cost and objective ---------------------------------------------------
@@ -133,6 +143,20 @@ def test_trapezoid_matches_simpson_oracle(uncontrolled_traj):
     spec = default_spec(1)
     trap = objective(spec, uncontrolled_traj, ControlSignal.zeros(spec.grid, 1))
     assert trap == pytest.approx(simpson, rel=1e-4)
+
+
+def test_objective_of_a_cost_that_is_not_representable_is_inf():
+    """Each node's cost overflows to +inf, so the trapezoid sum is inf - inf: it scores +inf."""
+    spec = StrategySpec(kind=Strategy(2), a1=1.7e308, a2=1.7e308)
+    traj = Trajectory(spec.grid, np.tile([0.6, 0.6, 0.0], (spec.grid.n_nodes, 1)))
+    assert objective(spec, traj, ControlSignal.zeros(spec.grid, 1)) == math.inf
+
+
+def test_sweep_raises_when_the_cost_of_every_iterate_overflows():
+    """On a horizon of 2e-308 days no control moves S, and a1 S sums past the float limit."""
+    spec = StrategySpec(kind=Strategy(2), a1=1e307, grid=TimeGrid(0.0, 2e-308, 20))
+    with pytest.raises(IntegrationError, match="cost of every iterate overflows"):
+        solve_fbsm(spec)
 
 
 def test_objective_rejects_grid_mismatch(uncontrolled_traj):
