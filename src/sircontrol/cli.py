@@ -382,7 +382,7 @@ def _run_scenario(
         }
         converged = sol.converged
         if cross_check:
-            direct = solve_direct(spec, start=sol.control, max_iterations=cfg.max_iterations)
+            direct = solve_direct(spec, start=sol, max_iterations=cfg.max_iterations)
             gap = abs(sol.objective - direct.objective) / max(abs(direct.objective), 1e-12)
             cross = {
                 "objective_sweep": sol.objective,

@@ -24,13 +24,13 @@ so the steps ``S + (dt/6) * (-d1 - 2*d2 - ...)`` and ``R - (dt/6) * (...)``
 keep the law's bits, and its signed zeros under in-box controls
 (``S - (dt/6) * (d1 + ...)`` would keep ``S = -0.0``).
 
-A drain the layout lacks, or every drain when ``controls`` is None, has rate
-0.0.  A control signal whose channel count differs from the layout's, or
-that lives on another grid, raises ValueError.  Nodes are collected in one
-flat list and reshaped once, and checked for finiteness once per sweep
-(:func:`_finite_nodes`, which the costate scan shares): a non-finite node
-raises :class:`IntegrationError` naming the start time of the first step
-that produced one.
+A drain the layout lacks, or every drain when ``controls`` is None, is a
+repeated constant rate 0.0 (``mu + 0.0`` for ``mu + v``).  A control signal
+whose channel count differs from the layout's, or that lives on another grid,
+raises ValueError.  Nodes are collected in one flat list and reshaped once,
+and checked for finiteness once per sweep (:func:`_finite_nodes`, which the
+costate scan shares): a non-finite node raises :class:`IntegrationError`
+naming the start time of the first step that produced one.
 
 The loop keeps the operation order of the classical 3-vector formulation
 (one numpy RK4 step per interval, applied to a closure that interpolates at
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -162,7 +163,7 @@ def stage_samples(grid: TimeGrid, nodes: np.ndarray, backward: bool = False):
 
 
 def _drain_samples(drains: Drains, controls, grid: TimeGrid):
-    """``(a, v)``: the stage samples of the two drain rates, each a triple of arrays."""
+    """``(a, v)``: the stage samples of the two drain rates, triples of arrays; None: rate 0."""
     if controls is not None:
         if controls.grid != grid:
             raise ValueError("control signal is sampled on a different grid")
@@ -171,21 +172,19 @@ def _drain_samples(drains: Drains, controls, grid: TimeGrid):
                 f"the field reads {drains.channels} control channel(s), "
                 f"the signal has {controls.values.shape[1]}"
             )
-    zero = np.zeros(grid.steps)
     return tuple(
-        (zero, zero, zero) if c is None or controls is None
-        else stage_samples(grid, controls.values[:, c])
+        None if c is None or controls is None else stage_samples(grid, controls.values[:, c])
         for c in drains
     )
 
 
 def _finite_nodes(out, times: np.ndarray) -> np.ndarray:
-    """Node rows of ``out``, a flat list or an array; :class:`IntegrationError` if not finite.
+    """Node rows of the array ``out``; :class:`IntegrationError` if not finite.
 
     The error names the step (``times`` in sweep order) of the first such
     row: a sweep's arithmetic never makes a non-finite value finite again.
     """
-    nodes = np.asarray(out).reshape(-1, 3)
+    nodes = out.reshape(-1, 3)
     if not np.isfinite(nodes).all():
         step = int(np.argmin(np.isfinite(nodes[1:]).all(axis=1)))
         raise IntegrationError(f"non-finite state after step at t={times[step].item()}")
@@ -205,17 +204,17 @@ def integrate_forward(
     validity is the caller's post-hoc check.
     """
     beta, mu = field.beta, field.mu
-    (a1, am, a4), (v1, vm, v4) = _drain_samples(field.drains, controls, grid)
+    a, v = _drain_samples(field.drains, controls, grid)
+    n = grid.steps
+    # one iterator per input; ModelParams keeps mu finite and positive, so mu + 0.0 == mu
+    a1, am, a4 = (x.tolist() for x in a) if a else (repeat(0.0, n) for _ in range(3))
+    g1, gm, g4 = ((mu + x).tolist() for x in v) if v else (repeat(mu + 0.0, n) for _ in range(3))
     dt = grid.dt
     half = 0.5 * dt
     sixth = dt / 6.0
     s, i, r = np.asarray(x0, dtype=float).tolist()
     out = [s, i, r]
-    for a, g, a_m, g_m, a_4, g_4 in zip(
-        a1.tolist(), (mu + v1).tolist(),
-        am.tolist(), (mu + vm).tolist(),
-        a4.tolist(), (mu + v4).tolist(),
-    ):
+    for a, g, a_m, g_m, a_4, g_4 in zip(a1, g1, am, gm, a4, g4):
         # d = -dS = x + a*S, dI = x - (mu + v)*I with x = beta*S*I, -dR = dI - d
         x = beta * s * i
         d1 = x + a * s
@@ -239,4 +238,4 @@ def integrate_forward(
         i = i + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
         r = r - sixth * ((k1i - d1) + 2.0 * (k2i - d2) + 2.0 * (k3i - d3) + (k4i - d4))
         out += (s, i, r)
-    return Trajectory(grid, _finite_nodes(out, grid.times()))
+    return Trajectory(grid, _finite_nodes(np.fromiter(out, float, len(out)), grid.times()))

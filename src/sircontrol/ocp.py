@@ -184,8 +184,9 @@ class ControlSignal:
 
 @dataclass
 class OcpSolution:
-    """Solver trajectories and convergence report; a direct solution has ``adjoints=None``."""
+    """A solve of ``spec``: trajectories and convergence report; direct ones have no adjoints."""
 
+    spec: StrategySpec
     trajectory: Trajectory
     control: ControlSignal
     adjoints: Trajectory | None
@@ -351,7 +352,7 @@ def _affine_scan(x_s: float, x_i: float, coef: np.ndarray) -> np.ndarray:
     for p_ss, p_si, q_s, p_is, p_ii, q_i in zip(*coef.tolist()):
         x_s, x_i = p_ss * x_s + p_si * x_i + q_s, p_is * x_s + p_ii * x_i + q_i
         out += (x_s, x_i)
-    return np.array(out).reshape(-1, 2)
+    return np.fromiter(out, float, len(out)).reshape(-1, 2)
 
 
 def _costate_scan(spec: StrategySpec, traj: Trajectory, signal: ControlSignal) -> Trajectory:
@@ -528,7 +529,7 @@ def solve_fbsm(
     if j == math.inf:
         raise IntegrationError("the cost of every iterate overflows")
     lam = _costate_scan(spec, traj, signal)
-    return OcpSolution(traj, signal, lam, j, iterations, converged, history)
+    return OcpSolution(spec, traj, signal, lam, j, iterations, converged, history)
 
 
 # -- direct transcription ----------------------------------------------------
@@ -542,7 +543,19 @@ def _node_weights(grid: TimeGrid) -> np.ndarray:
 
 
 def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
-    """Discretized objective and its exact gradient w.r.t. control node values.
+    """Discretized objective and its exact gradient w.r.t. control node values ``u_values``.
+
+    ``(objective, gradient)``: :func:`objective` and :func:`_reverse_gradient` on the forward
+    sweep; :class:`IntegrationError` if the sweep blows up or the gradient is not finite.
+    """
+    signal = ControlSignal(spec.grid, u_values)
+    traj = _admissible_forward(spec, signal)
+    return objective(spec, traj, signal), _reverse_gradient(spec, u_values, traj)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a gradient that is not finite raises below
+def _reverse_gradient(spec: StrategySpec, u_values: np.ndarray, traj: Trajectory) -> np.ndarray:
+    """The objective's gradient w.r.t. ``u_values``, given their forward trajectory ``traj``.
 
     Reverse-mode differentiation of the actual discrete computation: RK4
     steps with linearly interpolated controls (half-stages see the node
@@ -554,19 +567,11 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     :func:`_affine_scan` scans the adjoint's S and I components (its R
     component has a closed form; see docs/costate_derivation.md).  The
     stage states come from :func:`treatment_education_rates` on node arrays.
-
-    Returns ``(objective_value, gradient)`` with the gradient shaped like
-    ``u_values``.  Raises :class:`IntegrationError` when the forward sweep
-    blows up (see :func:`_admissible_forward`).
+    A gradient that is not finite raises :class:`IntegrationError`.
     """
-    signal = ControlSignal(spec.grid, u_values)
-    traj = _admissible_forward(spec, signal)
-    j = objective(spec, traj, signal)
-
     (cs, ci, cr), w = _weights(spec)
     beta, mu, drains = spec.params.beta, spec.params.mu, _DRAINS[spec.kind]
-    dt = spec.grid.dt
-    n = spec.grid.steps
+    dt, n = spec.grid.dt, spec.grid.steps
     half, third, sixth = 0.5 * dt, dt / 3.0, dt / 6.0
     u = u_values.T
     a, v = drains.split(u_values, np.zeros(n + 1))
@@ -618,7 +623,9 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
         g[:-1] += ((to_a[c] + mid[c]) * b).sum(axis=0)
         g[1:] += ((to_b[c] + mid[c]) * b).sum(axis=0)
         grad[:, c] = g
-    return j, grad
+    if not np.isfinite(grad).all():
+        raise IntegrationError("the discrete gradient is not finite")
+    return grad
 
 
 _MAX_BACKTRACKS = 40  # Armijo halvings of one direct-solve step before the search fails
@@ -627,7 +634,7 @@ _MAX_BACKTRACKS = 40  # Armijo halvings of one direct-solve step before the sear
 def solve_direct(
     spec: StrategySpec,
     *,
-    start: ControlSignal | None = None,
+    start: ControlSignal | OcpSolution | None = None,
     max_iterations: int = 500,
     gtol: float = 1e-7,
 ) -> OcpSolution:
@@ -643,40 +650,50 @@ def solve_direct(
     and where a non-descent direction resets it, the trial point is the
     discrete control law ``clip(-(g - D u) / D, 0, u_max)``, whose fixed
     points are the discrete KKT points.
-    A trial that blows up (:func:`_admissible_forward`) scores +inf and is
-    backtracked; only the evaluation of the starting control raises.
+    A trial is scored by its forward sweep and objective alone; only the
+    accepted one is differentiated, on that sweep.  A trial that blows up
+    (:func:`_admissible_forward`) scores +inf and is backtracked, and a
+    stalled search's warning counts such trials.  A blow-up of the start, or
+    a gradient that is not finite there or at an accepted point, raises
+    :class:`IntegrationError`.
     Termination: sup-norm of the projected gradient residual
     ``P(u - g) - u`` below ``gtol`` (the discrete KKT condition; Hager,
     Numer. Math. 87, 2000), or ``max_iterations``; the residual is in raw
     gradient units, not in the metric.  ``gtol`` must be finite and
     positive, or :class:`ValueError` is raised.
 
-    The descent starts from the zero control, or from ``start`` projected
-    onto the box; ``start`` must lie on the spec's grid, carry its channel
-    count and be finite, or :class:`ValueError` is raised.  The stop test
-    does not depend on the start, so a start near the optimum, such as the
-    sweep's control, shortens the descent but certifies the same discrete
-    KKT point.
+    The descent starts from the zero control, or from the control of
+    ``start`` (a signal or a solution) projected onto the box; it must lie
+    on the spec's grid, carry its channel count and be finite, or
+    :class:`ValueError` is raised.  A solution of ``spec`` whose control the
+    projection leaves bit for bit lends its trajectory.  The stop test does
+    not depend on the start, so a start near the optimum, such as the
+    sweep's, shortens the descent but certifies the same discrete KKT point.
 
-    Returns the objective of the last accepted evaluation, and no costate:
-    the method's adjoint is the discrete one inside :func:`objective_gradient`.
+    Returns the objective and trajectory of the last accepted trial, and no
+    costate: the adjoint is the discrete one in :func:`_reverse_gradient`.
     Shares the problem tables and forward integrator with :func:`solve_fbsm`,
     but not its optimization route; used as its cross-check.
     """
     if not (math.isfinite(gtol) and gtol > 0.0):
         raise ValueError(f"gtol must be finite and positive, got {gtol}")
     lo, hi = 0.0, spec.u_max
-    if start is None:
+    control = start.control if isinstance(start, OcpSolution) else start
+    if control is None:
         u = np.zeros((spec.grid.n_nodes, spec.channels))
     else:
-        _check_controls(spec, start)
-        if not np.isfinite(start.values).all():
+        _check_controls(spec, control)
+        if not np.isfinite(control.values).all():
             raise ValueError("start control has a non-finite value")
-        u = np.clip(start.values, lo, hi)
+        u = np.clip(control.values, lo, hi)
+    signal = ControlSignal(spec.grid, u)
+    own = isinstance(start, OcpSolution) and start.spec == spec  # a solution holds its sweep
+    unmoved = own and u.tobytes() == control.values.tobytes()
+    traj = start.trajectory if unmoved else _admissible_forward(spec, signal)
+    j, g = objective(spec, traj, signal), _reverse_gradient(spec, u, traj)
     _, w = _weights(spec)
     metric = _node_weights(spec.grid)[:, None] * np.array(w[: spec.channels])
-    j, g = objective_gradient(spec, u)
-    history = [j]
+    history, blown = [j], []  # blown: per trial, whether it blew up
     alpha = 1.0
     converged = False
     iterations = 0
@@ -701,16 +718,15 @@ def solve_direct(
         lam_step = 1.0
         for _ in range(_MAX_BACKTRACKS):
             u_trial = u + lam_step * d
-            try:
-                j_trial, g_trial = objective_gradient(spec, u_trial)
-            except IntegrationError:
-                j_trial = math.inf  # a trial that blows up is a rejected step
-            if j_trial <= j_ref + 1e-4 * lam_step * slope:
+            j_trial, traj_trial = _trial_objective(spec, ControlSignal(spec.grid, u_trial))
+            blown.append(traj_trial is None)
+            if not blown[-1] and j_trial <= j_ref + 1e-4 * lam_step * slope:
                 break
             lam_step *= 0.5
         else:
             line_search_failed = True
             break
+        g_trial = _reverse_gradient(spec, u_trial, traj_trial)
 
         s = u_trial - u
         y = g_trial - g
@@ -718,7 +734,7 @@ def solve_direct(
         sds = float((s * metric * s).sum())
         alpha = min(max(sds / sty, 1e-6), 1e6) if sty > 0.0 else 1e6
 
-        u, j, g = u_trial, j_trial, g_trial
+        u, j, g, traj = u_trial, j_trial, g_trial, traj_trial
         history.append(j)
 
     if line_search_failed:
@@ -727,9 +743,9 @@ def solve_direct(
         converged = residual <= max(1e3 * gtol, 1e-6)
         if not converged:
             logger.warning(
-                "%s direct solve: line search stalled at residual %.3e",
-                spec.kind.name,
-                residual,
+                "%s direct solve: line search stalled at residual %.3e%s", spec.kind.name, residual,
+                f"; {sum(blown)} of {len(blown)} trials blew up: the grid may be too coarse for"
+                " RK4 at these rates" if any(blown) else "",
             )
     elif not converged:
         logger.warning(
@@ -737,5 +753,4 @@ def solve_direct(
         )
 
     signal = ControlSignal(spec.grid, u)
-    traj = _admissible_forward(spec, signal)
-    return OcpSolution(traj, signal, None, j, iterations, converged, history)
+    return OcpSolution(spec, traj, signal, None, j, iterations, converged, history)

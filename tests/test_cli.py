@@ -278,23 +278,31 @@ def test_optimize_nonconvergence_exit_code(tmp_path):
 def test_optimize_survives_trials_that_blow_up(tmp_path, monkeypatch, strategy, flags):
     """On 3 steps the first trials of either solver blow up; they are rejected steps.
 
-    The direct solver meets them even when it starts from the sweep's control.
+    The direct solver meets them even when it starts from the sweep's control,
+    and differentiates only the trials it accepts.
     """
-    gradients, blowups = [], []
-    gradient = ocp.objective_gradient
+    events = []
+    trial, gradient = ocp._trial_objective, ocp._reverse_gradient
 
-    def counting(*args, **kwargs):
-        gradients.append(None)
-        try:
-            return gradient(*args, **kwargs)
-        except IntegrationError:
-            blowups.append(None)
-            raise
+    def trying(*args):
+        j, traj = trial(*args)
+        events.append("blowup" if traj is None else "trial")
+        return j, traj
 
-    monkeypatch.setattr(ocp, "objective_gradient", counting)
+    def differentiating(*args):
+        events.append("gradient")
+        return gradient(*args)
+
+    monkeypatch.setattr(ocp, "_trial_objective", trying)
+    monkeypatch.setattr(ocp, "_reverse_gradient", differentiating)
     argv = ["optimize", "--strategy", strategy, "--steps", "3", "--out", str(tmp_path)]
     assert main(argv + flags) in (EXIT_OK, EXIT_NO_CONVERGENCE)
-    assert (0 < len(blowups) < len(gradients)) if flags else not gradients
+    if flags:
+        direct = events[events.index("gradient"):]  # from the direct solve's start
+        assert "blowup" in direct and "trial" in direct
+        assert all(e == "trial" for e, f in zip(direct, direct[1:]) if f == "gradient")
+    else:
+        assert "gradient" not in events
     label = f"strategy{strategy}"
     rows = read_csv(tmp_path / f"{label}.csv")
     assert len(rows) == 1 + 4

@@ -2,11 +2,14 @@
 
 Each draw writes a config that sets one to three float fields to adversarial
 values, on a 20-step grid with at most 5 solver iterations, and runs it
-through ``compare``, with or without ``--cross-check``, in this process and
-with every warning raised as an error.  The contract:
+through ``compare`` or ``optimize``, with or without ``--cross-check``, in
+this process and with every warning raised as an error.  The contract:
 
 * the exit code is 0, 2, 3 or 4, and nothing raises;
 * exit 2 leaves no output file;
+* exit 0 writes every output: the scenario's CSV and JSON, and for
+  ``compare`` the comparison table;
+* exit 4 still writes the scenario's CSV and JSON;
 * every JSON file written parses as strict JSON (no NaN or Infinity).
 """
 
@@ -23,6 +26,7 @@ from sircontrol.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     ScenarioConfig,
+    load_config,
     main,
 )
 
@@ -54,6 +58,12 @@ def run_contract(tmp_path, name, command, text, cross_check):
     written = sorted(out.iterdir()) if out.exists() else []
     if code == EXIT_CONFIG:
         assert written == []
+    if code in (EXIT_OK, EXIT_NO_CONVERGENCE):
+        label = load_config(str(path), {}).label
+        expected = {f"{label}.csv", f"{label}.json"}
+        if code == EXIT_OK and command == "compare":
+            expected |= {"comparison.csv", "comparison.json"}
+        assert {p.name for p in written} == expected
     for json_path in out.glob("*.json"):
         json.loads(json_path.read_text(), parse_constant=_strict)
     return code
@@ -70,10 +80,12 @@ def test_compare_keeps_the_exit_code_contract_on_adversarial_configs(tmp_path, s
             f"{key} = {rng.choice(POOL)}\n" for key in keys
         )
         cross_check = rng.random() < 0.5
+        # optimize takes strategies 1-3 only; it runs the strategies compare draws
+        command = "compare" if strategy == "none" or rng.random() < 0.5 else "optimize"
         try:
-            run_contract(tmp_path, f"draw{k}", "compare", text, cross_check)
+            run_contract(tmp_path, f"draw{k}", command, text, cross_check)
         except Exception as e:  # noqa: BLE001 -- every break is collected and reported
-            broken.append(f"cross_check={cross_check} {text!r}: {e!r}")
+            broken.append(f"{command} cross_check={cross_check} {text!r}: {e!r}")
     assert broken == []
 
 
@@ -96,10 +108,12 @@ def test_compare_keeps_the_exit_code_contract_on_adversarial_configs(tmp_path, s
         ("strategy = 2\nt_end = 2e-308\na1 = 1e307\nsteps = 20", False, EXIT_INTEGRATION),
         # the costate's Jacobian overflows at a population near the float limit
         ("strategy = 1\ns0 = 0\nbeta = 10\ni0 = 5e307\nsteps = 20", False, EXIT_INTEGRATION),
+        # the reverse pass overflows at a population near the float limit
+        ("strategy = 2\nbeta = 5e-324\ns0 = 1e307\nsteps = 20\nmax_iterations = 5", True, None),
     ],
     ids=[
         "nan-objective", "weight-times-step", "lam_r-sum", "stop-test", "zero-step", "metric",
-        "no-finite-cost", "jacobian",
+        "no-finite-cost", "jacobian", "reverse-overflow",
     ],
 )
 def test_optimize_keeps_the_contract_on_inputs_that_broke_it(

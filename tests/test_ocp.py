@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -465,16 +466,22 @@ def test_direct_start_is_projected_onto_the_box():
     assert values.min() == -1.0 and values.max() == 5.0  # the start is not modified
 
 
-def counting_gradients(monkeypatch):
-    """Record the control values of every call of ``ocp.objective_gradient``."""
-    calls = []
+def record_evaluations(monkeypatch):
+    """Record the controls of every trial (``ocp._trial_objective``) and every reverse pass."""
+    trials, gradients = [], []
+    trial, gradient = ocp._trial_objective, ocp._reverse_gradient
 
-    def counting(spec, u_values):
-        calls.append(u_values.copy())
-        return objective_gradient(spec, u_values)
+    def trying(spec, signal):
+        trials.append(signal.values.copy())
+        return trial(spec, signal)
 
-    monkeypatch.setattr(ocp, "objective_gradient", counting)
-    return calls
+    def differentiating(spec, u_values, traj):
+        gradients.append(u_values.copy())
+        return gradient(spec, u_values, traj)
+
+    monkeypatch.setattr(ocp, "_trial_objective", trying)
+    monkeypatch.setattr(ocp, "_reverse_gradient", differentiating)
+    return trials, gradients
 
 
 @pytest.mark.parametrize("kind", [1, 2, 3])
@@ -492,11 +499,11 @@ def test_direct_unit_step_is_the_discrete_control_law(kind, monkeypatch):
     w = {1: [spec.nu], 2: [spec.tau], 3: [spec.b1, spec.b2]}[kind]
     law = np.clip(-g0 / (w_node[:, None] * np.array(w)), 0.0, spec.u_max)
 
-    calls = counting_gradients(monkeypatch)
+    trials, gradients = record_evaluations(monkeypatch)
     solve_direct(spec, max_iterations=1)
-    assert len(calls) >= 2
-    assert np.array_equal(calls[0], zero)
-    np.testing.assert_allclose(calls[1], law, rtol=1e-12, atol=0.0)
+    assert gradients and trials
+    assert np.array_equal(gradients[0], zero)
+    np.testing.assert_allclose(trials[0], law, rtol=1e-12, atol=0.0)
 
 
 def test_direct_converges_fast_on_disparate_control_weights():
@@ -511,13 +518,107 @@ def test_direct_converges_fast_on_disparate_control_weights():
 
 
 def test_direct_from_the_sweep_takes_few_gradients(monkeypatch, fbsm_solutions, direct_solutions):
-    calls = counting_gradients(monkeypatch)
+    _, calls = record_evaluations(monkeypatch)
     for kind in (1, 2, 3):
         warm = solve_direct(default_spec(kind), start=fbsm_solutions[kind].control)
         cold = direct_solutions[kind].objective
         assert warm.converged
         assert abs(warm.objective - cold) / cold <= 2e-11
     assert len(calls) <= 25
+
+
+def assert_same_solve(got, expected):
+    """Objective, history, iterations, control and trajectory agree bit for bit."""
+    assert got.iterations == expected.iterations
+    for attribute in (
+        lambda sol: np.array([sol.objective, *sol.objective_history]),
+        lambda sol: sol.control.values,
+        lambda sol: sol.trajectory.values,
+    ):
+        assert attribute(got).tobytes() == attribute(expected).tobytes()
+
+
+def test_direct_from_a_solution_is_the_solve_from_its_control(fbsm_solutions):
+    for kind in (1, 2, 3):
+        sol = fbsm_solutions[kind]
+        assert sol.spec == default_spec(kind)
+        from_solution = solve_direct(sol.spec, start=sol)
+        assert from_solution.spec is sol.spec
+        assert_same_solve(from_solution, solve_direct(sol.spec, start=sol.control))
+
+
+@pytest.mark.parametrize("kind, steps", [(1, 20), (2, 200), (3, 200)])
+def test_direct_from_a_solution_integrates_each_trial_once(monkeypatch, kind, steps):
+    """One forward sweep per trial, none at the start or the end; a reverse pass
+    at the start and at each accepted trial only (on 20 steps most trials blow up).
+    """
+    spec = default_spec(kind, steps)
+    sol = solve_fbsm(spec)
+    forwards = fail_calls(monkeypatch, "integrate_forward", lambda n: False)  # counts only
+    trials, gradients = record_evaluations(monkeypatch)
+    direct = solve_direct(spec, start=sol)
+    assert len(forwards) == len(trials) >= direct.iterations > 0
+    assert len(gradients) == len(direct.objective_history)
+    if steps == 20:
+        assert len(trials) > 10 * len(gradients)
+
+
+def test_direct_integrates_a_start_it_cannot_vouch_for(monkeypatch, fbsm_solutions):
+    """A solution of another problem, or one whose control the projection moves, is no
+    trajectory of the start: the solve integrates it, as from a bare control.
+    """
+    sol = fbsm_solutions[1]
+    other = dataclasses.replace(sol.spec, params=ModelParams(beta=0.25, mu=0.1))
+    values = sol.control.values.copy()
+    values[::7] = -0.25
+    moved = dataclasses.replace(sol, control=ControlSignal(sol.spec.grid, values))
+    cases = [(other, sol), (sol.spec, moved)]
+    expected = [solve_direct(spec, start=start.control) for spec, start in cases]
+    forwards = fail_calls(monkeypatch, "integrate_forward", lambda n: False)  # counts only
+    trials, _ = record_evaluations(monkeypatch)
+    for (spec, start), reference in zip(cases, expected):
+        forwards.clear()
+        trials.clear()
+        assert_same_solve(solve_direct(spec, start=start), reference)
+        assert len(forwards) == len(trials) + 1
+
+
+def test_a_stalled_direct_solve_counts_the_trials_that_blew_up(monkeypatch, caplog):
+    """On 20 steps most trials from the sweep's control blow up: the grid is too coarse."""
+    spec = default_spec(1, 20)
+    sol = solve_fbsm(spec)
+    trials, _ = record_evaluations(monkeypatch)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="sircontrol.ocp"):
+        direct = solve_direct(spec, start=sol)
+    assert not direct.converged
+    (message,) = [r.getMessage() for r in caplog.records]
+    found = re.fullmatch(
+        r"VACCINATION direct solve: line search stalled at residual \S+; (\d+) of (\d+) trials"
+        r" blew up: the grid may be too coarse for RK4 at these rates",
+        message,
+    )
+    assert found
+    blown, total = map(int, found.groups())
+    assert 0 < blown < total == len(trials)
+
+
+def test_a_gradient_that_is_not_finite_raises_without_a_warning():
+    """At a population near the float limit the reverse pass overflows at the zero control.
+
+    A RuntimeWarning is an error under the suite's filter.  Such a gradient raises
+    IntegrationError, in the public composition and at the start of a direct solve.
+    """
+    spec = StrategySpec(
+        kind=Strategy.VACCINATION_WEIGHTED,
+        params=ModelParams(beta=5e-324, mu=0.1, n=1e307),
+        x0=EpidemicState(1e307, 0.05, 0.0),
+        grid=TimeGrid(0.0, 100.0, 20),
+    )
+    with pytest.raises(IntegrationError, match="gradient is not finite"):
+        objective_gradient(spec, np.zeros((spec.grid.n_nodes, 1)))
+    with pytest.raises(IntegrationError, match="gradient is not finite"):
+        solve_direct(spec)
 
 
 def test_adjoint_gradient_matches_finite_differences():
@@ -626,7 +727,7 @@ def test_fbsm_initial_blowup_still_raises():
 def test_direct_rejects_a_trial_that_blows_up(monkeypatch):
     spec = default_spec(1, steps=200)
     expected = solve_direct(spec)
-    calls = fail_calls(monkeypatch, "objective_gradient", lambda n: n == 2)  # the first trial
+    calls = fail_calls(monkeypatch, "_admissible_forward", lambda n: n == 2)  # the first trial
     sol = solve_direct(spec)
     assert len(calls) > 2
     assert sol.converged
