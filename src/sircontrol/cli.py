@@ -36,7 +36,6 @@ from .ocp import (
     DEFAULT_T_END,
     DEFAULT_X0,
     _WEIGHT_FIELDS,
-    _admissible,
     _check_weights,
     ControlSignal,
     OcpSolution,
@@ -111,10 +110,8 @@ class ScenarioConfig:
             if not v > 0:
                 raise ConfigError(f"config field {name} must be positive, got {v}")
         for name in ("s0", "i0", "r0"):
-            if getattr(self, name) < 0:
-                raise ConfigError(
-                    f"config field {name} must be non-negative, got {getattr(self, name)}"
-                )
+            if (v := getattr(self, name)) < 0:
+                raise ConfigError(f"config field {name} must be non-negative, got {v}")
         if not 0 < self.s0 + self.i0 + self.r0 < math.inf:
             raise ConfigError(
                 "config fields s0 + i0 + r0 must sum to a finite positive population"
@@ -125,6 +122,8 @@ class ScenarioConfig:
             _check_weights(self, self.t_end / self.steps)
         except ValueError as e:
             raise ConfigError(f"config field {e}") from None
+        except OverflowError:  # a step count past the float range
+            raise ConfigError(f"config field steps = {self.steps} is too large") from None
         if self.max_iterations < 1:
             raise ConfigError(
                 f"config field max_iterations must be >= 1, got {self.max_iterations}"
@@ -145,9 +144,6 @@ class ScenarioConfig:
     def grid(self) -> TimeGrid:
         return self._grid
 
-    def params(self) -> ModelParams:
-        return ModelParams(self.beta, self.mu, self.s0 + self.i0 + self.r0)
-
     def x0(self) -> EpidemicState:
         return EpidemicState(self.s0, self.i0, self.r0)
 
@@ -155,7 +151,7 @@ class ScenarioConfig:
         """The control problem of strategy 1, 2 or 3."""
         return StrategySpec(
             kind=Strategy(int(self.strategy)),
-            params=self.params(),
+            params=ModelParams(self.beta, self.mu),
             x0=self.x0(),
             grid=self.grid(),
             u_max=self.u_max,
@@ -354,7 +350,7 @@ def _run_scenario(
 
     Returns the exit code, trajectory, summary and CSV columns S, I, R.
     Strategy none is the uncontrolled run, which raises :class:`IntegrationError`
-    under the solvers' blow-up rule; strategies 1-3 are solved by the sweep
+    if the sweep blows up; strategies 1-3 are solved by the sweep
     and, with ``cross_check``, also by direct transcription.
     """
     out_dir = Path(cfg.out)
@@ -363,9 +359,7 @@ def _run_scenario(
 
     sol = control = adjoints = convergence = cross = None
     if cfg.strategy == "none":
-        params = cfg.params()
-        field = DrainField(params.beta, params.mu)
-        traj = _admissible(integrate_forward(field, cfg.x0().as_array(), cfg.grid()), params.n)
+        traj = integrate_forward(DrainField(cfg.beta, cfg.mu), cfg.x0().as_array(), cfg.grid())
         summary = summarize_run(traj, cfg.threshold)
         code = EXIT_OK
     else:

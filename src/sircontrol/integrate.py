@@ -27,10 +27,11 @@ keep the law's bits, and its signed zeros under in-box controls
 A drain the layout lacks, or every drain when ``controls`` is None, is a
 repeated constant rate 0.0 (``mu + 0.0`` for ``mu + v``).  A control signal
 whose channel count differs from the layout's, or that lives on another grid,
-raises ValueError.  Nodes are collected in one flat list and reshaped once,
-and checked for finiteness once per sweep (:func:`_finite_nodes`, which the
-costate scan shares): a non-finite node raises :class:`IntegrationError`
-naming the start time of the first step that produced one.
+raises ValueError (:func:`_check_signal`, which ``ocp`` shares).  Nodes are
+collected in one flat list and reshaped once, and checked once per sweep: a
+non-finite node (:func:`_finite_nodes`, which the costate scan shares) or a
+compartment below ``-_ADMISSIBLE_TOL`` times the population, the initial
+state's sum, raises :class:`IntegrationError`.
 
 The loop keeps the operation order of the classical 3-vector formulation
 (one numpy RK4 step per interval, applied to a closure that interpolates at
@@ -67,7 +68,14 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """Raised when an integration produces a non-finite value (blow-up)."""
+    """Raised when an integration blows up: a non-finite value, or a negative compartment."""
+
+
+# Smallest compartment, as a fraction of the population, of a forward sweep
+# that is not treated as a blow-up.  The exact dynamics keep every compartment
+# non-negative, so such a state means RK4 is unstable on this grid (on 3 steps
+# a trial reaches I = -1e12).
+_ADMISSIBLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -162,16 +170,21 @@ def stage_samples(grid: TimeGrid, nodes: np.ndarray, backward: bool = False):
     return start, start + w_half * delta, start + w_full * delta
 
 
+def _check_signal(controls, grid: TimeGrid, channels: int) -> None:
+    """:class:`ValueError` unless ``controls`` lie on ``grid`` with ``channels`` columns."""
+    if controls.grid != grid:
+        raise ValueError("control signal is sampled on a different grid")
+    if controls.values.shape[1] != channels:
+        raise ValueError(
+            f"the problem expects {channels} control channel(s), "
+            f"the signal has {controls.values.shape[1]}"
+        )
+
+
 def _drain_samples(drains: Drains, controls, grid: TimeGrid):
     """``(a, v)``: the stage samples of the two drain rates, triples of arrays; None: rate 0."""
     if controls is not None:
-        if controls.grid != grid:
-            raise ValueError("control signal is sampled on a different grid")
-        if controls.values.shape[1] != drains.channels:
-            raise ValueError(
-                f"the field reads {drains.channels} control channel(s), "
-                f"the signal has {controls.values.shape[1]}"
-            )
+        _check_signal(controls, grid, drains.channels)
     return tuple(
         None if c is None or controls is None else stage_samples(grid, controls.values[:, c])
         for c in drains
@@ -200,8 +213,9 @@ def integrate_forward(
     """Integrate the drain-form ``field`` from x0 = (S, I, R) over the grid.
 
     ``controls`` is a node-sampled signal with one column per channel of
-    ``field.drains`` (or None: no drain).  States are never clipped;
-    validity is the caller's post-hoc check.
+    ``field.drains`` (or None: no drain).  States are never clipped: a node
+    that is not finite, or below ``-_ADMISSIBLE_TOL * (S0 + I0 + R0)``,
+    raises :class:`IntegrationError`.
     """
     beta, mu = field.beta, field.mu
     a, v = _drain_samples(field.drains, controls, grid)
@@ -213,6 +227,7 @@ def integrate_forward(
     half = 0.5 * dt
     sixth = dt / 6.0
     s, i, r = np.asarray(x0, dtype=float).tolist()
+    floor = -_ADMISSIBLE_TOL * (s + i + r)
     out = [s, i, r]
     for a, g, a_m, g_m, a_4, g_4 in zip(a1, g1, am, gm, a4, g4):
         # d = -dS = x + a*S, dI = x - (mu + v)*I with x = beta*S*I, -dR = dI - d
@@ -238,4 +253,8 @@ def integrate_forward(
         i = i + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
         r = r - sixth * ((k1i - d1) + 2.0 * (k2i - d2) + 2.0 * (k3i - d3) + (k4i - d4))
         out += (s, i, r)
-    return Trajectory(grid, _finite_nodes(np.fromiter(out, float, len(out)), grid.times()))
+    nodes = _finite_nodes(np.fromiter(out, float, len(out)), grid.times())
+    low = float(nodes.min())
+    if low < floor:
+        raise IntegrationError(f"a compartment fell to {low:.3g}: RK4 is unstable on this grid")
+    return Trajectory(grid, nodes)

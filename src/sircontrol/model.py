@@ -1,8 +1,8 @@
 """SIR compartment model: state, parameters, and the drain-form dynamics.
 
-The population is split into susceptible (S), infected (I) and recovered (R)
-fractions with constant total n = S + I + R.  Every intervention moves a
-compartment into R, so every scenario is one SIR field in *drain form*:
+The population N = S + I + R, the initial state's sum, is conserved and split
+into susceptible (S), infected (I) and recovered (R).  Every intervention moves
+a compartment into R, so every scenario is one SIR field in *drain form*:
 
     dS = -beta*S*I - a*S,    dI = beta*S*I - (mu + v)*I,    dR = a*S + (mu + v)*I
 
@@ -36,10 +36,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EpidemicState:
-    """Compartment fractions (S, I, R) at one instant, such as an initial state.
+    """Compartments (S, I, R) at one instant, such as an initial state.
 
-    Construction does not check them; :meth:`validate` checks the
-    non-negativity and conservation invariants.
+    Construction does not check them; :meth:`validate` checks that each is
+    non-negative and that they sum to a population.
     """
 
     s: float
@@ -49,26 +49,25 @@ class EpidemicState:
     def as_array(self) -> np.ndarray:
         return np.array([self.s, self.i, self.r], dtype=float)
 
-    def validate(self, n: float = 1.0) -> None:
-        """Raise ValueError unless components are >= -1e-9 and sum to n +- 1e-9."""
+    def validate(self) -> None:
+        """Raise ValueError unless components are >= -1e-9 and sum to a finite positive total."""
         for name, v in (("s", self.s), ("i", self.i), ("r", self.r)):
             if not np.isfinite(v) or v < -1e-9:
                 raise ValueError(f"compartment {name}={v} violates non-negativity")
         total = self.s + self.i + self.r
-        if abs(total - n) > 1e-9:
-            raise ValueError(f"compartments sum to {total}, expected {n}")
+        if not 0.0 < total < np.inf:
+            raise ValueError(f"compartments sum to {total}, not a finite positive population")
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Transmission/recovery rates (per day) and total population."""
+    """Transmission and recovery rates (per day)."""
 
     beta: float
     mu: float
-    n: float = 1.0
 
     def __post_init__(self):
-        for name in ("beta", "mu", "n"):
+        for name in ("beta", "mu"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive, got {v}")

@@ -58,6 +58,7 @@ from .integrate import (
     IntegrationError,
     TimeGrid,
     Trajectory,
+    _check_signal,
     _finite_nodes,
     integrate_forward,
     stage_samples,
@@ -87,7 +88,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_PARAMS = ModelParams(beta=0.2, mu=0.1, n=1.0)
+DEFAULT_PARAMS = ModelParams(beta=0.2, mu=0.1)
 DEFAULT_X0 = EpidemicState(0.95, 0.05, 0.0)
 DEFAULT_T_END = 100.0
 DEFAULT_STEPS = 1000
@@ -128,7 +129,7 @@ class StrategySpec:
 
     def __post_init__(self):
         _check_weights(self, self.grid.dt)
-        self.x0.validate(self.params.n)
+        self.x0.validate()
 
     @property
     def channels(self) -> int:
@@ -248,22 +249,11 @@ def running_cost(spec: StrategySpec, s, i, r, u1, u2):
     return cs * s + ci * i + cr * r + 0.5 * w1 * u1**2 + 0.5 * w2 * u2**2
 
 
-def _check_controls(spec: StrategySpec, controls: ControlSignal) -> None:
-    """:class:`ValueError` unless ``controls`` lie on the spec's grid with its channel count."""
-    if controls.grid != spec.grid:
-        raise ValueError("controls are not on the problem grid")
-    if controls.channels != spec.channels:
-        raise ValueError(
-            f"{spec.kind.name} expects {spec.channels} control channel(s), "
-            f"got {controls.channels}"
-        )
-
-
 def objective(spec: StrategySpec, traj: Trajectory, controls: ControlSignal) -> float:
     """Composite-trapezoid quadrature of the running cost; +inf if it overflows or is NaN."""
     if traj.grid != spec.grid:
         raise ValueError("trajectory is not on the problem grid")
-    _check_controls(spec, controls)
+    _check_signal(controls, spec.grid, spec.channels)
     u, dt = controls.values, spec.grid.dt
     with np.errstate(over="ignore", invalid="ignore"):
         c = running_cost(
@@ -315,27 +305,9 @@ def adjoint_field(spec: StrategySpec):
     return costate
 
 
-# Smallest compartment, as a fraction of the population, of a solver's
-# forward sweep that is not treated as a blow-up.
-_ADMISSIBLE_TOL = 1e-9
-
-
-def _admissible(traj: Trajectory, n: float) -> Trajectory:
-    """``traj``, or :class:`IntegrationError` if a compartment is below ``-_ADMISSIBLE_TOL * n``.
-
-    The exact dynamics keep every compartment non-negative, so such a state
-    means RK4 is unstable on this grid (on 3 steps a trial reaches I = -1e12).
-    """
-    low = float(traj.values.min())
-    if low < -_ADMISSIBLE_TOL * n:
-        raise IntegrationError(f"a compartment fell to {low:.3g}: RK4 is unstable on this grid")
-    return traj
-
-
 def _admissible_forward(spec: StrategySpec, signal: ControlSignal) -> Trajectory:
-    """Forward sweep of a solver iterate, checked by :func:`_admissible`."""
-    traj = integrate_forward(dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
-    return _admissible(traj, spec.params.n)
+    """Forward sweep of a solver iterate; :class:`IntegrationError` if it blows up."""
+    return integrate_forward(dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
 
 
 # -- affine scans ------------------------------------------------------------
@@ -477,7 +449,7 @@ def solve_fbsm(
     signal = ControlSignal(spec.grid, u)
     traj = _admissible_forward(spec, signal)
     j = objective(spec, traj, signal)
-    history = [j]
+    history, rises = [j], []
     best = (j, traj, signal)
 
     converged = False
@@ -496,7 +468,8 @@ def solve_fbsm(
             damp *= 0.5
         if not math.isfinite(j_new):
             logger.warning(
-                "%s sweep: every damped trial blew up at iteration %d", spec.kind.name, iterations
+                "%s sweep: every damped trial blew up at iteration %d: the grid may be too coarse"
+                " for RK4 at these rates", spec.kind.name, iterations,
             )
             break
 
@@ -504,14 +477,9 @@ def solve_fbsm(
         history.append(j)
         if j < best[0]:
             best = (j, traj, signal)
-        # accepted steps descend by construction; log the forced exceptions
+        # accepted steps descend by construction; count the forced exceptions
         if iterations > 5 and j > history[-2] + 1e-6:
-            logger.warning(
-                "%s sweep: objective rose by %.3e at iteration %d",
-                spec.kind.name,
-                j - history[-2],
-                iterations,
-            )
+            rises.append(j - history[-2])
 
         # tol * ||u_new||_1 in float arithmetic, where an overflow is inf without a warning
         gaps = [
@@ -523,6 +491,11 @@ def solve_fbsm(
             converged = True
             break
 
+    if rises:
+        logger.warning(
+            "%s sweep: objective rose at %d of %d iterations, by at most %.3e",
+            spec.kind.name, len(rises), iterations, max(rises),
+        )
     if not converged:
         j, traj, signal = best
         logger.warning("%s sweep did not converge in %d iterations", spec.kind.name, iterations)
@@ -682,7 +655,7 @@ def solve_direct(
     if control is None:
         u = np.zeros((spec.grid.n_nodes, spec.channels))
     else:
-        _check_controls(spec, control)
+        _check_signal(control, spec.grid, spec.channels)
         if not np.isfinite(control.values).all():
             raise ValueError("start control has a non-finite value")
         u = np.clip(control.values, lo, hi)

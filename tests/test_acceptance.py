@@ -36,6 +36,7 @@ from sircontrol.ocp import (
 from _acceptance_log import record
 
 GRID = TimeGrid(0.0, 100.0, 1000)
+N = DEFAULT_X0.s + DEFAULT_X0.i + DEFAULT_X0.r  # the population, 1.0
 
 
 def test_criterion_01_uncontrolled_peak():
@@ -48,7 +49,7 @@ def test_criterion_01_uncontrolled_peak():
 
     _, peak = peak_infected(traj)
     rho = DEFAULT_PARAMS.mu / DEFAULT_PARAMS.beta
-    closed_form = DEFAULT_PARAMS.n - rho + rho * math.log(rho / DEFAULT_X0.s)
+    closed_form = N - rho + rho * math.log(rho / DEFAULT_X0.s)
     record(
         1,
         f"peak={peak:.6f} closed-form={closed_form:.6f} "
@@ -70,7 +71,7 @@ def test_criterion_02_uncontrolled_terminal_state(uncontrolled_traj):
     s0, ratio = DEFAULT_X0.s, DEFAULT_PARAMS.beta / DEFAULT_PARAMS.mu
 
     def f(s_inf):
-        return math.log(s_inf / s0) + ratio * (DEFAULT_PARAMS.n - s_inf)
+        return math.log(s_inf / s0) + ratio * (N - s_inf)
 
     lo, hi = 1e-12, 0.5
     assert f(lo) < 0.0 < f(hi)

@@ -69,6 +69,12 @@ def test_parse_config_rejects_duplicates_and_garbage():
         parse_config_text("this is not a key value pair\n")
 
 
+@pytest.mark.parametrize("line", ["beta =", "= 1", " = "])
+def test_parse_config_rejects_an_empty_key_or_value(line):
+    with pytest.raises(ConfigError, match="line 2: empty key or value"):
+        parse_config_text(f"strategy = 1\n{line}\n")
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config key"):
         config_from_entries({"bogus": "1"})
@@ -81,6 +87,8 @@ def test_config_rejects_bad_numbers():
         config_from_entries({"steps": "0"})
     with pytest.raises(ConfigError, match="strategy"):
         config_from_entries({"strategy": "5"})
+    with pytest.raises(ConfigError, match="max_iterations must be >= 1, got 0"):
+        ScenarioConfig(max_iterations=0)
     # each value is finite, but the population they sum to is not
     with pytest.raises(ConfigError, match=r"s0 \+ i0 \+ r0"):
         config_from_entries({"s0": "1e308", "i0": "1e308"})
@@ -224,6 +232,15 @@ def test_optimize_two_channel_strategy(tmp_path):
     for r in rows[1:]:
         assert 0.0 <= float(r[4]) <= 0.9
         assert 0.0 <= float(r[5]) <= 0.9
+
+
+def test_optimize_emit_plot_data_writes_one_column_bundles(tmp_path):
+    argv = ["optimize", "--strategy", "3", "--steps", "100", "--emit-plot-data"]
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+    rows = read_csv(tmp_path / "strategy3.csv")
+    for col, name in enumerate("SIR", start=1):
+        bundle = read_csv(tmp_path / f"fig_{name}_compare.csv")
+        assert bundle == [["t", "strategy3"]] + [[r[0], r[col]] for r in rows[1:]]
 
 
 def test_optimize_requires_a_strategy(tmp_path, capsys):

@@ -3,7 +3,9 @@
 Each draw writes a config that sets one to three float fields to adversarial
 values, on a 20-step grid with at most 5 solver iterations, and runs it
 through ``compare`` or ``optimize``, with or without ``--cross-check``, in
-this process and with every warning raised as an error.  The contract:
+this process and with every warning raised as an error.  A second generator
+also draws 400-digit numbers (the step count among them), empty keys and
+values, and duplicate keys, and runs ``simulate`` too.  The contract:
 
 * the exit code is 0, 2, 3 or 4, and nothing raises;
 * exit 2 leaves no output file;
@@ -39,6 +41,10 @@ POOL = (
     "1e306", "1e307", "5e307", "1e308", "1.7e308",
     "1e400", "-1", "0", "nan", "1_0", "0x10",
 )
+
+
+# 400-digit literals: float() reads them as inf, 0.0 and -inf
+LONG = ("9" * 400, "0." + "0" * 399 + "1", "-" + "9" * 400)
 
 
 def _strict(constant):
@@ -89,6 +95,33 @@ def test_compare_keeps_the_exit_code_contract_on_adversarial_configs(tmp_path, s
     assert broken == []
 
 
+@pytest.mark.parametrize("seed", [2, 5, 11])
+def test_every_command_keeps_the_exit_code_contract_on_malformed_configs(tmp_path, seed):
+    rng = random.Random(seed)
+    broken = []
+    for k in range(100):
+        strategy = rng.choice(("none", "1", "2", "3"))
+        # a step count that must be rejected may break the cap; an iteration count may not
+        keys = ["strategy", "steps", "max_iterations", *rng.sample(FLOAT_FIELDS, 2)]
+        values = [strategy, LONG[0] if rng.random() < 0.1 else "20", "5"]
+        values += [rng.choice(POOL + LONG) for _ in keys[3:]]
+        lines = [f"{key} = {value}" for key, value in zip(keys, values)]
+        if rng.random() < 0.2:  # a key set twice
+            lines.append(f"{rng.choice(keys[1:])} = {rng.choice(POOL)}")
+        if rng.random() < 0.2:  # an empty key or value
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice((" = 1", "beta =", "=")))
+        text = "".join(line + "\n" for line in lines)
+        if strategy == "none":
+            command, cross_check = rng.choice(("simulate", "compare")), False
+        else:
+            command, cross_check = rng.choice(("optimize", "compare")), rng.random() < 0.5
+        try:
+            run_contract(tmp_path, f"draw{k}", command, text, cross_check)
+        except Exception as e:  # noqa: BLE001 -- every break is collected and reported
+            broken.append(f"{command} cross_check={cross_check} {text!r}: {e!r}")
+    assert broken == []
+
+
 @pytest.mark.parametrize(
     "text, cross_check, expected",
     [
@@ -110,10 +143,12 @@ def test_compare_keeps_the_exit_code_contract_on_adversarial_configs(tmp_path, s
         ("strategy = 1\ns0 = 0\nbeta = 10\ni0 = 5e307\nsteps = 20", False, EXIT_INTEGRATION),
         # the reverse pass overflows at a population near the float limit
         ("strategy = 2\nbeta = 5e-324\ns0 = 1e307\nsteps = 20\nmax_iterations = 5", True, None),
+        # a step count past the float range overflows in the step t_end / steps
+        ("strategy = 1\nsteps = " + LONG[0], False, EXIT_CONFIG),
     ],
     ids=[
         "nan-objective", "weight-times-step", "lam_r-sum", "stop-test", "zero-step", "metric",
-        "no-finite-cost", "jacobian", "reverse-overflow",
+        "no-finite-cost", "jacobian", "reverse-overflow", "400-digit-steps",
     ],
 )
 def test_optimize_keeps_the_contract_on_inputs_that_broke_it(

@@ -141,6 +141,23 @@ def test_forward_blowup_raises():
         )
 
 
+def test_forward_rejects_a_sweep_that_drives_a_compartment_negative():
+    """On 2 steps of 50 days even the uncontrolled sweep reaches S = -1.15."""
+    field = DrainField(DEFAULT_PARAMS.beta, DEFAULT_PARAMS.mu)
+    with pytest.raises(IntegrationError, match="a compartment fell to -1.15: RK4 is unstable"):
+        integrate_forward(field, DEFAULT_X0.as_array(), TimeGrid(0.0, 100.0, 2))
+
+
+def test_forward_rejects_a_compartment_below_the_population_tolerance():
+    """The floor is -1e-9 times the initial state's sum, whatever the population."""
+    for n in (1.0, 1e6):
+        field = DrainField(DEFAULT_PARAMS.beta / n, DEFAULT_PARAMS.mu)  # the same epidemic
+        x0 = n * DEFAULT_X0.as_array()
+        integrate_forward(field, x0 + (0.0, 0.0, -0.9e-9 * n), TimeGrid(0.0, 1.0, 1))
+        with pytest.raises(IntegrationError, match="a compartment fell to"):
+            integrate_forward(field, x0 + (0.0, 0.0, -1.1e-9 * n), TimeGrid(0.0, 1.0, 1))
+
+
 def test_forward_rejects_mismatched_control_grid():
     signal = ControlSignal(TimeGrid(0.0, 100.0, 10), np.zeros((11, 1)))
     with pytest.raises(ValueError, match="different grid"):

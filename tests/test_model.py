@@ -151,7 +151,7 @@ def test_state_validate_rejects_negative_compartment():
 
 def test_state_validate_rejects_bad_total():
     with pytest.raises(ValueError, match="sum to"):
-        EpidemicState(0.5, 0.2, 0.2).validate(n=1.0)
+        EpidemicState(0.0, 0.0, 0.0).validate()
 
 
 def test_state_validate_accepts_tolerance_sized_noise():
@@ -163,8 +163,6 @@ def test_params_reject_nonpositive_rates():
         ModelParams(beta=-1.0, mu=0.1)
     with pytest.raises(ValueError, match="mu"):
         ModelParams(beta=0.2, mu=0.0)
-    with pytest.raises(ValueError, match="n"):
-        ModelParams(beta=0.2, mu=0.1, n=0.0)
 
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import random
 import re
 
 import numpy as np
@@ -57,7 +58,7 @@ def rates(spec, x, u):
 
 def test_default_spec_pins_reference_values():
     spec = default_spec(1)
-    assert (spec.params.beta, spec.params.mu, spec.params.n) == (0.2, 0.1, 1.0)
+    assert (spec.params.beta, spec.params.mu) == (0.2, 0.1)
     assert (spec.x0.s, spec.x0.i, spec.x0.r) == (0.95, 0.05, 0.0)
     assert (spec.grid.t_end, spec.grid.steps) == (100.0, 1000)
     assert spec.u_max == 0.9
@@ -72,7 +73,27 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="nu"):
         StrategySpec(kind=Strategy.VACCINATION, nu=-1.0)
     with pytest.raises(ValueError, match="sum to"):
-        StrategySpec(kind=Strategy.VACCINATION, x0=EpidemicState(0.5, 0.1, 0.1))
+        StrategySpec(kind=Strategy.VACCINATION, x0=EpidemicState(0.0, 0.0, 0.0))
+
+
+def test_a_spec_accepts_every_state_of_a_large_population():
+    """The population is x0's sum, so rounding in the compartments cannot reject a state.
+
+    Against a separate population n and an absolute 1e-9 tolerance, 65 of these
+    1000 states failed, for example with a sum of 495939652.00484896.
+    """
+    rng = random.Random(1)
+    grid = TimeGrid(0.0, 100.0, 10)
+    for _ in range(1000):
+        n, f = rng.uniform(1e6, 1e9), rng.uniform(0.5, 0.99)
+        x0 = EpidemicState(n * f, n * (1.0 - f), 0.0)
+        StrategySpec(kind=Strategy.VACCINATION, x0=x0, grid=grid)
+
+
+@pytest.mark.parametrize("x0", [(-1e-10, 0.0, 0.0), (1e308, 1e308, 0.0)])
+def test_a_spec_rejects_a_state_that_is_no_population(x0):
+    with pytest.raises(ValueError, match="not a finite positive population"):
+        StrategySpec(kind=Strategy.VACCINATION, x0=EpidemicState(*x0))
 
 
 @pytest.mark.parametrize("kind, name, value", [(1, "nu", 5e-324), (3, "b1", 1e-310)])
@@ -125,6 +146,12 @@ def test_objective_is_exact_on_constant_integrand():
     traj = Trajectory(spec.grid, values)
     u = ControlSignal.zeros(spec.grid, 1)
     assert objective(spec, traj, u) == pytest.approx(100.0 * 0.2, rel=1e-13)
+
+
+def test_objective_rejects_a_trajectory_on_another_grid(uncontrolled_traj):
+    spec = default_spec(1, steps=100)
+    with pytest.raises(ValueError, match="trajectory is not on the problem grid"):
+        objective(spec, uncontrolled_traj, ControlSignal.zeros(spec.grid, 1))
 
 
 def test_objective_of_uncontrolled_run_is_infected_burden(uncontrolled_traj):
@@ -611,7 +638,7 @@ def test_a_gradient_that_is_not_finite_raises_without_a_warning():
     """
     spec = StrategySpec(
         kind=Strategy.VACCINATION_WEIGHTED,
-        params=ModelParams(beta=5e-324, mu=0.1, n=1e307),
+        params=ModelParams(beta=5e-324, mu=0.1),
         x0=EpidemicState(1e307, 0.05, 0.0),
         grid=TimeGrid(0.0, 100.0, 20),
     )
@@ -712,6 +739,33 @@ def test_fbsm_stops_with_its_best_iterate_when_every_trial_blows_up(monkeypatch)
     assert sol.objective == sol.objective_history[0]
     assert np.array_equal(sol.control.values, np.zeros((spec.grid.n_nodes, 1)))
     assert len(calls) == 1 + 7  # the zero-control sweep, then damping 1/2 ... 1/128
+
+
+def test_fbsm_logs_its_objective_rises_once(caplog):
+    """On 20 steps strategy 1's accepted iterates often raise the objective; one line counts it."""
+    spec = default_spec(1, steps=20)
+    with caplog.at_level(logging.WARNING, logger="sircontrol.ocp"):
+        sol = solve_fbsm(spec)
+    h = sol.objective_history  # h[k] is the objective accepted at iteration k
+    rises = [h[k] - h[k - 1] for k in range(6, len(h)) if h[k] > h[k - 1] + 1e-6]
+    assert len(rises) > 1
+    messages = [r.getMessage() for r in caplog.records if "objective rose" in r.getMessage()]
+    assert messages == [
+        f"VACCINATION sweep: objective rose at {len(rises)} of {sol.iterations} iterations,"
+        f" by at most {max(rises):.3e}"
+    ]
+
+
+def test_fbsm_warns_that_a_grid_where_every_trial_blows_up_may_be_too_coarse(
+    monkeypatch, caplog
+):
+    fail_calls(monkeypatch, "integrate_forward", lambda n: n > 1)
+    with caplog.at_level(logging.WARNING, logger="sircontrol.ocp"):
+        solve_fbsm(default_spec(1, steps=200))
+    assert (
+        "VACCINATION sweep: every damped trial blew up at iteration 1: the grid may be too coarse"
+        " for RK4 at these rates"
+    ) in [r.getMessage() for r in caplog.records]
 
 
 def test_fbsm_initial_blowup_still_raises():
