@@ -154,20 +154,28 @@ class Trajectory:
         return self.values[:, 2]
 
 
-def stage_samples(grid: TimeGrid, nodes: np.ndarray, backward: bool = False):
+def stage_samples(grid: TimeGrid, nodes: np.ndarray, backward: bool = False, out=None):
     """Start, half-stage and full-stage samples of a node series, one per RK4 step.
 
     ``nodes`` is one series, or a stack of series on leading axes with the
     nodes on the last.  Steps come in sweep order: forward from node 0,
     backward from the last node.  Each sample is the linear interpolant of
     the step's bracketing nodes under the module's operation-order rule.
+    Without ``out`` the start samples are a view of ``nodes``; ``out``, an
+    array of shape ``(3, *nodes.shape[:-1], steps)``, receives all three
+    (the full-stage row holds the node differences on the way).
     """
     w_half, w_full = grid._stage_weights[backward]
     if backward:
         nodes = nodes[..., ::-1]
     start = nodes[..., :-1]
-    delta = nodes[..., 1:] - start
-    return start, start + w_half * delta, start + w_full * delta
+    first, half, full = (start, None, None) if out is None else out
+    delta = np.subtract(nodes[..., 1:], start, out=full)
+    half = np.add(start, np.multiply(w_half, delta, out=half), out=half)
+    full = np.add(start, np.multiply(w_full, delta, out=full), out=full)
+    if out is not None:
+        np.copyto(first, start)
+    return first, half, full
 
 
 def _check_signal(controls, grid: TimeGrid, channels: int) -> None:

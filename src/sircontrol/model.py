@@ -85,7 +85,7 @@ class Drains(NamedTuple):
         return (self.s is not None) + (self.i is not None)
 
     def split(self, u: np.ndarray, absent):
-        """``(a, v)``: the columns of the node array ``u`` that drain S and I, or ``absent``."""
+        """``(a, v)``: the columns ``u[:, c]`` of ``u`` that drain S and I, or ``absent``."""
         return tuple(absent if c is None else u[:, c] for c in self)
 
     def join(self, a, v) -> list:

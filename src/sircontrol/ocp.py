@@ -217,9 +217,18 @@ _DRAINS = {
 }
 
 
-def _state_jacobian(beta, mu, s, i, a, v):
-    """S and I rows of ``f_x^T``: block ``((c_ss, c_si), (c_is, c_ii))``, R column ``(a, c_ir)``."""
-    return ((-beta * i - a, beta * i), (-beta * s, beta * s - mu - v)), (a, mu + v)
+def _state_jacobian(beta, mu, s, i, a, v, out=(None,) * 6):
+    """S and I rows of ``f_x^T``: block ``((c_ss, c_si), (c_is, c_ii))``, R column ``(a, c_ir)``.
+
+    ``out`` names the arrays that receive ``c_ss, c_si, c_is, c_ii, a, c_ir``;
+    for a None entry the result is a new array (``a`` itself for the R column's).
+    """
+    o_ss, o_si, o_is, o_ii, o_sr, o_ir = out
+    mul, sub = np.multiply, np.subtract
+    return (
+        (sub(mul(-beta, i, out=o_ss), a, out=o_ss), mul(beta, i, out=o_si)),
+        (mul(-beta, s, out=o_is), sub(sub(mul(beta, s, out=o_ii), mu, out=o_ii), v, out=o_ii)),
+    ), (a if o_sr is None else np.positive(a, out=o_sr), np.add(mu, v, out=o_ir))
 
 
 def _drain_products(s, i, ks, ki, kr):
@@ -327,23 +336,52 @@ def _affine_scan(x_s: float, x_i: float, coef: np.ndarray) -> np.ndarray:
     return np.fromiter(out, float, len(out)).reshape(-1, 2)
 
 
-def _costate_scan(spec: StrategySpec, traj: Trajectory, signal: ControlSignal) -> Trajectory:
+class _CostateWork:
+    """The arrays :func:`_costate_steps` writes into, on a grid of ``n`` steps.
+
+    A solve makes one and hands it to each of its scans, so that a build
+    allocates nothing the size of the grid and the heap it uses stays put
+    between iterations.  It belongs to that solve: two solves never share one.
+    """
+
+    __slots__ = ("lam_r", "y_r", "products", "block", "col_r", "acc", "k", "y")
+
+    def __init__(self, n: int):
+        self.lam_r = np.empty(n + 1)
+        self.y_r = np.zeros((3, 3, n))  # the seeds' R values; the S and I rows stay 0
+        # the stage samples (s, i and the control columns at the three sample
+        # sets), then each stage's products: never live at the same time
+        self.products = np.empty((2, 2, 3, n))
+        self.block = np.empty((2, 2, 3, n))
+        self.col_r = np.empty((2, 3, n))
+        # separate arrays, so that the scan of a fresh work area holds only acc
+        self.acc, self.k, self.y = (np.empty((2, 3, n)) for _ in range(3))
+
+
+def _costate_scan(
+    spec: StrategySpec, traj: Trajectory, signal: ControlSignal, work: _CostateWork | None = None
+) -> Trajectory:
     """The costate of ``traj`` under ``signal``: backward RK4 from lam(t_end) = 0, as a scan.
 
     The costate field is affine in lam, so one backward RK4 step of it is
     ``(lam_S, lam_I)_k = M_k (lam_S, lam_I)_{k+1} + m_k``, with coefficients
-    from :func:`_costate_steps`, whose temporaries are freed before the
-    scan.  lam_R adds the same increment at every step (see
-    docs/costate_derivation.md).  A costate that is not finite raises
+    from :func:`_costate_steps`, built in ``work`` (a new
+    :class:`_CostateWork` if None, of which only the results' arrays
+    outlive the build).  lam_R adds the same increment at every step (see
+    docs/costate_derivation.md).  The costate shares no memory with
+    ``work``.  A costate that is not finite raises
     :class:`IntegrationError`, naming the start time of the first step,
     in sweep order, whose node is not finite.
     """
-    coef, lam_r = _costate_steps(spec, traj, signal)
+    if work is None:
+        work = _CostateWork(spec.grid.steps)
+    coef, lam_r = _costate_steps(spec, traj, signal, work)
+    del work  # a new one is freed here, all but the results' arrays
     lam = np.column_stack((_affine_scan(0.0, 0.0, coef), lam_r))
     return Trajectory(spec.grid, _finite_nodes(lam, spec.grid.times()[::-1])[::-1])
 
 
-def _costate_steps(spec: StrategySpec, traj: Trajectory, signal: ControlSignal):
+def _costate_steps(spec: StrategySpec, traj: Trajectory, signal: ControlSignal, work: _CostateWork):
     """``(coef, lam_R)``: lam_S and lam_I's backward steps for :func:`_affine_scan`, and lam_R.
 
     Seeds ``e_S``, ``e_I`` give the columns of ``M_k``, and ``(0, 0, lam_R)``
@@ -351,7 +389,8 @@ def _costate_steps(spec: StrategySpec, traj: Trajectory, signal: ControlSignal):
     once, on the three sample sets stacked; a stage is one broadcast product
     of its 2x2 block with both rows of all seeds, plus its R column times
     the seeds' R values, in :func:`_vjp`'s order.  The RK4 sum accumulates in
-    place, and no stage keeps another's temporaries.
+    place.  Every array the size of the grid is one of ``work``'s, written
+    with ``out=``; both results are views of it.
     """
     # the field's constant term; its R entry nr + 0.0 is the R rate of every
     # stage, as lam_R holds no -0.0 (its sum starts at +0.0)
@@ -359,39 +398,50 @@ def _costate_steps(spec: StrategySpec, traj: Trajectory, signal: ControlSignal):
     back = -spec.grid.dt
     half, sixth = 0.5 * back, back / 6.0
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is diagnosed by the scan
-        lam_r = np.full(spec.grid.n_nodes, sixth * (kr + 2.0 * kr + 2.0 * kr + kr))
+        lam_r = work.lam_r
+        lam_r.fill(sixth * (kr + 2.0 * kr + 2.0 * kr + kr))
         lam_r[0] = 0.0
-        lam_r = lam_r.cumsum()
+        np.cumsum(lam_r, out=lam_r)
         # the seeds' S and I rows, their share of the constant (the last seed
         # carries it) and their R values at the three sample sets; as lam_R
         # holds no -0.0, the first set's + 0.0 keeps its bits
         y0 = np.eye(3)[:2, :, None]
         n_si = np.zeros((2, 3, 1))
         n_si[:, 2, 0] = ns, ni
-        y_r = np.zeros((3, 3, spec.grid.steps))
-        y_r[:, 2] = lam_r[:-1] + np.array((0.0, half * kr, back * kr))[:, None]
-        nodes = (traj.s, traj.i, *_DRAINS[spec.kind].split(signal.values, np.zeros_like(traj.s)))
-        samples = np.array(stage_samples(spec.grid, np.array(nodes), True)).swapaxes(0, 1)
-        # the (2, 2, 3, n) block and the (2, 3, n) R column; no stage holds the samples
-        block, col_r = map(np.array, _state_jacobian(spec.params.beta, spec.params.mu, *samples))
-        del nodes, samples
+        y_r = work.y_r
+        np.add(lam_r[:-1], np.array((0.0, half * kr, back * kr))[:, None], out=y_r[:, 2])
+        # s, i and the control columns at the three sample sets; a drain the
+        # layout lacks is rate 0.0, as the samples of zero nodes are
+        samples = work.products.reshape(4, 3, -1)
+        u = samples[2 : 2 + spec.channels].swapaxes(0, 1)  # sample set, control column, step
+        stage_samples(spec.grid, traj.values[:, :2].T, True, out=samples[:2].swapaxes(0, 1))
+        stage_samples(spec.grid, signal.values.T, True, out=u)
+        a, v = _DRAINS[spec.kind].split(u, 0.0)
+        # the (2, 2, 3, n) block and the (2, 3, n) R column
+        block, col_r = work.block, work.col_r
+        _state_jacobian(
+            spec.params.beta, spec.params.mu, samples[0], samples[1], a, v,
+            out=(*block.reshape(4, 3, -1), *col_r),
+        )
+        p = work.products  # the samples are spent
 
-        def stage(j, y):
-            p = block[:, :, j, None] * y
-            f = p[:, 0] + p[:, 1]
-            del p
-            f += col_r[:, j, None] * y_r[j]
-            return np.subtract(n_si, f, out=f)
+        def stage(j, y, out):
+            np.multiply(block[:, :, j, None], y, out=p)
+            np.add(p[:, 0], p[:, 1], out=out)
+            out += np.multiply(col_r[:, j, None], y_r[j], out=p[0])
+            return np.subtract(n_si, out, out=out)
 
-        acc = stage(0, y0)
-        k = stage(1, y0 + half * acc)
-        y = y0 + half * k
-        acc += 2.0 * k
-        k = stage(1, y)
-        y = y0 + back * k
-        acc += 2.0 * k
-        del k
-        acc += stage(2, y)
+        acc, k, y = work.acc, work.k, work.y
+        stage(0, y0, acc)
+        stage(1, np.add(y0, np.multiply(half, acc, out=y), out=y), k)
+        np.add(y0, np.multiply(half, k, out=y), out=y)
+        k *= 2.0
+        acc += k
+        stage(1, y, k)
+        np.add(y0, np.multiply(back, k, out=y), out=y)
+        k *= 2.0
+        acc += k
+        acc += stage(2, y, k)
         acc *= sixth
         acc += y0
     return acc.reshape(6, -1), lam_r
@@ -454,8 +504,9 @@ def solve_fbsm(
 
     converged = False
     iterations = 0
+    work = _CostateWork(spec.grid.steps)
     for iterations in range(1, max_iterations + 1):
-        lam = _costate_scan(spec, traj, signal)
+        lam = _costate_scan(spec, traj, signal, work)
         u_law = control_law(spec, traj.s, traj.i, *lam.values.T)
 
         damp = relaxation
@@ -501,7 +552,7 @@ def solve_fbsm(
         logger.warning("%s sweep did not converge in %d iterations", spec.kind.name, iterations)
     if j == math.inf:
         raise IntegrationError("the cost of every iterate overflows")
-    lam = _costate_scan(spec, traj, signal)
+    lam = _costate_scan(spec, traj, signal, work)
     return OcpSolution(spec, traj, signal, lam, j, iterations, converged, history)
 
 

@@ -77,6 +77,36 @@ def test_scan_equals_the_full_vjp_build_bit_for_bit(kind, steps, t_end, controls
     assert scan.tobytes() == ref.costate_scan(spec, traj, signal).values.tobytes()
 
 
+@pytest.mark.parametrize("steps", [100, 1000])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_reused_work_area_gives_the_bits_of_a_fresh_one(kind, steps):
+    """Consecutive scans in one work area, on different iterates, leak nothing between calls.
+
+    The zero control, then seeded in-box controls, then the zero control again.
+    """
+    zero, seeded = (scan_problem(kind, steps, 100.0, c) for c in ("zero", "random"))
+    work = ocp._CostateWork(steps)
+    for problem in (zero, seeded, zero):
+        lam = ocp._costate_scan(*problem, work).values
+        assert lam.tobytes() == ocp._costate_scan(*problem).values.tobytes()
+        for name in ocp._CostateWork.__slots__:
+            assert not np.shares_memory(lam, getattr(work, name)), name
+
+
+def test_a_sweep_hands_one_work_area_to_every_scan(monkeypatch):
+    scan, works = ocp._costate_scan, []
+
+    def recording(spec, traj, signal, work):
+        works.append(work)
+        return scan(spec, traj, signal, work)
+
+    monkeypatch.setattr(ocp, "_costate_scan", recording)
+    sol = ocp.solve_fbsm(default_spec(3, steps=100))
+    assert len(works) == sol.iterations + 1
+    assert isinstance(works[0], ocp._CostateWork)
+    assert all(work is works[0] for work in works)
+
+
 def traced_peak(fn, *args):
     """The tracemalloc peak, in bytes, of one call of ``fn``."""
     tracemalloc.start()
@@ -183,12 +213,12 @@ def test_scan_reports_the_blowups_of_the_reference_loop():
 
 def solve_counting_costates(monkeypatch, spec, tol, steer_with_reference):
     """``solve_fbsm`` steered by the scan or by the reference loop, and its costate count."""
-    costate = reference_costate if steer_with_reference else ocp._costate_scan
+    scan = ocp._costate_scan
     calls = []
 
-    def counting(*args):
+    def counting(*args):  # the scan's arguments and the solve's work area
         calls.append(args)
-        return costate(*args)
+        return reference_costate(*args[:3]) if steer_with_reference else scan(*args)
 
     with monkeypatch.context() as m:
         m.setattr(ocp, "_costate_scan", counting)

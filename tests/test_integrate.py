@@ -207,6 +207,17 @@ def test_stage_samples_equal_the_inline_formula(steps, backward):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("backward", [False, True])
+def test_stage_samples_written_to_out_are_those_returned(backward):
+    """``out`` receives the plain call's bits, here from a strided view such as a state column."""
+    nodes = np.random.default_rng(8).uniform(size=(GRID.n_nodes, 3))[:, :2].T
+    out = np.full((3, 2, GRID.steps), np.nan)
+    got = stage_samples(GRID, nodes, backward, out=out)
+    for written, returned, want in zip(out, got, stage_samples(GRID, nodes, backward), strict=True):
+        assert np.shares_memory(returned, written)
+        assert written.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("kind, channels", [(1, 2), (3, 1)])
 def test_sweeps_reject_a_signal_with_the_wrong_channel_count(kind, channels):
     """Strategy 1 reads one control column and strategy 3 two; neither takes the other's."""
