@@ -337,23 +337,56 @@ def _affine_scan(x_s: float, x_i: float, coef: np.ndarray) -> np.ndarray:
 
 
 class _CostateWork:
-    """The arrays :func:`_costate_steps` writes into, on a grid of ``n`` steps.
+    """What :func:`_costate_steps` needs of ``spec``: its constants and the arrays it writes into.
 
-    A solve makes one and hands it to each of its scans, so that a build
-    allocates nothing the size of the grid and the heap it uses stays put
-    between iterations.  It belongs to that solve: two solves never share one.
+    A solve makes one and hands it to each of its scans.  What depends only
+    on the spec and its grid is made here, once: lam_R, the seeds, their R
+    values ``y_r`` and the field's constant share ``n_si``, all read-only,
+    the step fractions, and every view the build writes through.  So a
+    build allocates nothing the size of the grid and the heap it uses stays
+    put between iterations.  It belongs to that solve: two never share one.
     """
 
-    __slots__ = ("lam_r", "y_r", "products", "block", "col_r", "acc", "k", "y")
+    __slots__ = ("spec", "back", "half", "sixth", "lam_r", "y_r", "y0", "n_si", "states", "controls",
+                 "jacobian_args", "jacobian_out", "products", "p_si", "p_r", "stages", "acc", "k", "y")
 
-    def __init__(self, n: int):
-        self.lam_r = np.empty(n + 1)
-        self.y_r = np.zeros((3, 3, n))  # the seeds' R values; the S and I rows stay 0
-        # the stage samples (s, i and the control columns at the three sample
-        # sets), then each stage's products: never live at the same time
-        self.products = np.empty((2, 2, 3, n))
-        self.block = np.empty((2, 2, 3, n))
-        self.col_r = np.empty((2, 3, n))
+    def __init__(self, spec: StrategySpec):
+        n = spec.grid.steps
+        self.spec = spec
+        # the field's constant term; its R entry nr + 0.0 is the R rate of every
+        # stage, as lam_R holds no -0.0 (its sum starts at +0.0)
+        ns, ni, kr = adjoint_field(spec)(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        self.back = back = -spec.grid.dt
+        self.half, self.sixth = half, sixth = 0.5 * back, back / 6.0
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is diagnosed by the scan
+            self.lam_r = lam_r = np.full(n + 1, sixth * (kr + 2.0 * kr + 2.0 * kr + kr))
+            lam_r[0] = 0.0
+            np.cumsum(lam_r, out=lam_r)
+            # the seeds' S and I rows, their share of the constant (the last seed
+            # carries it) and their R values at the three sample sets; as lam_R
+            # holds no -0.0, the first set's + 0.0 keeps its bits
+            self.y0 = np.eye(3)[:2, :, None]
+            self.n_si = np.zeros((2, 3, 1))
+            self.n_si[:, 2, 0] = ns, ni
+            self.y_r = np.zeros((3, 3, n))  # the S and I rows stay 0
+            np.add(lam_r[:-1], np.array((0.0, half * kr, back * kr))[:, None], out=self.y_r[:, 2])
+        for array in (lam_r, self.y0, self.n_si, self.y_r):
+            array.flags.writeable = False
+        # s, i and the control columns at the three sample sets, then each
+        # stage's products: never live at the same time; a drain the layout
+        # lacks is rate 0.0, as the samples of zero nodes are
+        self.products = p = np.empty((2, 2, 3, n))
+        samples = p.reshape(4, 3, -1)
+        self.states = samples[:2].swapaxes(0, 1)  # sample set, s or i, step
+        self.controls = samples[2 : 2 + spec.channels].swapaxes(0, 1)  # ..., control column, ...
+        a, v = _DRAINS[spec.kind].split(self.controls, 0.0)
+        self.jacobian_args = (spec.params.beta, spec.params.mu, samples[0], samples[1], a, v)
+        # the (2, 2, 3, n) block and the (2, 3, n) R column, and each stage's
+        # sample set of them with the seeds' R values
+        block, col_r = np.empty((2, 2, 3, n)), np.empty((2, 3, n))
+        self.jacobian_out = (*block.reshape(4, 3, -1), *col_r)
+        self.p_si, self.p_r = (p[:, 0], p[:, 1]), p[0]
+        self.stages = [(block[:, :, j, None], col_r[:, j, None], self.y_r[j]) for j in range(3)]
         # separate arrays, so that the scan of a fresh work area holds only acc
         self.acc, self.k, self.y = (np.empty((2, 3, n)) for _ in range(3))
 
@@ -367,68 +400,48 @@ def _costate_scan(
     ``(lam_S, lam_I)_k = M_k (lam_S, lam_I)_{k+1} + m_k``, with coefficients
     from :func:`_costate_steps`, built in ``work`` (a new
     :class:`_CostateWork` if None, of which only the results' arrays
-    outlive the build).  lam_R adds the same increment at every step (see
-    docs/costate_derivation.md).  The costate shares no memory with
-    ``work``.  A costate that is not finite raises
+    outlive the build); a work area built for a spec that is not ``spec``
+    raises :class:`ValueError`.  lam_R adds the same increment at every
+    step (see docs/costate_derivation.md).  The costate shares no memory
+    with ``work``.  A costate that is not finite raises
     :class:`IntegrationError`, naming the start time of the first step,
     in sweep order, whose node is not finite.
     """
     if work is None:
-        work = _CostateWork(spec.grid.steps)
-    coef, lam_r = _costate_steps(spec, traj, signal, work)
+        work = _CostateWork(spec)
+    elif work.spec is not spec and work.spec != spec:
+        raise ValueError("the costate work area was built for another problem")
+    coef, lam_r = _costate_steps(traj, signal, work)
     del work  # a new one is freed here, all but the results' arrays
     lam = np.column_stack((_affine_scan(0.0, 0.0, coef), lam_r))
     return Trajectory(spec.grid, _finite_nodes(lam, spec.grid.times()[::-1])[::-1])
 
 
-def _costate_steps(spec: StrategySpec, traj: Trajectory, signal: ControlSignal, work: _CostateWork):
+def _costate_steps(traj: Trajectory, signal: ControlSignal, work: _CostateWork):
     """``(coef, lam_R)``: lam_S and lam_I's backward steps for :func:`_affine_scan`, and lam_R.
 
     Seeds ``e_S``, ``e_I`` give the columns of ``M_k``, and ``(0, 0, lam_R)``
-    with the field's constant gives ``m_k``.  :func:`_state_jacobian` runs
-    once, on the three sample sets stacked; a stage is one broadcast product
-    of its 2x2 block with both rows of all seeds, plus its R column times
-    the seeds' R values, in :func:`_vjp`'s order.  The RK4 sum accumulates in
-    place.  Every array the size of the grid is one of ``work``'s, written
-    with ``out=``; both results are views of it.
+    with the field's constant gives ``m_k``; both come from ``work``, which
+    holds the spec's constants.  :func:`_state_jacobian` runs once, on the
+    three sample sets stacked; a stage is one broadcast product of its 2x2
+    block with both rows of all seeds, plus its R column times the seeds' R
+    values, in :func:`_vjp`'s order.  The RK4 sum accumulates in place.
+    Every array the size of the grid is one of ``work``'s, written with
+    ``out=``; both results are views of it.
     """
-    # the field's constant term; its R entry nr + 0.0 is the R rate of every
-    # stage, as lam_R holds no -0.0 (its sum starts at +0.0)
-    ns, ni, kr = adjoint_field(spec)(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    back = -spec.grid.dt
-    half, sixth = 0.5 * back, back / 6.0
+    grid = work.spec.grid
+    back, half, sixth, y0, n_si = work.back, work.half, work.sixth, work.y0, work.n_si
+    p, (p_s, p_i), p_r, stages = work.products, work.p_si, work.p_r, work.stages
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is diagnosed by the scan
-        lam_r = work.lam_r
-        lam_r.fill(sixth * (kr + 2.0 * kr + 2.0 * kr + kr))
-        lam_r[0] = 0.0
-        np.cumsum(lam_r, out=lam_r)
-        # the seeds' S and I rows, their share of the constant (the last seed
-        # carries it) and their R values at the three sample sets; as lam_R
-        # holds no -0.0, the first set's + 0.0 keeps its bits
-        y0 = np.eye(3)[:2, :, None]
-        n_si = np.zeros((2, 3, 1))
-        n_si[:, 2, 0] = ns, ni
-        y_r = work.y_r
-        np.add(lam_r[:-1], np.array((0.0, half * kr, back * kr))[:, None], out=y_r[:, 2])
-        # s, i and the control columns at the three sample sets; a drain the
-        # layout lacks is rate 0.0, as the samples of zero nodes are
-        samples = work.products.reshape(4, 3, -1)
-        u = samples[2 : 2 + spec.channels].swapaxes(0, 1)  # sample set, control column, step
-        stage_samples(spec.grid, traj.values[:, :2].T, True, out=samples[:2].swapaxes(0, 1))
-        stage_samples(spec.grid, signal.values.T, True, out=u)
-        a, v = _DRAINS[spec.kind].split(u, 0.0)
-        # the (2, 2, 3, n) block and the (2, 3, n) R column
-        block, col_r = work.block, work.col_r
-        _state_jacobian(
-            spec.params.beta, spec.params.mu, samples[0], samples[1], a, v,
-            out=(*block.reshape(4, 3, -1), *col_r),
-        )
-        p = work.products  # the samples are spent
+        stage_samples(grid, traj.values[:, :2].T, True, out=work.states)
+        stage_samples(grid, signal.values.T, True, out=work.controls)
+        _state_jacobian(*work.jacobian_args, out=work.jacobian_out)  # the samples are spent
 
         def stage(j, y, out):
-            np.multiply(block[:, :, j, None], y, out=p)
-            np.add(p[:, 0], p[:, 1], out=out)
-            out += np.multiply(col_r[:, j, None], y_r[j], out=p[0])
+            block, col_r, y_r = stages[j]
+            np.multiply(block, y, out=p)
+            np.add(p_s, p_i, out=out)
+            out += np.multiply(col_r, y_r, out=p_r)
             return np.subtract(n_si, out, out=out)
 
         acc, k, y = work.acc, work.k, work.y
@@ -444,7 +457,7 @@ def _costate_steps(spec: StrategySpec, traj: Trajectory, signal: ControlSignal, 
         acc += stage(2, y, k)
         acc *= sixth
         acc += y0
-    return acc.reshape(6, -1), lam_r
+    return acc.reshape(6, -1), work.lam_r
 
 
 # -- forward-backward sweep --------------------------------------------------
@@ -504,7 +517,7 @@ def solve_fbsm(
 
     converged = False
     iterations = 0
-    work = _CostateWork(spec.grid.steps)
+    work = _CostateWork(spec)
     for iterations in range(1, max_iterations + 1):
         lam = _costate_scan(spec, traj, signal, work)
         u_law = control_law(spec, traj.s, traj.i, *lam.values.T)

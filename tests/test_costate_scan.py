@@ -77,20 +77,53 @@ def test_scan_equals_the_full_vjp_build_bit_for_bit(kind, steps, t_end, controls
     assert scan.tobytes() == ref.costate_scan(spec, traj, signal).values.tobytes()
 
 
-@pytest.mark.parametrize("steps", [100, 1000])
+def work_arrays(work):
+    """Every array a work area holds, views in its tuples and lists included."""
+    values = [getattr(work, name) for name in ocp._CostateWork.__slots__]
+    while values:
+        value = values.pop()
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            values.extend(value)
+
+
+@pytest.mark.parametrize("steps", [100, 200, 400, 1000])
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_reused_work_area_gives_the_bits_of_a_fresh_one(kind, steps):
     """Consecutive scans in one work area, on different iterates, leak nothing between calls.
 
-    The zero control, then seeded in-box controls, then the zero control again.
+    The zero control, then seeded in-box controls, then the zero control
+    again; the seeded problem's spec is an equal object, not the work
+    area's own.  The spec's constants in the work area are read-only and
+    keep their bits.
     """
     zero, seeded = (scan_problem(kind, steps, 100.0, c) for c in ("zero", "random"))
-    work = ocp._CostateWork(steps)
+    assert seeded[0] == zero[0] and seeded[0] is not zero[0]
+    work = ocp._CostateWork(zero[0])
+    constants = {name: getattr(work, name).tobytes() for name in ("lam_r", "y_r")}
     for problem in (zero, seeded, zero):
         lam = ocp._costate_scan(*problem, work).values
         assert lam.tobytes() == ocp._costate_scan(*problem).values.tobytes()
-        for name in ocp._CostateWork.__slots__:
-            assert not np.shares_memory(lam, getattr(work, name)), name
+        for array in work_arrays(work):
+            assert not np.shares_memory(lam, array)
+    for name, bits in constants.items():
+        assert not getattr(work, name).flags.writeable, name
+        assert getattr(work, name).tobytes() == bits, name
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        pytest.param(StrategySpec(kind=Strategy(1), grid=TimeGrid(0.0, 100.0, 100)), id="strategy-1"),
+        pytest.param(StrategySpec(kind=Strategy(2), grid=TimeGrid(0.0, 100.0, 200)), id="200-steps"),
+    ],
+)
+def test_a_work_area_built_for_another_problem_is_refused(other):
+    """A strategy-1 work area would give a strategy-2 scan on its grid a wrong costate."""
+    spec, traj, signal = scan_problem(2, 100, 100.0)
+    with pytest.raises(ValueError, match="another problem"):
+        ocp._costate_scan(spec, traj, signal, ocp._CostateWork(other))
 
 
 def test_a_sweep_hands_one_work_area_to_every_scan(monkeypatch):

@@ -1,10 +1,12 @@
 """Optimal-control tests: functionals, costates, control laws, both solvers."""
 
 import dataclasses
+import json
 import logging
 import math
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +320,33 @@ def test_characterization_interior_is_stationary():
 
 
 # -- sweep solver ---------------------------------------------------------------------
+
+
+SWEEP_POOL = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+)["sweep_pool"]
+
+
+@pytest.mark.parametrize(
+    "problem, expected",
+    [
+        pytest.param(p, j, id=f"{k}-s{p['kind']}-{p['steps']}-{p['tol']:g}")
+        for k, (p, j) in enumerate(zip(SWEEP_POOL["problems"], SWEEP_POOL["objective"]))
+    ],
+)
+def test_the_benchmark_sweep_pool_converges_to_its_reference_objectives(problem, expected):
+    """The ``scenario_sweep`` gate: each pool problem within 1e-9 relative of its objective."""
+    spec = StrategySpec(
+        kind=Strategy(problem["kind"]),
+        params=ModelParams(problem["beta"], problem["mu"]),
+        x0=EpidemicState(1.0 - problem["i0"], problem["i0"], 0.0),
+        grid=TimeGrid(0.0, 100.0, problem["steps"]),
+        u_max=problem["u_max"],
+        **{name: problem[name] for name in ocp._WEIGHT_FIELDS},
+    )
+    sol = solve_fbsm(spec, tol=problem["tol"])
+    assert sol.converged
+    assert abs(sol.objective - expected) <= 1e-9 * max(abs(expected), 1e-12)
 
 
 @pytest.mark.parametrize("kind", [1, 2, 3])
