@@ -17,7 +17,7 @@ from .metrics import (
     summarize_run,
     terminal_values,
 )
-from .model import DrainField, Drains, EpidemicState, ModelParams
+from .model import Drains, EpidemicState, ModelParams
 from .ocp import (
     ControlSignal,
     OcpSolution,
@@ -36,7 +36,6 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "integrate_forward",
-    "DrainField",
     "Drains",
     "EpidemicState",
     "ModelParams",

@@ -29,13 +29,14 @@ from pathlib import Path
 
 from .integrate import IntegrationError, TimeGrid, Trajectory, integrate_forward
 from .metrics import DEFAULT_PERIOD_THRESHOLD, RunSummary, summarize_run
-from .model import DrainField, EpidemicState, ModelParams
+from .model import Drains, EpidemicState, ModelParams
 from .ocp import (
     DEFAULT_PARAMS,
     DEFAULT_STEPS,
     DEFAULT_T_END,
     DEFAULT_X0,
     _WEIGHT_FIELDS,
+    _check_settings,
     _check_weights,
     ControlSignal,
     OcpSolution,
@@ -105,7 +106,7 @@ class ScenarioConfig:
                 f"config field strategy must be one of {', '.join(_STRATEGY_CHOICES)}, "
                 f"got {self.strategy!r}"
             )
-        for name in ("beta", "mu", "t_end", "tol", "threshold"):
+        for name in ("t_end", "threshold"):
             v = getattr(self, name)
             if not v > 0:
                 raise ConfigError(f"config field {name} must be positive, got {v}")
@@ -118,24 +119,16 @@ class ScenarioConfig:
             )
         if self.steps < 1:
             raise ConfigError(f"config field steps must be >= 1, got {self.steps}")
-        try:  # on the step of the grid built below
-            _check_weights(self, self.t_end / self.steps)
-        except ValueError as e:
-            raise ConfigError(f"config field {e}") from None
-        except OverflowError:  # a step count past the float range
-            raise ConfigError(f"config field steps = {self.steps} is too large") from None
-        if self.max_iterations < 1:
-            raise ConfigError(
-                f"config field max_iterations must be >= 1, got {self.max_iterations}"
-            )
-        if not 0.0 < self.relaxation <= 1.0:
-            raise ConfigError(
-                f"config field relaxation must be in (0, 1], got {self.relaxation}"
-            )
         try:  # built once, here, so that a grid numpy cannot allocate fails before any output
             object.__setattr__(self, "_grid", _shared_grid(0.0, self.t_end, self.steps))
-        except (ValueError, MemoryError) as e:
+        except (ValueError, OverflowError, MemoryError) as e:
             raise ConfigError(f"config field steps = {self.steps} is too large: {e}") from None
+        try:  # the rules of the model, the problem and the solvers, from their owners
+            object.__setattr__(self, "_params", ModelParams(self.beta, self.mu))
+            _check_weights(self, self._grid.dt)
+            _check_settings(self.max_iterations, self.tol, self.relaxation)
+        except ValueError as e:
+            raise ConfigError(f"config field {e}") from None
 
     @property
     def label(self) -> str:
@@ -151,7 +144,7 @@ class ScenarioConfig:
         """The control problem of strategy 1, 2 or 3."""
         return StrategySpec(
             kind=Strategy(int(self.strategy)),
-            params=ModelParams(self.beta, self.mu),
+            params=self._params,
             x0=self.x0(),
             grid=self.grid(),
             u_max=self.u_max,
@@ -359,7 +352,7 @@ def _run_scenario(
 
     sol = control = adjoints = convergence = cross = None
     if cfg.strategy == "none":
-        traj = integrate_forward(DrainField(cfg.beta, cfg.mu), cfg.x0().as_array(), cfg.grid())
+        traj = integrate_forward(cfg._params, Drains(), cfg.x0().as_array(), cfg.grid())
         summary = summarize_run(traj, cfg.threshold)
         code = EXIT_OK
     else:

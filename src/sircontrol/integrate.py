@@ -16,8 +16,8 @@ floats.  Once per call, :func:`stage_samples` computes with numpy the node,
 half-stage and full-stage samples of every step, from interpolation weights
 each :class:`TimeGrid` computes once, of the drain rates ``a`` (S -> R) and
 ``v`` (I -> R) that a :class:`~sircontrol.model.Drains` map picks from the
-control columns.  ``integrate_forward(field, ...)`` takes a
-:class:`~sircontrol.model.DrainField` and writes its rate law inline as
+control columns.  ``integrate_forward(params, drains, ...)`` takes the rates
+as a :class:`~sircontrol.model.ModelParams` and writes the rate law inline as
 ``d = -dS = beta*S*I + a*S``, ``dI = beta*S*I - (mu + v)*I`` and
 ``-dR = dI - d`` (``mu + v`` sampled as one array).  IEEE negation is exact,
 so the steps ``S + (dt/6) * (-d1 - 2*d2 - ...)`` and ``R - (dt/6) * (...)``
@@ -56,7 +56,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .model import DrainField, Drains
+from .model import Drains, ModelParams
 
 __all__ = [
     "IntegrationError",
@@ -213,20 +213,17 @@ def _finite_nodes(out, times: np.ndarray) -> np.ndarray:
 
 
 def integrate_forward(
-    field: DrainField,
-    x0: np.ndarray,
-    grid: TimeGrid,
-    controls=None,
+    params: ModelParams, drains: Drains, x0: np.ndarray, grid: TimeGrid, controls=None
 ) -> Trajectory:
-    """Integrate the drain-form ``field`` from x0 = (S, I, R) over the grid.
+    """Integrate the drain-form field at rates ``params`` from x0 = (S, I, R) over the grid.
 
     ``controls`` is a node-sampled signal with one column per channel of
-    ``field.drains`` (or None: no drain).  States are never clipped: a node
+    ``drains`` (or None: no drain).  States are never clipped: a node
     that is not finite, or below ``-_ADMISSIBLE_TOL * (S0 + I0 + R0)``,
     raises :class:`IntegrationError`.
     """
-    beta, mu = field.beta, field.mu
-    a, v = _drain_samples(field.drains, controls, grid)
+    beta, mu = params.beta, params.mu
+    a, v = _drain_samples(drains, controls, grid)
     n = grid.steps
     # one iterator per input; ModelParams keeps mu finite and positive, so mu + 0.0 == mu
     a1, am, a4 = (x.tolist() for x in a) if a else (repeat(0.0, n) for _ in range(3))

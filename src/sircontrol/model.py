@@ -29,7 +29,6 @@ __all__ = [
     "EpidemicState",
     "ModelParams",
     "Drains",
-    "DrainField",
     "treatment_education_rates",
 ]
 
@@ -61,7 +60,7 @@ class EpidemicState:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Transmission and recovery rates (per day)."""
+    """Transmission and recovery rates (per day), checked finite and positive."""
 
     beta: float
     mu: float
@@ -95,15 +94,6 @@ class Drains(NamedTuple):
             if c is not None:
                 columns[c] = x
         return columns
-
-
-@dataclass(frozen=True)
-class DrainField:
-    """The SIR field in drain form at rates ``beta``, ``mu``, with its control columns."""
-
-    beta: float
-    mu: float
-    drains: Drains = Drains()
 
 
 def treatment_education_rates(s, i, beta: float, mu: float, v, a) -> tuple:

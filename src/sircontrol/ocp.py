@@ -12,10 +12,10 @@ Each running cost is ``c_x . (S, I, R) + (w1/2) u1^2 + (w2/2) u2^2`` and each
 control moves a compartment into R, so every strategy is the drain-form SIR
 field of :mod:`sircontrol.model`.  ``_weights(spec) -> (c_x, w)`` and
 ``_DRAINS``, the channel map of each strategy (u1 drains S; u1 drains I and
-u2 drains S), are the only code that branches on the strategy.  The field,
-the running cost, the costate field ``-(c_x + f_x^T lam)``, the control law
-``clip(-(f_u^T lam)_c / w_c, 0, u_max)`` and the reverse gradient read these
-two tables; ``_vjp`` gives the products ``f_x^T k``, ``f_u^T k`` in the
+u2 drains S), are the only code that branches on the strategy.  The
+forward sweep, the running cost, the costate field ``-(c_x + f_x^T lam)``,
+the control law ``clip(-(f_u^T lam)_c / w_c, 0, u_max)`` and the reverse
+gradient read these two tables; ``_vjp`` gives the products ``f_x^T k``, ``f_u^T k`` in the
 drain rates ``a`` and ``v`` (see docs/costate_derivation.md).  Two solution
 routes:
 
@@ -63,7 +63,7 @@ from .integrate import (
     integrate_forward,
     stage_samples,
 )
-from .model import DrainField, Drains, EpidemicState, ModelParams, treatment_education_rates
+from .model import Drains, EpidemicState, ModelParams, treatment_education_rates
 
 __all__ = [
     "Strategy",
@@ -74,7 +74,6 @@ __all__ = [
     "running_cost",
     "objective",
     "control_law",
-    "dynamics_field",
     "adjoint_field",
     "objective_gradient",
     "solve_fbsm",
@@ -285,14 +284,6 @@ def control_law(spec: StrategySpec, s, i, lam_s, lam_i, lam_r) -> np.ndarray:
         )
 
 
-# -- dynamics/costate fields for the integrator ------------------------------
-
-
-def dynamics_field(spec: StrategySpec) -> DrainField:
-    """The spec's drain-form field, for :func:`integrate_forward`."""
-    return DrainField(spec.params.beta, spec.params.mu, _DRAINS[spec.kind])
-
-
 def adjoint_field(spec: StrategySpec):
     """Costate field ``costate(lam_s, lam_i, lam_r, s, i, a, v) -> -(c_x + f_x^T lam)``.
 
@@ -312,11 +303,6 @@ def adjoint_field(spec: StrategySpec):
         )
 
     return costate
-
-
-def _admissible_forward(spec: StrategySpec, signal: ControlSignal) -> Trajectory:
-    """Forward sweep of a solver iterate; :class:`IntegrationError` if it blows up."""
-    return integrate_forward(dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
 
 
 # -- affine scans ------------------------------------------------------------
@@ -463,10 +449,24 @@ def _costate_steps(traj: Trajectory, signal: ControlSignal, work: _CostateWork):
 # -- forward-backward sweep --------------------------------------------------
 
 
+def _check_settings(max_iterations: int, tol: float = 1.0, relaxation: float = 1.0) -> None:
+    """:class:`ValueError` unless ``max_iterations >= 1``, ``tol`` is finite and positive and
+    ``relaxation`` lies in (0, 1]; the defaults pass, so the direct solve checks only the first.
+    """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not 0.0 < relaxation <= 1.0:
+        raise ValueError(f"relaxation must be in (0, 1], got {relaxation}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+
+
 def _trial_objective(spec, signal):
     """Objective and forward trajectory of a trial control; +inf if it blew up."""
     try:
-        traj = _admissible_forward(spec, signal)
+        traj = integrate_forward(
+            spec.params, _DRAINS[spec.kind], spec.x0.as_array(), spec.grid, signal
+        )
     except IntegrationError:
         return math.inf, None
     return objective(spec, traj, signal), traj
@@ -484,15 +484,15 @@ def solve_fbsm(
     Each iteration integrates the states forward under the current control,
     integrates the costates backward from lam(t_end) = 0
     (:func:`_costate_scan`), evaluates the pointwise control law, and blends
-    toward it, ``u <- (1 - c) u + c u_law`` with ``c = relaxation``, which
-    must lie in (0, 1]; ``tol`` must be finite and positive, or
-    :class:`ValueError` is raised.  The solution's ``adjoints`` are the
-    scanned costate of the returned iterate.  A blend that raises the
-    objective is retried with ``c`` halved (the plain relaxed iteration
-    limit-cycles on strongly state-weighted problems); ``c`` resets to
-    ``relaxation`` at the next iteration.  At ``relaxation/64`` the blend
+    toward it, ``u <- (1 - c) u + c u_law`` with ``c = relaxation``; the
+    settings must pass :func:`_check_settings`, or :class:`ValueError` is
+    raised.  The solution's ``adjoints`` are the scanned costate of the
+    returned iterate.  A blend that raises the objective is retried with
+    ``c`` halved (the plain relaxed iteration limit-cycles on strongly
+    state-weighted problems); ``c`` resets to ``relaxation`` at the next
+    iteration.  At ``relaxation/64`` the blend
     is accepted as it is, unless it blew up (see
-    :func:`_admissible_forward`): such a trial scores +inf and is never
+    :func:`integrate_forward`): such a trial scores +inf and is never
     accepted, and when every damped trial of an iteration blows up the
     sweep stops.  A blow-up of the initial zero-control sweep, or of the
     costate of an iterate the sweep steers from or returns, raises
@@ -503,14 +503,10 @@ def solve_fbsm(
     On non-convergence the best iterate (lowest objective) is returned with
     ``converged=False``.
     """
-    if not 0.0 < relaxation <= 1.0:
-        raise ValueError(f"relaxation must be in (0, 1], got {relaxation}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-
+    _check_settings(max_iterations, tol, relaxation)
     u = np.zeros((spec.grid.n_nodes, spec.channels))
     signal = ControlSignal(spec.grid, u)
-    traj = _admissible_forward(spec, signal)
+    traj = integrate_forward(spec.params, _DRAINS[spec.kind], spec.x0.as_array(), spec.grid, signal)
     j = objective(spec, traj, signal)
     history, rises = [j], []
     best = (j, traj, signal)
@@ -586,7 +582,7 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     sweep; :class:`IntegrationError` if the sweep blows up or the gradient is not finite.
     """
     signal = ControlSignal(spec.grid, u_values)
-    traj = _admissible_forward(spec, signal)
+    traj = integrate_forward(spec.params, _DRAINS[spec.kind], spec.x0.as_array(), spec.grid, signal)
     return objective(spec, traj, signal), _reverse_gradient(spec, u_values, traj)
 
 
@@ -689,7 +685,7 @@ def solve_direct(
     points are the discrete KKT points.
     A trial is scored by its forward sweep and objective alone; only the
     accepted one is differentiated, on that sweep.  A trial that blows up
-    (:func:`_admissible_forward`) scores +inf and is backtracked, and a
+    (:func:`integrate_forward`) scores +inf and is backtracked, and a
     stalled search's warning counts such trials.  A blow-up of the start, or
     a gradient that is not finite there or at an accepted point, raises
     :class:`IntegrationError`.
@@ -697,7 +693,7 @@ def solve_direct(
     ``P(u - g) - u`` below ``gtol`` (the discrete KKT condition; Hager,
     Numer. Math. 87, 2000), or ``max_iterations``; the residual is in raw
     gradient units, not in the metric.  ``gtol`` must be finite and
-    positive, or :class:`ValueError` is raised.
+    positive and ``max_iterations`` at least 1, or :class:`ValueError` is raised.
 
     The descent starts from the zero control, or from the control of
     ``start`` (a signal or a solution) projected onto the box; it must lie
@@ -714,6 +710,7 @@ def solve_direct(
     """
     if not (math.isfinite(gtol) and gtol > 0.0):
         raise ValueError(f"gtol must be finite and positive, got {gtol}")
+    _check_settings(max_iterations)
     lo, hi = 0.0, spec.u_max
     control = start.control if isinstance(start, OcpSolution) else start
     if control is None:
@@ -726,7 +723,9 @@ def solve_direct(
     signal = ControlSignal(spec.grid, u)
     own = isinstance(start, OcpSolution) and start.spec == spec  # a solution holds its sweep
     unmoved = own and u.tobytes() == control.values.tobytes()
-    traj = start.trajectory if unmoved else _admissible_forward(spec, signal)
+    traj = start.trajectory if unmoved else integrate_forward(
+        spec.params, _DRAINS[spec.kind], spec.x0.as_array(), spec.grid, signal
+    )
     j, g = objective(spec, traj, signal), _reverse_gradient(spec, u, traj)
     _, w = _weights(spec)
     metric = _node_weights(spec.grid)[:, None] * np.array(w[: spec.channels])

@@ -311,15 +311,14 @@ def state_vjp(beta, mu, s, i, a, v, ks, ki, kr):
 
 def costate_scan(spec, traj, signal):
     """``ocp._costate_scan`` as first written: the layout's ``vjp`` on three seeds per stage."""
-    field = ocp.dynamics_field(spec)
-    beta, mu = field.beta, field.mu
+    beta, mu = spec.params.beta, spec.params.mu
     (cs, ci, cr), _ = ocp._weights(spec)
     grid = spec.grid
     n = grid.steps
     back = -grid.dt
     half, sixth = 0.5 * back, back / 6.0
     zero = np.zeros(grid.n_nodes)
-    nodes = np.array((traj.s, traj.i, *field.drains.split(signal.values, zero)))
+    nodes = np.array((traj.s, traj.i, *ocp._DRAINS[spec.kind].split(signal.values, zero)))
     (s1, i1, a1, v1), (sm, im, am, vm), (s4, i4, a4, v4) = stage_samples(grid, nodes, True)
     kr = -cr + 0.0
     lam_r = np.full(n + 1, sixth * (kr + 2.0 * kr + 2.0 * kr + kr))

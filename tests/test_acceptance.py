@@ -20,13 +20,13 @@ import pytest
 
 from sircontrol.integrate import TimeGrid, integrate_forward
 from sircontrol.metrics import infection_period, peak_infected, terminal_values
-from sircontrol.model import DrainField
+from sircontrol.model import Drains
 from sircontrol.ocp import (
     DEFAULT_PARAMS,
     DEFAULT_X0,
+    _DRAINS,
     ControlSignal,
     default_spec,
-    dynamics_field,
     objective,
     objective_gradient,
     solve_direct,
@@ -42,9 +42,7 @@ N = DEFAULT_X0.s + DEFAULT_X0.i + DEFAULT_X0.r  # the population, 1.0
 def test_criterion_01_uncontrolled_peak():
     """Peak infected 0.179 +- 0.002, matching the closed-form maximum; < 0.1 s."""
     t0 = time.perf_counter()
-    traj = integrate_forward(
-        DrainField(DEFAULT_PARAMS.beta, DEFAULT_PARAMS.mu), DEFAULT_X0.as_array(), GRID
-    )
+    traj = integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0.as_array(), GRID)
     runtime = time.perf_counter() - t0
 
     _, peak = peak_infected(traj)
@@ -272,11 +270,11 @@ def test_criterion_09_adjoint_gradient():
         rng = np.random.default_rng(1000 + kind)
         u = rng.uniform(0.05, 0.85, size=(spec.grid.n_nodes, spec.channels))
         _, grad = objective_gradient(spec, u)
-        dynamics = dynamics_field(spec)
+        drains = _DRAINS[spec.kind]
 
         def j_of(values):
             signal = ControlSignal(spec.grid, values)
-            traj = integrate_forward(dynamics, spec.x0.as_array(), spec.grid, signal)
+            traj = integrate_forward(spec.params, drains, spec.x0.as_array(), spec.grid, signal)
             return objective(spec, traj, signal)
 
         flat = rng.choice(u.size, size=10, replace=False)
@@ -294,11 +292,11 @@ def test_criterion_09_adjoint_gradient():
 
 def test_criterion_10_rk4_order():
     """Global error shrinks by a factor in [12, 20] when dt halves 0.2 -> 0.1."""
-    f = DrainField(DEFAULT_PARAMS.beta, DEFAULT_PARAMS.mu)
     x0 = DEFAULT_X0.as_array()
 
     def endstate(steps):
-        return integrate_forward(f, x0, TimeGrid(0.0, 100.0, steps)).values[-1]
+        grid = TimeGrid(0.0, 100.0, steps)
+        return integrate_forward(DEFAULT_PARAMS, Drains(), x0, grid).values[-1]
 
     reference = endstate(100_000)  # dt = 1e-3
     err_coarse = float(np.linalg.norm(endstate(500) - reference))

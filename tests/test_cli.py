@@ -33,7 +33,8 @@ from sircontrol.cli import (
 )
 from sircontrol.integrate import IntegrationError, TimeGrid, Trajectory
 from sircontrol.metrics import RunSummary
-from sircontrol.ocp import ControlSignal, default_spec
+from sircontrol.model import ModelParams
+from sircontrol.ocp import ControlSignal, Strategy, StrategySpec, default_spec
 
 
 def write_cfg(tmp_path, name, text):
@@ -97,6 +98,29 @@ def test_config_rejects_bad_numbers():
         config_from_entries({"strategy": "1", "nu": "5e-324"})
     with pytest.raises(ConfigError, match="b1 is too small"):
         config_from_entries({"strategy": "3", "b1": "1e-310"})
+
+
+# one bad value per key, and a call of the one owner of its rule on that value
+OWNED_RULES = [
+    pytest.param("beta", "-1", lambda: ModelParams(-1.0, 0.1), id="beta"),
+    pytest.param("mu", "0", lambda: ModelParams(0.2, 0.0), id="mu"),
+    pytest.param("tol", "0", lambda: ocp._check_settings(1, 0.0), id="tol"),
+    pytest.param("relaxation", "2", lambda: ocp._check_settings(1, 1.0, 2.0), id="relaxation"),
+    pytest.param("max_iterations", "0", lambda: ocp._check_settings(0), id="max_iterations"),
+    pytest.param("nu", "5e-324", lambda: StrategySpec(Strategy.VACCINATION, nu=5e-324), id="nu"),
+]
+
+
+@pytest.mark.parametrize("key, value, owner", OWNED_RULES)
+def test_config_error_is_the_owners_message(tmp_path, capsys, key, value, owner):
+    """The CLI reports the owner's ValueError text behind one prefix, and nothing else."""
+    with pytest.raises(ValueError) as info:
+        owner()
+    path = write_cfg(tmp_path, "bad.cfg", f"{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: config field {info.value}\n"
+    assert not out.exists()
 
 
 FLOAT_KEYS = (

@@ -27,6 +27,7 @@ from test_float_loops import (
     GRADIENT_GRIDS,
     KINDS,
     assert_costate_matches_the_reference,
+    forward_rates,
     random_controls,
     raised_message,
     reference_costate,
@@ -44,7 +45,7 @@ POOL_GRIDS = [
 def test_scan_matches_the_float_loop(kind, steps, t_end):
     spec = StrategySpec(kind=Strategy(kind), grid=TimeGrid(0.0, t_end, steps))
     signal = random_controls(spec, seed=100 * kind + steps + 3)
-    traj = integrate_forward(ocp.dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
+    traj = integrate_forward(*forward_rates(spec), spec.x0.as_array(), spec.grid, signal)
     lam = ocp._costate_scan(spec, traj, signal)
     assert_costate_matches_the_reference(lam, spec, traj, signal)
 
@@ -56,7 +57,7 @@ def scan_problem(kind, steps, t_end, controls="random"):
         signal = ControlSignal.zeros(spec.grid, spec.channels)
     else:
         signal = random_controls(spec, seed=100 * kind + steps + 4)
-    traj = integrate_forward(ocp.dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
+    traj = integrate_forward(*forward_rates(spec), spec.x0.as_array(), spec.grid, signal)
     return spec, traj, signal
 
 
@@ -181,7 +182,7 @@ def test_scan_blowup_names_the_same_step():
     with pytest.raises(IntegrationError) as info:
         ocp.solve_fbsm(spec)
     signal = ControlSignal.zeros(spec.grid, 2)
-    states = integrate_forward(ocp.dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
+    states = integrate_forward(*forward_rates(spec), spec.x0.as_array(), spec.grid, signal)
     assert str(info.value) == raised_message(reference_costate, spec, states, signal)
     assert str(info.value) == "non-finite state after step at t=10.0"
 
@@ -214,7 +215,7 @@ def blowup_problem(rng):
     values = rng.uniform(0.0, spec.u_max, (spec.grid.n_nodes, spec.channels))
     signal = ControlSignal(spec.grid, values)
     try:
-        traj = ocp._admissible_forward(spec, signal)
+        traj = integrate_forward(*forward_rates(spec), spec.x0.as_array(), spec.grid, signal)
     except IntegrationError:
         return None
     beta = 10.0 ** rng.uniform(0.0, 40.0)

@@ -17,7 +17,7 @@ import pytest
 import _reference_loops as ref
 from sircontrol import ocp
 from sircontrol.integrate import IntegrationError, TimeGrid, integrate_forward
-from sircontrol.model import DrainField, EpidemicState, ModelParams
+from sircontrol.model import Drains, EpidemicState, ModelParams
 from sircontrol.ocp import (
     DEFAULT_PARAMS,
     DEFAULT_T_END,
@@ -26,7 +26,6 @@ from sircontrol.ocp import (
     Strategy,
     StrategySpec,
     default_spec,
-    dynamics_field,
     objective_gradient,
 )
 
@@ -34,6 +33,11 @@ GRADIENT_RTOL = 1e-12
 SCAN_RTOL = 1e-13
 STEPS = (100, 1000)
 KINDS = (1, 2, 3)
+
+
+def forward_rates(spec):
+    """The spec's rates and drain map, the first two arguments of ``integrate_forward``."""
+    return spec.params, ocp._DRAINS[spec.kind]
 
 
 def random_controls(spec, seed):
@@ -69,7 +73,7 @@ def test_forward_sweep_is_bit_identical(kind, steps):
     spec = default_spec(kind, steps=steps)
     signal = random_controls(spec, seed=100 * kind + steps)
     x0 = spec.x0.as_array()
-    new = integrate_forward(dynamics_field(spec), x0, spec.grid, signal)
+    new = integrate_forward(*forward_rates(spec), x0, spec.grid, signal)
     old = ref.integrate_forward(ref.dynamics_field(spec), x0, spec.grid, signal)
     assert np.array_equal(new.values, old.values)
 
@@ -95,7 +99,7 @@ def test_forward_sweep_keeps_the_signs_of_zeros(kind, x0):
     values[::2] = -0.0
     for u in (values, np.full_like(values, -0.0)):
         signal = ControlSignal(spec.grid, u)
-        new = integrate_forward(dynamics_field(spec), x0.as_array(), spec.grid, signal)
+        new = integrate_forward(*forward_rates(spec), x0.as_array(), spec.grid, signal)
         old = ref.integrate_forward(ref.dynamics_field(spec), x0.as_array(), spec.grid, signal)
         assert new.values.tobytes() == old.values.tobytes()
 
@@ -104,7 +108,7 @@ def test_forward_sweep_keeps_the_signs_of_zeros(kind, x0):
 def test_uncontrolled_forward_sweep_is_bit_identical(steps):
     grid = TimeGrid(0.0, 100.0, steps)
     x0 = DEFAULT_X0.as_array()
-    new = integrate_forward(DrainField(DEFAULT_PARAMS.beta, DEFAULT_PARAMS.mu), x0, grid)
+    new = integrate_forward(DEFAULT_PARAMS, Drains(), x0, grid)
     old = ref.integrate_forward(ref.uncontrolled_field(DEFAULT_PARAMS), x0, grid)
     assert np.array_equal(new.values, old.values)
 
@@ -150,7 +154,7 @@ def test_forward_blowup_names_the_same_step():
     params = ModelParams(beta=1e8, mu=0.1)
     grid = TimeGrid(0.0, 100.0, 10)
     x0 = DEFAULT_X0.as_array()
-    new = raised_message(integrate_forward, DrainField(params.beta, params.mu), x0, grid)
+    new = raised_message(integrate_forward, params, Drains(), x0, grid)
     old = raised_message(ref.integrate_forward, ref.uncontrolled_field(params), x0, grid)
     assert new == old
     assert "t=" in new
@@ -186,7 +190,7 @@ def test_controlled_blowup_mid_grid_names_the_same_step(backward):
         new = raised_message(ocp._costate_scan, spec, states, signal)
         old = raised_message(reference_costate, spec, states, signal)
     else:
-        new = raised_message(integrate_forward, dynamics_field(spec), x0, spec.grid, signal)
+        new = raised_message(integrate_forward, *forward_rates(spec), x0, spec.grid, signal)
         old = raised_message(ref.integrate_forward, ref.dynamics_field(spec), x0, spec.grid, signal)
     assert new == old
     assert 20.0 < float(new.rpartition("t=")[2]) < 80.0

@@ -13,13 +13,12 @@ from sircontrol.integrate import (
     integrate_forward,
     stage_samples,
 )
-from sircontrol.model import DrainField
+from sircontrol.model import Drains, ModelParams
 from sircontrol.ocp import (
     DEFAULT_PARAMS,
     DEFAULT_X0,
     ControlSignal,
     default_spec,
-    dynamics_field,
 )
 
 from _reference_loops import rk4_step
@@ -120,9 +119,7 @@ def test_rk4_fourth_order_on_closed_form():
 
 
 def test_forward_keeps_initial_state_and_length():
-    traj = integrate_forward(
-        DrainField(DEFAULT_PARAMS.beta, DEFAULT_PARAMS.mu), DEFAULT_X0.as_array(), GRID
-    )
+    traj = integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0.as_array(), GRID)
     assert traj.values.shape == (1001, 3)
     assert np.array_equal(traj.values[0], DEFAULT_X0.as_array())
 
@@ -135,7 +132,8 @@ def test_forward_conserves_population(uncontrolled_traj):
 def test_forward_blowup_raises():
     with pytest.raises(IntegrationError):
         integrate_forward(
-            DrainField(beta=1e300, mu=0.1),  # beta*S*I overflows within a step
+            ModelParams(beta=1e300, mu=0.1),  # beta*S*I overflows within a step
+            Drains(),
             np.array([0.5, 0.5, 0.0]),
             TimeGrid(0.0, 5.0, 10),
         )
@@ -143,27 +141,24 @@ def test_forward_blowup_raises():
 
 def test_forward_rejects_a_sweep_that_drives_a_compartment_negative():
     """On 2 steps of 50 days even the uncontrolled sweep reaches S = -1.15."""
-    field = DrainField(DEFAULT_PARAMS.beta, DEFAULT_PARAMS.mu)
     with pytest.raises(IntegrationError, match="a compartment fell to -1.15: RK4 is unstable"):
-        integrate_forward(field, DEFAULT_X0.as_array(), TimeGrid(0.0, 100.0, 2))
+        integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0.as_array(), TimeGrid(0.0, 100.0, 2))
 
 
 def test_forward_rejects_a_compartment_below_the_population_tolerance():
     """The floor is -1e-9 times the initial state's sum, whatever the population."""
     for n in (1.0, 1e6):
-        field = DrainField(DEFAULT_PARAMS.beta / n, DEFAULT_PARAMS.mu)  # the same epidemic
+        params = ModelParams(DEFAULT_PARAMS.beta / n, DEFAULT_PARAMS.mu)  # the same epidemic
         x0 = n * DEFAULT_X0.as_array()
-        integrate_forward(field, x0 + (0.0, 0.0, -0.9e-9 * n), TimeGrid(0.0, 1.0, 1))
+        integrate_forward(params, Drains(), x0 + (0.0, 0.0, -0.9e-9 * n), TimeGrid(0.0, 1.0, 1))
         with pytest.raises(IntegrationError, match="a compartment fell to"):
-            integrate_forward(field, x0 + (0.0, 0.0, -1.1e-9 * n), TimeGrid(0.0, 1.0, 1))
+            integrate_forward(params, Drains(), x0 + (0.0, 0.0, -1.1e-9 * n), TimeGrid(0.0, 1.0, 1))
 
 
 def test_forward_rejects_mismatched_control_grid():
     signal = ControlSignal(TimeGrid(0.0, 100.0, 10), np.zeros((11, 1)))
     with pytest.raises(ValueError, match="different grid"):
-        integrate_forward(
-            DrainField(DEFAULT_PARAMS.beta, DEFAULT_PARAMS.mu), DEFAULT_X0.as_array(), GRID, signal
-        )
+        integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0.as_array(), GRID, signal)
 
 
 def test_linear_control_interpolation_is_exact():
@@ -224,14 +219,16 @@ def test_sweeps_reject_a_signal_with_the_wrong_channel_count(kind, channels):
     spec = default_spec(kind, steps=10)
     signal = ControlSignal.zeros(spec.grid, channels)
     with pytest.raises(ValueError, match="control channel"):
-        integrate_forward(dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
+        integrate_forward(
+            spec.params, ocp._DRAINS[spec.kind], spec.x0.as_array(), spec.grid, signal
+        )
 
 
 def test_uncontrolled_field_rejects_any_control_signal():
     grid = TimeGrid(0.0, 100.0, 10)
     with pytest.raises(ValueError, match="control channel"):
         integrate_forward(
-            DrainField(DEFAULT_PARAMS.beta, DEFAULT_PARAMS.mu), DEFAULT_X0.as_array(), grid,
+            DEFAULT_PARAMS, Drains(), DEFAULT_X0.as_array(), grid,
             ControlSignal.zeros(grid, 1),
         )
 

@@ -22,7 +22,6 @@ from sircontrol.ocp import (
     adjoint_field,
     control_law,
     default_spec,
-    dynamics_field,
     objective,
     objective_gradient,
     running_cost,
@@ -46,7 +45,7 @@ def random_point(rng, channels):
 
 def drain_rates(spec, u):
     """``(a, v)``: the S and I drain rates of a channel-ordered control point under the spec."""
-    return tuple(0.0 if c is None else u[c] for c in dynamics_field(spec).drains)
+    return tuple(0.0 if c is None else u[c] for c in ocp._DRAINS[spec.kind])
 
 
 def rates(spec, x, u):
@@ -683,12 +682,13 @@ def test_adjoint_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     u = rng.uniform(0.05, 0.85, size=(spec.grid.n_nodes, 1))
     _, grad = objective_gradient(spec, u)
-    dynamics = dynamics_field(spec)
     h = 1e-6
 
     def j_of(values):
         signal = ControlSignal(spec.grid, values)
-        traj = integrate_forward(dynamics, spec.x0.as_array(), spec.grid, signal)
+        traj = integrate_forward(
+            spec.params, ocp._DRAINS[spec.kind], spec.x0.as_array(), spec.grid, signal
+        )
         return objective(spec, traj, signal)
 
     for k in rng.choice(spec.grid.n_nodes, size=8, replace=False):
@@ -810,7 +810,7 @@ def test_fbsm_initial_blowup_still_raises():
 def test_direct_rejects_a_trial_that_blows_up(monkeypatch):
     spec = default_spec(1, steps=200)
     expected = solve_direct(spec)
-    calls = fail_calls(monkeypatch, "_admissible_forward", lambda n: n == 2)  # the first trial
+    calls = fail_calls(monkeypatch, "integrate_forward", lambda n: n == 2)  # the first trial
     sol = solve_direct(spec)
     assert len(calls) > 2
     assert sol.converged
@@ -847,6 +847,14 @@ def test_fbsm_rejects_settings_outside_their_range(settings):
     """``relaxation`` must lie in (0, 1] and ``tol`` be finite and positive."""
     with pytest.raises(ValueError, match=next(iter(settings))):
         solve_fbsm(default_spec(1, steps=100), **settings)
+
+
+@pytest.mark.parametrize("solver", [solve_fbsm, solve_direct], ids=["fbsm", "direct"])
+@pytest.mark.parametrize("max_iterations", [0, -3])
+def test_solvers_reject_fewer_than_one_iteration(solver, max_iterations):
+    """Without an iteration the zero control would come back as an unconverged solution."""
+    with pytest.raises(ValueError, match=f"max_iterations must be >= 1, got {max_iterations}"):
+        solver(default_spec(1, steps=50), max_iterations=max_iterations)
 
 
 @pytest.mark.parametrize("gtol", [math.inf, math.nan, 0.0, -1e-7])
