@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`sircontrol.model` -- compartment states, parameters, the drain-form rate law
-* :mod:`sircontrol.integrate` -- fixed-step RK4 integration and stage sampling
+* :mod:`sircontrol.integrate` -- grids, node series (state, costate, control), RK4, stage samples
 * :mod:`sircontrol.ocp` -- the three control problems and their two solvers
 * :mod:`sircontrol.metrics` -- peak, infection period, terminal values
 * :mod:`sircontrol.cli` -- the ``sircontrol`` command-line tool
@@ -19,7 +19,6 @@ from .metrics import (
 )
 from .model import Drains, EpidemicState, ModelParams
 from .ocp import (
-    ControlSignal,
     OcpSolution,
     Strategy,
     StrategySpec,
@@ -39,7 +38,6 @@ __all__ = [
     "Drains",
     "EpidemicState",
     "ModelParams",
-    "ControlSignal",
     "OcpSolution",
     "Strategy",
     "StrategySpec",

@@ -38,7 +38,6 @@ from .ocp import (
     _WEIGHT_FIELDS,
     _check_settings,
     _check_weights,
-    ControlSignal,
     OcpSolution,
     Strategy,
     StrategySpec,
@@ -238,7 +237,7 @@ def _time_column(grid: TimeGrid) -> tuple[str, ...]:
 def write_timeseries_csv(
     path: Path,
     traj: Trajectory,
-    control: ControlSignal | None = None,
+    control: Trajectory | None = None,
     adjoints: Trajectory | None = None,
 ) -> list[str]:
     """Write one run's CSV; return its S, I, R columns, each as one newline-joined string."""

@@ -124,11 +124,12 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Node values of a state (or costate) trajectory on a grid.
+    """Node values of a state, costate or control series on a grid.
 
-    ``values`` has one row per grid node.  For state trajectories the columns
-    are (S, I, R); costate trajectories reuse the container with columns
-    (lam_S, lam_I, lam_R).
+    ``values`` has one row per grid node.  The columns are (S, I, R) for a
+    state series, which ``s``, ``i`` and ``r`` name, (lam_S, lam_I, lam_R)
+    for a costate and one per channel, u1 then u2, for a control; a control
+    is checked against its problem's channel count where it is used.
     """
 
     grid: TimeGrid
@@ -217,8 +218,8 @@ def integrate_forward(
 ) -> Trajectory:
     """Integrate the drain-form field at rates ``params`` from x0 = (S, I, R) over the grid.
 
-    ``controls`` is a node-sampled signal with one column per channel of
-    ``drains`` (or None: no drain).  States are never clipped: a node
+    ``controls`` is a control :class:`Trajectory` with one column per
+    channel of ``drains`` (or None: no drain).  States are never clipped: a node
     that is not finite, or below ``-_ADMISSIBLE_TOL * (S0 + I0 + R0)``,
     raises :class:`IntegrationError`.
     """

@@ -68,7 +68,6 @@ from .model import Drains, EpidemicState, ModelParams, treatment_education_rates
 __all__ = [
     "Strategy",
     "StrategySpec",
-    "ControlSignal",
     "OcpSolution",
     "default_spec",
     "running_cost",
@@ -157,38 +156,13 @@ def default_spec(kind: Strategy | int, steps: int = DEFAULT_STEPS) -> StrategySp
     return StrategySpec(kind=Strategy(kind), grid=TimeGrid(0.0, DEFAULT_T_END, steps))
 
 
-@dataclass(frozen=True)
-class ControlSignal:
-    """Node-sampled control trajectory, one column per channel."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.ndim != 2 or self.values.shape[0] != self.grid.n_nodes:
-            raise ValueError(
-                f"control values shape {self.values.shape} does not match "
-                f"{self.grid.n_nodes} grid nodes"
-            )
-        if self.values.shape[1] not in (1, 2):
-            raise ValueError(f"controls must have 1 or 2 channels, got {self.values.shape[1]}")
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[1]
-
-    @classmethod
-    def zeros(cls, grid: TimeGrid, channels: int) -> "ControlSignal":
-        return cls(grid, np.zeros((grid.n_nodes, channels)))
-
-
 @dataclass
 class OcpSolution:
     """A solve of ``spec``: trajectories and convergence report; direct ones have no adjoints."""
 
     spec: StrategySpec
     trajectory: Trajectory
-    control: ControlSignal
+    control: Trajectory
     adjoints: Trajectory | None
     objective: float
     iterations: int
@@ -257,18 +231,21 @@ def running_cost(spec: StrategySpec, s, i, r, u1, u2):
     return cs * s + ci * i + cr * r + 0.5 * w1 * u1**2 + 0.5 * w2 * u2**2
 
 
-def objective(spec: StrategySpec, traj: Trajectory, controls: ControlSignal) -> float:
-    """Composite-trapezoid quadrature of the running cost; +inf if it overflows or is NaN."""
+def objective(spec: StrategySpec, traj: Trajectory, controls: Trajectory) -> float:
+    """Composite-trapezoid quadrature of the running cost.
+
+    +inf if the sum overflows, in either direction, or is NaN.
+    """
     if traj.grid != spec.grid:
         raise ValueError("trajectory is not on the problem grid")
     _check_signal(controls, spec.grid, spec.channels)
     u, dt = controls.values, spec.grid.dt
     with np.errstate(over="ignore", invalid="ignore"):
         c = running_cost(
-            spec, traj.s, traj.i, traj.r, u[:, 0], u[:, 1] if controls.channels == 2 else 0.0
+            spec, traj.s, traj.i, traj.r, u[:, 0], u[:, 1] if u.shape[1] == 2 else 0.0
         )
         j = float(dt * (c.sum() - 0.5 * (c[0] + c[-1])))
-    return math.inf if math.isnan(j) else j
+    return j if math.isfinite(j) else math.inf
 
 
 def control_law(spec: StrategySpec, s, i, lam_s, lam_i, lam_r) -> np.ndarray:
@@ -378,7 +355,7 @@ class _CostateWork:
 
 
 def _costate_scan(
-    spec: StrategySpec, traj: Trajectory, signal: ControlSignal, work: _CostateWork | None = None
+    spec: StrategySpec, traj: Trajectory, signal: Trajectory, work: _CostateWork | None = None
 ) -> Trajectory:
     """The costate of ``traj`` under ``signal``: backward RK4 from lam(t_end) = 0, as a scan.
 
@@ -403,7 +380,7 @@ def _costate_scan(
     return Trajectory(spec.grid, _finite_nodes(lam, spec.grid.times()[::-1])[::-1])
 
 
-def _costate_steps(traj: Trajectory, signal: ControlSignal, work: _CostateWork):
+def _costate_steps(traj: Trajectory, signal: Trajectory, work: _CostateWork):
     """``(coef, lam_R)``: lam_S and lam_I's backward steps for :func:`_affine_scan`, and lam_R.
 
     Seeds ``e_S``, ``e_I`` give the columns of ``M_k``, and ``(0, 0, lam_R)``
@@ -505,7 +482,7 @@ def solve_fbsm(
     """
     _check_settings(max_iterations, tol, relaxation)
     u = np.zeros((spec.grid.n_nodes, spec.channels))
-    signal = ControlSignal(spec.grid, u)
+    signal = Trajectory(spec.grid, u)
     traj = integrate_forward(spec.params, _DRAINS[spec.kind], spec.x0.as_array(), spec.grid, signal)
     j = objective(spec, traj, signal)
     history, rises = [j], []
@@ -521,7 +498,7 @@ def solve_fbsm(
         damp = relaxation
         while True:
             u_new = (1.0 - damp) * u + damp * u_law
-            signal_new = ControlSignal(spec.grid, u_new)
+            signal_new = Trajectory(spec.grid, u_new)
             j_new, traj_new = _trial_objective(spec, signal_new)
             if j_new <= j + 1e-12 or damp <= relaxation / 64.0:
                 break
@@ -581,7 +558,7 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     ``(objective, gradient)``: :func:`objective` and :func:`_reverse_gradient` on the forward
     sweep; :class:`IntegrationError` if the sweep blows up or the gradient is not finite.
     """
-    signal = ControlSignal(spec.grid, u_values)
+    signal = Trajectory(spec.grid, u_values)
     traj = integrate_forward(spec.params, _DRAINS[spec.kind], spec.x0.as_array(), spec.grid, signal)
     return objective(spec, traj, signal), _reverse_gradient(spec, u_values, traj)
 
@@ -667,7 +644,7 @@ _MAX_BACKTRACKS = 40  # Armijo halvings of one direct-solve step before the sear
 def solve_direct(
     spec: StrategySpec,
     *,
-    start: ControlSignal | OcpSolution | None = None,
+    start: Trajectory | OcpSolution | None = None,
     max_iterations: int = 500,
     gtol: float = 1e-7,
 ) -> OcpSolution:
@@ -696,10 +673,10 @@ def solve_direct(
     positive and ``max_iterations`` at least 1, or :class:`ValueError` is raised.
 
     The descent starts from the zero control, or from the control of
-    ``start`` (a signal or a solution) projected onto the box; it must lie
-    on the spec's grid, carry its channel count and be finite, or
-    :class:`ValueError` is raised.  A solution of ``spec`` whose control the
-    projection leaves bit for bit lends its trajectory.  The stop test does
+    ``start`` (a control :class:`Trajectory` or a solution) projected onto
+    the box; it must lie on the spec's grid, carry its channel count and be
+    finite, or :class:`ValueError` is raised.  A solution of ``spec`` whose
+    control the projection leaves bit for bit lends its trajectory.  The stop test does
     not depend on the start, so a start near the optimum, such as the
     sweep's, shortens the descent but certifies the same discrete KKT point.
 
@@ -720,7 +697,7 @@ def solve_direct(
         if not np.isfinite(control.values).all():
             raise ValueError("start control has a non-finite value")
         u = np.clip(control.values, lo, hi)
-    signal = ControlSignal(spec.grid, u)
+    signal = Trajectory(spec.grid, u)
     own = isinstance(start, OcpSolution) and start.spec == spec  # a solution holds its sweep
     unmoved = own and u.tobytes() == control.values.tobytes()
     traj = start.trajectory if unmoved else integrate_forward(
@@ -754,7 +731,7 @@ def solve_direct(
         lam_step = 1.0
         for _ in range(_MAX_BACKTRACKS):
             u_trial = u + lam_step * d
-            j_trial, traj_trial = _trial_objective(spec, ControlSignal(spec.grid, u_trial))
+            j_trial, traj_trial = _trial_objective(spec, Trajectory(spec.grid, u_trial))
             blown.append(traj_trial is None)
             if not blown[-1] and j_trial <= j_ref + 1e-4 * lam_step * slope:
                 break
@@ -766,9 +743,10 @@ def solve_direct(
 
         s = u_trial - u
         y = g_trial - g
-        sty = float((s * y).sum())
-        sds = float((s * metric * s).sum())
-        alpha = min(max(sds / sty, 1e-6), 1e6) if sty > 0.0 else 1e6
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow saturates the length
+            sty = float((s * y).sum())
+            sds = float((s * metric * s).sum())
+            alpha = min(max(sds / sty, 1e-6), 1e6) if sty > 0.0 else 1e6
 
         u, j, g, traj = u_trial, j_trial, g_trial, traj_trial
         history.append(j)
@@ -788,5 +766,5 @@ def solve_direct(
             "%s direct solve did not converge in %d iterations", spec.kind.name, max_iterations
         )
 
-    signal = ControlSignal(spec.grid, u)
+    signal = Trajectory(spec.grid, u)
     return OcpSolution(spec, traj, signal, None, j, iterations, converged, history)

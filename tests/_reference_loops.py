@@ -20,7 +20,7 @@ import numpy as np
 
 from sircontrol import ocp
 from sircontrol.integrate import IntegrationError, Trajectory, stage_samples
-from sircontrol.ocp import ControlSignal, Strategy, objective
+from sircontrol.ocp import Strategy, objective
 
 
 def rk4_step(f, t, x, dt):
@@ -246,7 +246,7 @@ def _stage_jacobians(spec):
 
 def objective_gradient(spec, u_values):
     """Discrete objective and its reverse-mode gradient w.r.t. the control nodes."""
-    signal = ControlSignal(spec.grid, u_values)
+    signal = Trajectory(spec.grid, u_values)
     traj = integrate_forward(dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
     j = objective(spec, traj, signal)
 

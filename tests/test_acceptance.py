@@ -18,14 +18,13 @@ import time
 import numpy as np
 import pytest
 
-from sircontrol.integrate import TimeGrid, integrate_forward
+from sircontrol.integrate import TimeGrid, Trajectory, integrate_forward
 from sircontrol.metrics import infection_period, peak_infected, terminal_values
 from sircontrol.model import Drains
 from sircontrol.ocp import (
     DEFAULT_PARAMS,
     DEFAULT_X0,
     _DRAINS,
-    ControlSignal,
     default_spec,
     objective,
     objective_gradient,
@@ -273,7 +272,7 @@ def test_criterion_09_adjoint_gradient():
         drains = _DRAINS[spec.kind]
 
         def j_of(values):
-            signal = ControlSignal(spec.grid, values)
+            signal = Trajectory(spec.grid, values)
             traj = integrate_forward(spec.params, drains, spec.x0.as_array(), spec.grid, signal)
             return objective(spec, traj, signal)
 

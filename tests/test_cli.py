@@ -34,7 +34,7 @@ from sircontrol.cli import (
 from sircontrol.integrate import IntegrationError, TimeGrid, Trajectory
 from sircontrol.metrics import RunSummary
 from sircontrol.model import ModelParams
-from sircontrol.ocp import ControlSignal, Strategy, StrategySpec, default_spec
+from sircontrol.ocp import Strategy, StrategySpec, default_spec
 
 
 def write_cfg(tmp_path, name, text):
@@ -692,7 +692,7 @@ def test_timeseries_csv_bytes_equal_per_value_formatting(tmp_path, channels):
     traj = Trajectory(grid, values)
     control = adjoints = None
     if channels is not None:
-        control = ControlSignal(grid, values[:, :channels][::-1].copy())
+        control = Trajectory(grid, values[:, :channels][::-1].copy())
         adjoints = Trajectory(grid, -values)
     write_timeseries_csv(tmp_path / "x.csv", traj, control, adjoints)
 

@@ -145,10 +145,26 @@ def test_every_command_keeps_the_exit_code_contract_on_malformed_configs(tmp_pat
         ("strategy = 2\nbeta = 5e-324\ns0 = 1e307\nsteps = 20\nmax_iterations = 5", True, None),
         # a step count past the float range overflows in the step t_end / steps
         ("strategy = 1\nsteps = " + LONG[0], False, EXIT_CONFIG),
+        # -a3 R overflows downward at every iterate: a cost of -inf scores +inf, too
+        (
+            "strategy = 2\nbeta = 1e-8\nmu = 1e-300\ns0 = 10\ni0 = 10\nr0 = 1000\nt_end = 1e6\n"
+            "steps = 20\nu_max = 1e-300\na2 = 1e300\na3 = 1e300\nmax_iterations = 5",
+            False,
+            EXIT_INTEGRATION,
+        ),
+        # the direct solve's Barzilai-Borwein products s.y and s.D.s overflow
+        (
+            "strategy = 2\nbeta = 1e-300\nmu = 1.0\ns0 = 1e300\ni0 = 1e150\nr0 = 1e-300\n"
+            "t_end = 1.0\nsteps = 5\nu_max = 10\na1 = 1e-8\na2 = 1e-300\na3 = 1e8\ntau = 1.0\n"
+            "max_iterations = 5",
+            True,
+            EXIT_NO_CONVERGENCE,
+        ),
     ],
     ids=[
         "nan-objective", "weight-times-step", "lam_r-sum", "stop-test", "zero-step", "metric",
         "no-finite-cost", "jacobian", "reverse-overflow", "400-digit-steps",
+        "negative-infinite-cost", "spectral-length-overflow",
     ],
 )
 def test_optimize_keeps_the_contract_on_inputs_that_broke_it(

@@ -20,9 +20,9 @@ import pytest
 
 import _reference_loops as ref
 from sircontrol import ocp
-from sircontrol.integrate import IntegrationError, TimeGrid, integrate_forward
+from sircontrol.integrate import IntegrationError, TimeGrid, Trajectory, integrate_forward
 from sircontrol.model import ModelParams
-from sircontrol.ocp import ControlSignal, Strategy, StrategySpec, default_spec
+from sircontrol.ocp import Strategy, StrategySpec, default_spec
 from test_float_loops import (
     GRADIENT_GRIDS,
     KINDS,
@@ -54,7 +54,7 @@ def scan_problem(kind, steps, t_end, controls="random"):
     """``(spec, traj, signal)``: a problem on the grid and its forward sweep under ``controls``."""
     spec = StrategySpec(kind=Strategy(kind), grid=TimeGrid(0.0, t_end, steps))
     if controls == "zero":
-        signal = ControlSignal.zeros(spec.grid, spec.channels)
+        signal = Trajectory(spec.grid, np.zeros((spec.grid.n_nodes, spec.channels)))
     else:
         signal = random_controls(spec, seed=100 * kind + steps + 4)
     traj = integrate_forward(*forward_rates(spec), spec.x0.as_array(), spec.grid, signal)
@@ -181,7 +181,7 @@ def test_scan_blowup_names_the_same_step():
     spec = StrategySpec(kind=Strategy.TREATMENT_EDUCATION, grid=grid, kappa=5e307)
     with pytest.raises(IntegrationError) as info:
         ocp.solve_fbsm(spec)
-    signal = ControlSignal.zeros(spec.grid, 2)
+    signal = Trajectory(spec.grid, np.zeros((spec.grid.n_nodes, 2)))
     states = integrate_forward(*forward_rates(spec), spec.x0.as_array(), spec.grid, signal)
     assert str(info.value) == raised_message(reference_costate, spec, states, signal)
     assert str(info.value) == "non-finite state after step at t=10.0"
@@ -213,7 +213,7 @@ def blowup_problem(rng):
         grid=TimeGrid(0.0, rng.uniform(1.0, 30.0), int(rng.integers(1, 31))),
     )
     values = rng.uniform(0.0, spec.u_max, (spec.grid.n_nodes, spec.channels))
-    signal = ControlSignal(spec.grid, values)
+    signal = Trajectory(spec.grid, values)
     try:
         traj = integrate_forward(*forward_rates(spec), spec.x0.as_array(), spec.grid, signal)
     except IntegrationError:

@@ -16,13 +16,12 @@ import pytest
 
 import _reference_loops as ref
 from sircontrol import ocp
-from sircontrol.integrate import IntegrationError, TimeGrid, integrate_forward
+from sircontrol.integrate import IntegrationError, TimeGrid, Trajectory, integrate_forward
 from sircontrol.model import Drains, EpidemicState, ModelParams
 from sircontrol.ocp import (
     DEFAULT_PARAMS,
     DEFAULT_T_END,
     DEFAULT_X0,
-    ControlSignal,
     Strategy,
     StrategySpec,
     default_spec,
@@ -44,7 +43,7 @@ def random_controls(spec, seed):
     """Seeded in-box controls on the spec's grid."""
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, spec.u_max, size=(spec.grid.n_nodes, spec.channels))
-    return ControlSignal(spec.grid, values)
+    return Trajectory(spec.grid, values)
 
 
 def reference_costate(spec, traj, signal):
@@ -98,7 +97,7 @@ def test_forward_sweep_keeps_the_signs_of_zeros(kind, x0):
     values = random_controls(spec, seed=10 * kind).values
     values[::2] = -0.0
     for u in (values, np.full_like(values, -0.0)):
-        signal = ControlSignal(spec.grid, u)
+        signal = Trajectory(spec.grid, u)
         new = integrate_forward(*forward_rates(spec), x0.as_array(), spec.grid, signal)
         old = ref.integrate_forward(ref.dynamics_field(spec), x0.as_array(), spec.grid, signal)
         assert new.values.tobytes() == old.values.tobytes()
@@ -163,7 +162,7 @@ def test_forward_blowup_names_the_same_step():
 def test_backward_blowup_names_the_same_step():
     """A costate at ``beta = 1e8`` on the default run's states overflows near t_end."""
     spec = StrategySpec(kind=Strategy.VACCINATION, params=ModelParams(beta=1e8, mu=0.1))
-    signal = ControlSignal.zeros(spec.grid, 1)
+    signal = Trajectory(spec.grid, np.zeros((spec.grid.n_nodes, 1)))
     states = ref.integrate_forward(
         ref.dynamics_field(default_spec(1)), spec.x0.as_array(), spec.grid, signal
     )
@@ -182,10 +181,10 @@ def test_controlled_blowup_mid_grid_names_the_same_step(backward):
     spec = default_spec(3, steps=100)
     t = spec.grid.times()
     u = np.where((t >= 20.0) & (t <= 80.0), 50.0, 0.0)
-    signal = ControlSignal(spec.grid, np.column_stack((u, 0.5 * u)))
+    signal = Trajectory(spec.grid, np.column_stack((u, 0.5 * u)))
     x0 = spec.x0.as_array()
     if backward:
-        zero = ControlSignal.zeros(spec.grid, 2)
+        zero = Trajectory(spec.grid, np.zeros((spec.grid.n_nodes, 2)))
         states = ref.integrate_forward(ref.dynamics_field(spec), x0, spec.grid, zero)
         new = raised_message(ocp._costate_scan, spec, states, signal)
         old = raised_message(reference_costate, spec, states, signal)

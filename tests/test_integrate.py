@@ -17,7 +17,6 @@ from sircontrol.model import Drains, ModelParams
 from sircontrol.ocp import (
     DEFAULT_PARAMS,
     DEFAULT_X0,
-    ControlSignal,
     default_spec,
 )
 
@@ -156,7 +155,7 @@ def test_forward_rejects_a_compartment_below_the_population_tolerance():
 
 
 def test_forward_rejects_mismatched_control_grid():
-    signal = ControlSignal(TimeGrid(0.0, 100.0, 10), np.zeros((11, 1)))
+    signal = Trajectory(TimeGrid(0.0, 100.0, 10), np.zeros((11, 1)))
     with pytest.raises(ValueError, match="different grid"):
         integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0.as_array(), GRID, signal)
 
@@ -217,7 +216,7 @@ def test_stage_samples_written_to_out_are_those_returned(backward):
 def test_sweeps_reject_a_signal_with_the_wrong_channel_count(kind, channels):
     """Strategy 1 reads one control column and strategy 3 two; neither takes the other's."""
     spec = default_spec(kind, steps=10)
-    signal = ControlSignal.zeros(spec.grid, channels)
+    signal = Trajectory(spec.grid, np.zeros((spec.grid.n_nodes, channels)))
     with pytest.raises(ValueError, match="control channel"):
         integrate_forward(
             spec.params, ocp._DRAINS[spec.kind], spec.x0.as_array(), spec.grid, signal
@@ -229,7 +228,7 @@ def test_uncontrolled_field_rejects_any_control_signal():
     with pytest.raises(ValueError, match="control channel"):
         integrate_forward(
             DEFAULT_PARAMS, Drains(), DEFAULT_X0.as_array(), grid,
-            ControlSignal.zeros(grid, 1),
+            Trajectory(grid, np.zeros((grid.n_nodes, 1))),
         )
 
 

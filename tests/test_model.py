@@ -11,7 +11,7 @@ import pytest
 
 from sircontrol.integrate import Trajectory
 from sircontrol.model import EpidemicState, ModelParams, treatment_education_rates
-from sircontrol.ocp import ControlSignal, default_spec, objective
+from sircontrol.ocp import default_spec, objective
 
 X0 = EpidemicState(0.95, 0.05, 0.0)
 PARAMS = ModelParams(beta=0.2, mu=0.1)
@@ -129,7 +129,7 @@ def test_recovered_inflow_is_never_negative():
 def constant_run(kind, channels):
     spec = default_spec(kind, steps=10)
     traj = Trajectory(spec.grid, np.tile(X0.as_array(), (spec.grid.n_nodes, 1)))
-    return spec, traj, ControlSignal(spec.grid, np.full((spec.grid.n_nodes, channels), 0.1))
+    return spec, traj, Trajectory(spec.grid, np.full((spec.grid.n_nodes, channels), 0.1))
 
 
 def test_vaccination_rejects_two_channel_control():

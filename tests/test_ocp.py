@@ -16,7 +16,6 @@ from sircontrol.integrate import IntegrationError, TimeGrid, Trajectory, integra
 from sircontrol.metrics import peak_infected
 from sircontrol.model import EpidemicState, ModelParams, treatment_education_rates
 from sircontrol.ocp import (
-    ControlSignal,
     Strategy,
     StrategySpec,
     adjoint_field,
@@ -52,6 +51,10 @@ def rates(spec, x, u):
     """``(dS, dI, dR)`` at state ``x`` and channel-ordered control ``u``."""
     a, v = drain_rates(spec, u)
     return treatment_education_rates(x[0], x[1], spec.params.beta, spec.params.mu, v, a)
+
+
+def zero_control(grid, channels=1):
+    return Trajectory(grid, np.zeros((grid.n_nodes, channels)))
 
 
 # -- problem definition -----------------------------------------------------------
@@ -119,16 +122,20 @@ def test_strategy_channel_counts():
 
 
 def test_control_signal_validation():
-    grid = TimeGrid(0.0, 1.0, 10)
+    """A control is a Trajectory: its rows are checked when it is made, its channels where used."""
+    spec = default_spec(3, steps=100)
+    drains, x0, grid = ocp._DRAINS[spec.kind], spec.x0.as_array(), spec.grid
     with pytest.raises(ValueError, match="does not match"):
-        ControlSignal(grid, np.zeros((10, 1)))
-    with pytest.raises(ValueError, match="channels"):
-        ControlSignal(grid, np.zeros((11, 3)))
-    signal = ControlSignal(grid, np.full((11, 2), 0.5))
-    assert signal.channels == 2
-    values = signal.values
-    assert max(-values.min(), values.max() - 0.9, 0.0) == 0.0
-    assert max(-values.min(), values.max() - 0.4, 0.0) == pytest.approx(0.1)
+        Trajectory(grid, np.zeros((100, 2)))
+    three = Trajectory(grid, np.full((101, 3), 0.5))
+    traj = integrate_forward(spec.params, drains, x0, grid)
+    for use in (
+        lambda: integrate_forward(spec.params, drains, x0, grid, three),
+        lambda: objective(spec, traj, three),
+        lambda: solve_direct(spec, start=three),
+    ):
+        with pytest.raises(ValueError, match="expects 2 control channel"):
+            use()
 
 
 # -- running cost and objective ---------------------------------------------------
@@ -145,19 +152,19 @@ def test_objective_is_exact_on_constant_integrand():
     spec = default_spec(1)
     values = np.tile([0.7, 0.2, 0.1], (spec.grid.n_nodes, 1))
     traj = Trajectory(spec.grid, values)
-    u = ControlSignal.zeros(spec.grid, 1)
+    u = zero_control(spec.grid)
     assert objective(spec, traj, u) == pytest.approx(100.0 * 0.2, rel=1e-13)
 
 
 def test_objective_rejects_a_trajectory_on_another_grid(uncontrolled_traj):
     spec = default_spec(1, steps=100)
     with pytest.raises(ValueError, match="trajectory is not on the problem grid"):
-        objective(spec, uncontrolled_traj, ControlSignal.zeros(spec.grid, 1))
+        objective(spec, uncontrolled_traj, zero_control(spec.grid))
 
 
 def test_objective_of_uncontrolled_run_is_infected_burden(uncontrolled_traj):
     spec = default_spec(1)
-    u = ControlSignal.zeros(spec.grid, 1)
+    u = zero_control(spec.grid)
     burden = np.trapezoid(uncontrolled_traj.i, uncontrolled_traj.grid.times())
     assert objective(spec, uncontrolled_traj, u) == pytest.approx(burden, rel=1e-13)
 
@@ -170,7 +177,7 @@ def test_trapezoid_matches_simpson_oracle(uncontrolled_traj):
         i[0] + i[-1] + 4.0 * i[1:-1:2].sum() + 2.0 * i[2:-1:2].sum()
     )
     spec = default_spec(1)
-    trap = objective(spec, uncontrolled_traj, ControlSignal.zeros(spec.grid, 1))
+    trap = objective(spec, uncontrolled_traj, zero_control(spec.grid))
     assert trap == pytest.approx(simpson, rel=1e-4)
 
 
@@ -178,7 +185,7 @@ def test_objective_of_a_cost_that_is_not_representable_is_inf():
     """Each node's cost overflows to +inf, so the trapezoid sum is inf - inf: it scores +inf."""
     spec = StrategySpec(kind=Strategy(2), a1=1.7e308, a2=1.7e308)
     traj = Trajectory(spec.grid, np.tile([0.6, 0.6, 0.0], (spec.grid.n_nodes, 1)))
-    assert objective(spec, traj, ControlSignal.zeros(spec.grid, 1)) == math.inf
+    assert objective(spec, traj, zero_control(spec.grid)) == math.inf
 
 
 def test_sweep_raises_when_the_cost_of_every_iterate_overflows():
@@ -190,7 +197,7 @@ def test_sweep_raises_when_the_cost_of_every_iterate_overflows():
 
 def test_objective_rejects_grid_mismatch(uncontrolled_traj):
     spec = default_spec(1)
-    other = ControlSignal.zeros(TimeGrid(0.0, 100.0, 500), 1)
+    other = zero_control(TimeGrid(0.0, 100.0, 500))
     with pytest.raises(ValueError, match="grid"):
         objective(spec, uncontrolled_traj, other)
 
@@ -501,11 +508,11 @@ def test_direct_start_must_match_the_problem():
     one_nan = np.full((grid.n_nodes, 2), 0.1)
     one_nan[7, 1] = np.nan
     for start, match in (
-        (ControlSignal.zeros(TimeGrid(0.0, 100.0, 50), 2), "grid"),
-        (ControlSignal.zeros(TimeGrid(0.0, 50.0, 100), 2), "grid"),
-        (ControlSignal.zeros(grid, 1), "channel"),
-        (ControlSignal(grid, one_nan), "non-finite"),
-        (ControlSignal(grid, np.full((grid.n_nodes, 2), np.inf)), "non-finite"),
+        (zero_control(TimeGrid(0.0, 100.0, 50), 2), "grid"),
+        (zero_control(TimeGrid(0.0, 50.0, 100), 2), "grid"),
+        (zero_control(grid), "channel"),
+        (Trajectory(grid, one_nan), "non-finite"),
+        (Trajectory(grid, np.full((grid.n_nodes, 2), np.inf)), "non-finite"),
     ):
         with pytest.raises(ValueError, match=match):
             solve_direct(spec, start=start)
@@ -514,7 +521,7 @@ def test_direct_start_must_match_the_problem():
 def test_direct_start_is_projected_onto_the_box():
     spec = default_spec(1, steps=100)
     values = np.where(np.arange(spec.grid.n_nodes) % 2 == 0, -1.0, 5.0)[:, None]
-    sol = solve_direct(spec, start=ControlSignal(spec.grid, values), max_iterations=1)
+    sol = solve_direct(spec, start=Trajectory(spec.grid, values), max_iterations=1)
     j_projected, _ = objective_gradient(spec, np.clip(values, 0.0, spec.u_max))
     assert sol.objective_history[0] == j_projected
     assert 0.0 <= sol.control.values.min() <= sol.control.values.max() <= spec.u_max
@@ -626,7 +633,7 @@ def test_direct_integrates_a_start_it_cannot_vouch_for(monkeypatch, fbsm_solutio
     other = dataclasses.replace(sol.spec, params=ModelParams(beta=0.25, mu=0.1))
     values = sol.control.values.copy()
     values[::7] = -0.25
-    moved = dataclasses.replace(sol, control=ControlSignal(sol.spec.grid, values))
+    moved = dataclasses.replace(sol, control=Trajectory(sol.spec.grid, values))
     cases = [(other, sol), (sol.spec, moved)]
     expected = [solve_direct(spec, start=start.control) for spec, start in cases]
     forwards = fail_calls(monkeypatch, "integrate_forward", lambda n: False)  # counts only
@@ -685,7 +692,7 @@ def test_adjoint_gradient_matches_finite_differences():
     h = 1e-6
 
     def j_of(values):
-        signal = ControlSignal(spec.grid, values)
+        signal = Trajectory(spec.grid, values)
         traj = integrate_forward(
             spec.params, ocp._DRAINS[spec.kind], spec.x0.as_array(), spec.grid, signal
         )

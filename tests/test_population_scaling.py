@@ -7,10 +7,14 @@ strategy 3) leaves the running cost unchanged, so the optimal control and
 the objective do not move, and the trajectory scales by N.  Strategy 1's I
 weight is fixed at 1, so it has no such case.  At a power of two every
 product above is exact, so both solvers must give the same bits; at other
-factors, the same iteration counts and agreement to a few ulps.
+factors, the same iteration counts and agreement to a few ulps.  Besides the
+default problems, a seeded draw of problems from the ranges of the benchmark's
+sweep pool must give the same bits at a power of two.
 """
 
 import functools
+import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -19,9 +23,11 @@ import pytest
 from sircontrol.integrate import TimeGrid, integrate_forward
 from sircontrol.model import Drains, EpidemicState, ModelParams
 from sircontrol.ocp import (
+    _WEIGHT_FIELDS,
     DEFAULT_PARAMS,
     DEFAULT_X0,
     Strategy,
+    StrategySpec,
     default_spec,
     solve_direct,
     solve_fbsm,
@@ -30,6 +36,9 @@ from sircontrol.ocp import (
 KINDS = (2, 3)
 STEPS = (100, 1000)
 SOLVERS = {"fbsm": (solve_fbsm, {}), "direct": (solve_direct, {"gtol": 1e-9})}
+# problems drawn per strategy and solver, from one seed, by pool_like_specs
+POOL_DRAWS = 6
+POOL_SEED = 2015
 # ulps of each quantity's scale: u_max for controls, the unit population for
 # states, the objective for itself (at most 9.5 seen on these problems)
 ULPS = 16
@@ -50,6 +59,40 @@ def scaled_spec(spec, n):
     else:
         weights = {"kappa": spec.kappa / n}
     return replace(spec, params=scaled_params(spec.params, n), x0=scaled_x0(spec.x0, n), **weights)
+
+
+def pool_like_specs(kind, steps=100):
+    """Problems drawn from the ranges of the benchmark's sweep pool (perfbench/workloads.py).
+
+    Each weight is its default scaled by a factor in [1/2, 2]; beta, mu, i0
+    and u_max are uniform in [0.15, 0.35], [0.07, 0.14], [0.01, 0.1] and [0.5, 1].
+    """
+    rng = random.Random(POOL_SEED + kind)
+    base = StrategySpec(kind=Strategy(kind))
+    for _ in range(POOL_DRAWS):
+        weights = {
+            name: getattr(base, name) * math.exp(rng.uniform(-math.log(2.0), math.log(2.0)))
+            for name in _WEIGHT_FIELDS
+        }
+        params = ModelParams(rng.uniform(0.15, 0.35), rng.uniform(0.07, 0.14))
+        i0 = rng.uniform(0.01, 0.1)
+        yield replace(
+            base,
+            params=params,
+            x0=EpidemicState(1.0 - i0, i0, 0.0),
+            grid=TimeGrid(0.0, 100.0, steps),
+            u_max=rng.uniform(0.5, 1.0),
+            **weights,
+        )
+
+
+def assert_same_bits(base, big, n):
+    """``big``, the solve at population ``n`` times larger, is ``base`` with states scaled by n."""
+    assert big.iterations == base.iterations
+    assert big.converged == base.converged
+    assert big.objective == base.objective
+    assert big.control.values.tobytes() == base.control.values.tobytes()
+    assert big.trajectory.values.tobytes() == (n * base.trajectory.values).tobytes()
 
 
 @functools.cache
@@ -73,12 +116,16 @@ def test_uncontrolled_sweep_scales_exactly_at_a_power_of_two(steps):
 @pytest.mark.parametrize("kind", KINDS)
 def test_solution_scales_exactly_at_a_power_of_two(solver, kind, steps):
     n = 2.0**20
-    base, big = solve(solver, kind, steps), solve(solver, kind, steps, n)
-    assert big.iterations == base.iterations
-    assert big.converged == base.converged
-    assert big.objective == base.objective
-    assert big.control.values.tobytes() == base.control.values.tobytes()
-    assert big.trajectory.values.tobytes() == (n * base.trajectory.values).tobytes()
+    assert_same_bits(solve(solver, kind, steps), solve(solver, kind, steps, n), n)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_drawn_problems_scale_exactly_at_a_power_of_two(solver, kind):
+    n = 2.0**20
+    fn, settings = SOLVERS[solver]
+    for spec in pool_like_specs(kind):
+        assert_same_bits(fn(spec, **settings), fn(scaled_spec(spec, n), **settings), n)
 
 
 @pytest.mark.parametrize("n", [1e3, 1e6])
