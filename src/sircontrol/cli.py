@@ -22,13 +22,12 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 from .integrate import IntegrationError, TimeGrid, Trajectory, integrate_forward
-from .metrics import DEFAULT_PERIOD_THRESHOLD, RunSummary, summarize_run
+from .metrics import DEFAULT_PERIOD_THRESHOLD, RunSummary, _check_threshold, summarize_run
 from .model import Drains, EpidemicState, ModelParams
 from .ocp import (
     DEFAULT_PARAMS,
@@ -96,38 +95,22 @@ class ScenarioConfig:
     out: str = "."
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"config field {f.name} must be finite, got {value}")
         if self.strategy not in _STRATEGY_CHOICES:
             raise ConfigError(
                 f"config field strategy must be one of {', '.join(_STRATEGY_CHOICES)}, "
                 f"got {self.strategy!r}"
             )
-        for name in ("t_end", "threshold"):
-            v = getattr(self, name)
-            if not v > 0:
-                raise ConfigError(f"config field {name} must be positive, got {v}")
-        for name in ("s0", "i0", "r0"):
-            if (v := getattr(self, name)) < 0:
-                raise ConfigError(f"config field {name} must be non-negative, got {v}")
-        if not 0 < self.s0 + self.i0 + self.r0 < math.inf:
-            raise ConfigError(
-                "config fields s0 + i0 + r0 must sum to a finite positive population"
-            )
-        if self.steps < 1:
-            raise ConfigError(f"config field steps must be >= 1, got {self.steps}")
-        try:  # built once, here, so that a grid numpy cannot allocate fails before any output
+        named = "field "
+        try:  # each rule from its one owner, once, so that a bad value fails before any output
             object.__setattr__(self, "_grid", _shared_grid(0.0, self.t_end, self.steps))
-        except (ValueError, OverflowError, MemoryError) as e:
-            raise ConfigError(f"config field steps = {self.steps} is too large: {e}") from None
-        try:  # the rules of the model, the problem and the solvers, from their owners
             object.__setattr__(self, "_params", ModelParams(self.beta, self.mu))
             _check_weights(self, self._grid.dt)
             _check_settings(self.max_iterations, self.tol, self.relaxation)
+            _check_threshold(self.threshold)
+            named = "fields s0, i0, r0: "  # the state's rules bind all three
+            object.__setattr__(self, "_x0", EpidemicState(self.s0, self.i0, self.r0))
         except ValueError as e:
-            raise ConfigError(f"config field {e}") from None
+            raise ConfigError(f"config {named}{e}") from None
 
     @property
     def label(self) -> str:
@@ -136,15 +119,12 @@ class ScenarioConfig:
     def grid(self) -> TimeGrid:
         return self._grid
 
-    def x0(self) -> EpidemicState:
-        return EpidemicState(self.s0, self.i0, self.r0)
-
     def spec(self) -> StrategySpec:
         """The control problem of strategy 1, 2 or 3."""
         return StrategySpec(
             kind=Strategy(int(self.strategy)),
             params=self._params,
-            x0=self.x0(),
+            x0=self._x0,
             grid=self.grid(),
             u_max=self.u_max,
             **{name: getattr(self, name) for name in _WEIGHT_FIELDS},
@@ -351,7 +331,7 @@ def _run_scenario(
 
     sol = control = adjoints = convergence = cross = None
     if cfg.strategy == "none":
-        traj = integrate_forward(cfg._params, Drains(), cfg.x0().as_array(), cfg.grid())
+        traj = integrate_forward(cfg._params, Drains(), cfg._x0.as_array(), cfg.grid())
         summary = summarize_run(traj, cfg.threshold)
         code = EXIT_OK
     else:

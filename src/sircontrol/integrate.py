@@ -82,9 +82,11 @@ _ADMISSIBLE_TOL = 1e-9
 class TimeGrid:
     """Uniform grid of ``steps`` intervals on [t0, t_end].
 
-    The node times, and the stage weights of the forward and the backward
-    steps (see :func:`stage_samples`), are computed once, at construction,
-    as read-only arrays.
+    Construction raises ValueError unless ``t0 < t_end`` are finite and the
+    step ``dt`` is finite and positive, and for a step count below 1, past
+    the float range or whose arrays numpy cannot allocate ("steps = N is too
+    large: ...").  It computes the node times and the stage weights of both
+    sweep directions (see :func:`stage_samples`) once, as read-only arrays.
     """
 
     t0: float
@@ -93,18 +95,27 @@ class TimeGrid:
 
     def __post_init__(self):
         if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
-            raise ValueError(f"t0={self.t0} and t_end={self.t_end} must be finite")
+            raise ValueError(f"t_end={self.t_end} and t0={self.t0} must be finite")
         if not self.t_end > self.t0:
             raise ValueError(f"t_end={self.t_end} must exceed t0={self.t0}")
         if self.steps < 1:
-            raise ValueError(f"steps={self.steps} must be >= 1")
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt={self.dt} must be finite and positive")
-        times = np.linspace(self.t0, self.t_end, self.n_nodes)
-        weights = tuple(
-            (((t_k + 0.5 * h) - t_k) / h, ((t_k + h) - t_k) / h)
-            for t_k, h in ((times[:-1], self.dt), (times[:0:-1], -self.dt))
-        )
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        try:  # a step count past the float range
+            dt = self.dt
+        except OverflowError as e:
+            raise ValueError(f"steps = {self.steps} is too large: {e}") from None
+        if not 0.0 < dt < math.inf:
+            raise ValueError(
+                f"t_end={self.t_end} and steps={self.steps} give dt={dt}, not finite and positive"
+            )
+        try:  # or one whose arrays numpy cannot allocate
+            times = np.linspace(self.t0, self.t_end, self.n_nodes)
+            weights = tuple(
+                (((t_k + 0.5 * h) - t_k) / h, ((t_k + h) - t_k) / h)
+                for t_k, h in ((times[:-1], dt), (times[:0:-1], -dt))
+            )
+        except (ValueError, MemoryError) as e:
+            raise ValueError(f"steps = {self.steps} is too large: {e}") from None
         for array in (times, *weights[0], *weights[1]):
             array.flags.writeable = False
         object.__setattr__(self, "_times", times)

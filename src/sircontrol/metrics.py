@@ -68,6 +68,12 @@ def peak_infected(traj: Trajectory) -> tuple[float, float]:
     return float(traj.grid.times()[k]), float(i[k])
 
 
+def _check_threshold(threshold: float) -> None:
+    """:class:`ValueError` unless ``threshold`` is finite and positive."""
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
+
+
 def infection_period(traj: Trajectory, threshold: float = DEFAULT_PERIOD_THRESHOLD) -> float:
     """Days until the infected fraction permanently falls below ``threshold``.
 
@@ -78,8 +84,7 @@ def infection_period(traj: Trajectory, threshold: float = DEFAULT_PERIOD_THRESHO
     Returns the start time (0 on default grids) when the curve never reaches
     the threshold at all.
     """
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    _check_threshold(threshold)
     i = traj.i
     above = np.flatnonzero(i >= threshold)
     times = traj.grid.times()

@@ -35,27 +35,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EpidemicState:
-    """Compartments (S, I, R) at one instant, such as an initial state.
-
-    Construction does not check them; :meth:`validate` checks that each is
-    non-negative and that they sum to a population.
+    """Compartments (S, I, R) at one instant, such as an initial state; checked at
+    construction, as :class:`ModelParams` is: ValueError unless each is at least
+    ``-1e-9`` (rounding noise) and they sum to a finite positive population.
     """
 
     s: float
     i: float
     r: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s, self.i, self.r], dtype=float)
-
-    def validate(self) -> None:
-        """Raise ValueError unless components are >= -1e-9 and sum to a finite positive total."""
-        for name, v in (("s", self.s), ("i", self.i), ("r", self.r)):
-            if not np.isfinite(v) or v < -1e-9:
-                raise ValueError(f"compartment {name}={v} violates non-negativity")
+    def __post_init__(self):
+        for name in ("s", "i", "r"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v >= -1e-9):
+                raise ValueError(f"compartment {name}={v} must be finite and at least -1e-9")
         total = self.s + self.i + self.r
         if not 0.0 < total < np.inf:
             raise ValueError(f"compartments sum to {total}, not a finite positive population")
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.s, self.i, self.r], dtype=float)
 
 
 @dataclass(frozen=True)

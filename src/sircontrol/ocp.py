@@ -127,7 +127,6 @@ class StrategySpec:
 
     def __post_init__(self):
         _check_weights(self, self.grid.dt)
-        self.x0.validate()
 
     @property
     def channels(self) -> int:
@@ -467,11 +466,11 @@ def solve_fbsm(
     returned iterate.  A blend that raises the objective is retried with
     ``c`` halved (the plain relaxed iteration limit-cycles on strongly
     state-weighted problems); ``c`` resets to ``relaxation`` at the next
-    iteration.  At ``relaxation/64`` the blend
-    is accepted as it is, unless it blew up (see
-    :func:`integrate_forward`): such a trial scores +inf and is never
-    accepted, and when every damped trial of an iteration blows up the
-    sweep stops.  A blow-up of the initial zero-control sweep, or of the
+    iteration.  At ``relaxation/64`` the blend is accepted as it is, unless
+    it blew up (see :func:`integrate_forward`): such a trial scores +inf and
+    is never accepted.  The sweep stops, with a warning that tells the two
+    apart, when the last trial of an iteration blows up or its cost
+    overflows.  A blow-up of the initial zero-control sweep, or of the
     costate of an iterate the sweep steers from or returns, raises
     :class:`IntegrationError`, as does a cost that overflows at every iterate.
     Convergence is declared when every channel satisfies the relative-L1
@@ -503,10 +502,15 @@ def solve_fbsm(
             if j_new <= j + 1e-12 or damp <= relaxation / 64.0:
                 break
             damp *= 0.5
-        if not math.isfinite(j_new):
+        if traj_new is None:
             logger.warning(
                 "%s sweep: every damped trial blew up at iteration %d: the grid may be too coarse"
                 " for RK4 at these rates", spec.kind.name, iterations,
+            )
+            break
+        if not math.isfinite(j_new):
+            logger.warning(
+                "%s sweep: the trial's cost overflows at iteration %d", spec.kind.name, iterations
             )
             break
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import logging
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sircontrol import cli, ocp
+from sircontrol import cli, metrics, ocp
 from sircontrol.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -33,7 +34,7 @@ from sircontrol.cli import (
 )
 from sircontrol.integrate import IntegrationError, TimeGrid, Trajectory
 from sircontrol.metrics import RunSummary
-from sircontrol.model import ModelParams
+from sircontrol.model import EpidemicState, ModelParams
 from sircontrol.ocp import Strategy, StrategySpec, default_spec
 
 
@@ -91,7 +92,7 @@ def test_config_rejects_bad_numbers():
     with pytest.raises(ConfigError, match="max_iterations must be >= 1, got 0"):
         ScenarioConfig(max_iterations=0)
     # each value is finite, but the population they sum to is not
-    with pytest.raises(ConfigError, match=r"s0 \+ i0 \+ r0"):
+    with pytest.raises(ConfigError, match="fields s0, i0, r0: compartments sum to inf"):
         config_from_entries({"s0": "1e308", "i0": "1e308"})
     # each weight is positive, but the control law divides by it
     with pytest.raises(ConfigError, match="nu is too small"):
@@ -108,6 +109,11 @@ OWNED_RULES = [
     pytest.param("relaxation", "2", lambda: ocp._check_settings(1, 1.0, 2.0), id="relaxation"),
     pytest.param("max_iterations", "0", lambda: ocp._check_settings(0), id="max_iterations"),
     pytest.param("nu", "5e-324", lambda: StrategySpec(Strategy.VACCINATION, nu=5e-324), id="nu"),
+    pytest.param("t_end", "-1", lambda: TimeGrid(0.0, -1.0, 1000), id="t_end"),
+    pytest.param("steps", "0", lambda: TimeGrid(0.0, 100.0, 0), id="steps-0"),
+    pytest.param("steps", str(10**23), lambda: TimeGrid(0.0, 100.0, 10**23), id="steps-1e23"),
+    pytest.param("steps", str(10**400), lambda: TimeGrid(0.0, 100.0, 10**400), id="steps-1e400"),
+    pytest.param("threshold", "inf", lambda: metrics._check_threshold(math.inf), id="threshold"),
 ]
 
 
@@ -142,6 +148,33 @@ def test_non_finite_config_value_is_a_config_error(tmp_path, capsys, key, value)
     err = capsys.readouterr().err
     assert "config error" in err
     assert key in err
+
+
+@pytest.mark.parametrize(
+    "x0, accepted",
+    [
+        ((0.95, 0.05, -1e-12), True),
+        ((0.95, 0.05, -2e-9), False),
+        ((0, 0, 0), False),
+        ((1e308, 1e308, 0), False),
+    ],
+    ids=["noise", "below-tolerance", "empty", "sum-overflows"],
+)
+def test_the_cli_accepts_the_initial_states_the_library_accepts(tmp_path, capsys, x0, accepted):
+    """One rule, ``EpidemicState``'s: each compartment at least -1e-9, a finite positive sum."""
+    try:
+        EpidemicState(*x0)
+    except ValueError:
+        assert not accepted
+    else:
+        assert accepted
+    path = write_cfg(tmp_path, "x0.cfg", "s0 = {}\ni0 = {}\nr0 = {}\nsteps = 10\n".format(*x0))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == (
+        EXIT_OK if accepted else EXIT_CONFIG
+    )
+    assert out.exists() == accepted
+    assert ("config fields s0, i0, r0: " in capsys.readouterr().err) != accepted
 
 
 def test_defaults_are_the_reference_scenario():
@@ -541,6 +574,22 @@ def test_an_objective_that_overflows_is_solved_without_a_warning(tmp_path, capsy
     assert capsys.readouterr().err == ""
     cross = json.loads((tmp_path / "o" / "strategy3.json").read_text())["cross_check"]
     assert math.isfinite(cross["objective_sweep"]) and math.isfinite(cross["objective_direct"])
+
+
+def test_a_cost_that_overflows_at_every_iterate_is_not_called_a_blow_up(tmp_path, caplog):
+    """-a3 R overflows to -inf at every iterate; no forward sweep blows up (exit 3)."""
+    path = write_cfg(
+        tmp_path,
+        "overflow.cfg",
+        "strategy = 2\nbeta = 1e-8\nmu = 1e-300\ns0 = 10\ni0 = 10\nr0 = 1000\nt_end = 1e6\n"
+        "steps = 20\nu_max = 1e-300\na2 = 1e300\na3 = 1e300\nmax_iterations = 5\n",
+    )
+    with caplog.at_level(logging.WARNING, logger="sircontrol.ocp"):
+        code = main(["optimize", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == EXIT_INTEGRATION
+    messages = [r.getMessage() for r in caplog.records]
+    assert "VACCINATION_WEIGHTED sweep: the trial's cost overflows at iteration 1" in messages
+    assert not any("blew up" in m for m in messages)
 
 
 def test_a_step_count_numpy_refuses_is_a_config_error(tmp_path, capsys):

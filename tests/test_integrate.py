@@ -70,6 +70,10 @@ def test_grid_rejects_degenerate_spans():
     for t0, t_end in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (math.nan, 1.0)):
         with pytest.raises(ValueError, match="finite"):
             TimeGrid(t0, t_end, 10)
+    # a step count past numpy's maximum array size, or past the float range of dt
+    for steps in (10**23, 10**400):
+        with pytest.raises(ValueError, match=f"^steps = {steps} is too large: "):
+            TimeGrid(0.0, 1.0, steps)
 
 
 def test_trajectory_shape_must_match_grid():

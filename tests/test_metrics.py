@@ -1,5 +1,7 @@
 """Metric extraction tests: peaks, infection periods, summaries, orderings."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,8 @@ def test_run_summary_validation():
             i_end=0.0,
             r_end=0.5,
         )
+    with pytest.raises(ValueError, match="objective must be finite or None, got inf"):
+        RunSummary(0.1, 10.0, 10.0, 0.5, 0.0, 0.5, objective=math.inf)
 
 
 # -- orderings ------------------------------------------------------------------------

@@ -144,18 +144,18 @@ def test_treatment_education_rejects_one_channel_control():
         objective(spec, traj, controls)
 
 
-def test_state_validate_rejects_negative_compartment():
+def test_state_rejects_negative_compartment():
     with pytest.raises(ValueError, match="compartment i"):
-        EpidemicState(0.5, -0.1, 0.6).validate()
+        EpidemicState(0.5, -0.1, 0.6)
 
 
-def test_state_validate_rejects_bad_total():
+def test_state_rejects_bad_total():
     with pytest.raises(ValueError, match="sum to"):
-        EpidemicState(0.0, 0.0, 0.0).validate()
+        EpidemicState(0.0, 0.0, 0.0)
 
 
-def test_state_validate_accepts_tolerance_sized_noise():
-    EpidemicState(0.95, 0.05, -1e-12).validate()
+def test_state_accepts_tolerance_sized_noise():
+    EpidemicState(0.95, 0.05, -1e-12)
 
 
 def test_params_reject_nonpositive_rates():
