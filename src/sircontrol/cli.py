@@ -331,7 +331,7 @@ def _run_scenario(
 
     sol = control = adjoints = convergence = cross = None
     if cfg.strategy == "none":
-        traj = integrate_forward(cfg._params, Drains(), cfg._x0.as_array(), cfg.grid())
+        traj = integrate_forward(cfg._params, Drains(), cfg._x0, cfg.grid())
         summary = summarize_run(traj, cfg.threshold)
         code = EXIT_OK
     else:

@@ -16,8 +16,8 @@ floats.  Once per call, :func:`stage_samples` computes with numpy the node,
 half-stage and full-stage samples of every step, from interpolation weights
 each :class:`TimeGrid` computes once, of the drain rates ``a`` (S -> R) and
 ``v`` (I -> R) that a :class:`~sircontrol.model.Drains` map picks from the
-control columns.  ``integrate_forward(params, drains, ...)`` takes the rates
-as a :class:`~sircontrol.model.ModelParams` and writes the rate law inline as
+control columns.  ``integrate_forward(params, drains, x0, ...)`` takes records,
+``ModelParams`` and ``EpidemicState``, and writes the rate law inline as
 ``d = -dS = beta*S*I + a*S``, ``dI = beta*S*I - (mu + v)*I`` and
 ``-dR = dI - d`` (``mu + v`` sampled as one array).  IEEE negation is exact,
 so the steps ``S + (dt/6) * (-d1 - 2*d2 - ...)`` and ``R - (dt/6) * (...)``
@@ -31,7 +31,7 @@ raises ValueError (:func:`_check_signal`, which ``ocp`` shares).  Nodes are
 collected in one flat list and reshaped once, and checked once per sweep: a
 non-finite node (:func:`_finite_nodes`, which the costate scan shares) or a
 compartment below ``-_ADMISSIBLE_TOL`` times the population, the initial
-state's sum, raises :class:`IntegrationError`.
+state's sum, raises :class:`IntegrationError`; ``EpidemicState`` holds x0 to it.
 
 The loop keeps the operation order of the classical 3-vector formulation
 (one numpy RK4 step per interval, applied to a closure that interpolates at
@@ -56,7 +56,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .model import Drains, ModelParams
+from .model import _ADMISSIBLE_TOL, Drains, EpidemicState, ModelParams
 
 __all__ = [
     "IntegrationError",
@@ -69,13 +69,6 @@ __all__ = [
 
 class IntegrationError(RuntimeError):
     """Raised when an integration blows up: a non-finite value, or a negative compartment."""
-
-
-# Smallest compartment, as a fraction of the population, of a forward sweep
-# that is not treated as a blow-up.  The exact dynamics keep every compartment
-# non-negative, so such a state means RK4 is unstable on this grid (on 3 steps
-# a trial reaches I = -1e12).
-_ADMISSIBLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -225,14 +218,14 @@ def _finite_nodes(out, times: np.ndarray) -> np.ndarray:
 
 
 def integrate_forward(
-    params: ModelParams, drains: Drains, x0: np.ndarray, grid: TimeGrid, controls=None
+    params: ModelParams, drains: Drains, x0: EpidemicState, grid: TimeGrid, controls=None
 ) -> Trajectory:
-    """Integrate the drain-form field at rates ``params`` from x0 = (S, I, R) over the grid.
+    """Integrate the drain-form field at rates ``params`` from the state ``x0`` over the grid.
 
     ``controls`` is a control :class:`Trajectory` with one column per
     channel of ``drains`` (or None: no drain).  States are never clipped: a node
     that is not finite, or below ``-_ADMISSIBLE_TOL * (S0 + I0 + R0)``,
-    raises :class:`IntegrationError`.
+    raises :class:`IntegrationError`; node 0, the record ``x0``, was held to it when built.
     """
     beta, mu = params.beta, params.mu
     a, v = _drain_samples(drains, controls, grid)
@@ -243,7 +236,7 @@ def integrate_forward(
     dt = grid.dt
     half = 0.5 * dt
     sixth = dt / 6.0
-    s, i, r = np.asarray(x0, dtype=float).tolist()
+    s, i, r = float(x0.s), float(x0.i), float(x0.r)
     floor = -_ADMISSIBLE_TOL * (s + i + r)
     out = [s, i, r]
     for a, g, a_m, g_m, a_4, g_4 in zip(a1, g1, am, gm, a4, g4):

@@ -37,7 +37,8 @@ DEFAULT_PERIOD_WINDOW = 10.0
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Headline numbers of one run; ``objective`` is None for uncontrolled runs."""
+    """Finite headline numbers of one run, a period >= 0 (the sweep's floor bounds the peak,
+    just below 0 for I0 < 0); ``objective`` is None for uncontrolled runs."""
 
     peak_infected: float
     t_peak: float
@@ -52,8 +53,8 @@ class RunSummary:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"summary field {name} must be finite, got {v}")
-        if self.peak_infected < 0 or self.infection_period < 0:
-            raise ValueError("peak_infected and infection_period must be non-negative")
+        if self.infection_period < 0:
+            raise ValueError(f"infection_period must be non-negative, got {self.infection_period}")
         if self.objective is not None and not math.isfinite(self.objective):
             raise ValueError(f"objective must be finite or None, got {self.objective}")
 

@@ -33,11 +33,18 @@ __all__ = [
 ]
 
 
+# Smallest compartment, as a fraction of the population, of a forward sweep
+# that is not treated as a blow-up.  The exact dynamics keep every compartment
+# non-negative, so such a state means RK4 is unstable on this grid (on 3 steps
+# a trial reaches I = -1e12).
+_ADMISSIBLE_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class EpidemicState:
-    """Compartments (S, I, R) at one instant, such as an initial state; checked at
-    construction, as :class:`ModelParams` is: ValueError unless each is at least
-    ``-1e-9`` (rounding noise) and they sum to a finite positive population.
+    """Compartments (S, I, R) at one instant, such as an initial state; checked at construction:
+    ValueError unless each is finite, they sum to a finite positive population N, and each
+    is at least ``-_ADMISSIBLE_TOL * N`` (rounding noise), the forward sweep's floor.
     """
 
     s: float
@@ -45,16 +52,16 @@ class EpidemicState:
     r: float
 
     def __post_init__(self):
-        for name in ("s", "i", "r"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= -1e-9):
-                raise ValueError(f"compartment {name}={v} must be finite and at least -1e-9")
-        total = self.s + self.i + self.r
-        if not 0.0 < total < np.inf:
-            raise ValueError(f"compartments sum to {total}, not a finite positive population")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s, self.i, self.r], dtype=float)
+        for name, v in zip("sir", (self.s, self.i, self.r)):
+            if not np.isfinite(v):
+                raise ValueError(f"compartment {name}={v} must be finite")
+        n = self.s + self.i + self.r  # the population
+        if not 0.0 < n < np.inf:
+            raise ValueError(f"compartments sum to {n}, not a finite positive population")
+        floor = -_ADMISSIBLE_TOL * n  # integrate_forward's floor, bit for bit
+        for name, v in zip("sir", (self.s, self.i, self.r)):
+            if v < floor:
+                raise ValueError(f"compartment {name}={v} is below {floor:g} (population {n:g})")
 
 
 @dataclass(frozen=True)

@@ -440,9 +440,7 @@ def _check_settings(max_iterations: int, tol: float = 1.0, relaxation: float = 1
 def _trial_objective(spec, signal):
     """Objective and forward trajectory of a trial control; +inf if it blew up."""
     try:
-        traj = integrate_forward(
-            spec.params, _DRAINS[spec.kind], spec.x0.as_array(), spec.grid, signal
-        )
+        traj = integrate_forward(spec.params, _DRAINS[spec.kind], spec.x0, spec.grid, signal)
     except IntegrationError:
         return math.inf, None
     return objective(spec, traj, signal), traj
@@ -482,7 +480,7 @@ def solve_fbsm(
     _check_settings(max_iterations, tol, relaxation)
     u = np.zeros((spec.grid.n_nodes, spec.channels))
     signal = Trajectory(spec.grid, u)
-    traj = integrate_forward(spec.params, _DRAINS[spec.kind], spec.x0.as_array(), spec.grid, signal)
+    traj = integrate_forward(spec.params, _DRAINS[spec.kind], spec.x0, spec.grid, signal)
     j = objective(spec, traj, signal)
     history, rises = [j], []
     best = (j, traj, signal)
@@ -537,11 +535,11 @@ def solve_fbsm(
             "%s sweep: objective rose at %d of %d iterations, by at most %.3e",
             spec.kind.name, len(rises), iterations, max(rises),
         )
-    if not converged:
+    if not converged:  # a converged sweep accepted a finite cost
         j, traj, signal = best
+        if j == math.inf:
+            raise IntegrationError("the cost of every iterate overflows")
         logger.warning("%s sweep did not converge in %d iterations", spec.kind.name, iterations)
-    if j == math.inf:
-        raise IntegrationError("the cost of every iterate overflows")
     lam = _costate_scan(spec, traj, signal, work)
     return OcpSolution(spec, traj, signal, lam, j, iterations, converged, history)
 
@@ -563,7 +561,7 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     sweep; :class:`IntegrationError` if the sweep blows up or the gradient is not finite.
     """
     signal = Trajectory(spec.grid, u_values)
-    traj = integrate_forward(spec.params, _DRAINS[spec.kind], spec.x0.as_array(), spec.grid, signal)
+    traj = integrate_forward(spec.params, _DRAINS[spec.kind], spec.x0, spec.grid, signal)
     return objective(spec, traj, signal), _reverse_gradient(spec, u_values, traj)
 
 
@@ -705,7 +703,7 @@ def solve_direct(
     own = isinstance(start, OcpSolution) and start.spec == spec  # a solution holds its sweep
     unmoved = own and u.tobytes() == control.values.tobytes()
     traj = start.trajectory if unmoved else integrate_forward(
-        spec.params, _DRAINS[spec.kind], spec.x0.as_array(), spec.grid, signal
+        spec.params, _DRAINS[spec.kind], spec.x0, spec.grid, signal
     )
     j, g = objective(spec, traj, signal), _reverse_gradient(spec, u, traj)
     _, w = _weights(spec)

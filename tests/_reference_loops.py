@@ -45,13 +45,13 @@ def _check_controls(controls, grid):
 
 
 def integrate_forward(dynamics, x0, grid, controls=None):
-    """Forward RK4 of ``dynamics(t, x, u)`` with interpolated node controls."""
+    """Forward RK4 of ``dynamics(t, x, u)`` from the record ``x0``, controls interpolated."""
     _check_controls(controls, grid)
     times = grid.times()
     dt = grid.dt
-    out = np.empty((grid.n_nodes, len(x0)))
-    out[0] = x0
-    x = np.asarray(x0, dtype=float)
+    x = np.array([x0.s, x0.i, x0.r], dtype=float)
+    out = np.empty((grid.n_nodes, 3))
+    out[0] = x
     for k in range(grid.steps):
         t_k = times[k]
         if controls is None:
@@ -247,7 +247,7 @@ def _stage_jacobians(spec):
 def objective_gradient(spec, u_values):
     """Discrete objective and its reverse-mode gradient w.r.t. the control nodes."""
     signal = Trajectory(spec.grid, u_values)
-    traj = integrate_forward(dynamics_field(spec), spec.x0.as_array(), spec.grid, signal)
+    traj = integrate_forward(dynamics_field(spec), spec.x0, spec.grid, signal)
     j = objective(spec, traj, signal)
 
     f, fx, fu, cx, cu = _stage_jacobians(spec)

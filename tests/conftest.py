@@ -25,7 +25,7 @@ import _acceptance_log
 def uncontrolled_traj():
     """Default uncontrolled run: beta=0.2, mu=0.1, x0=(0.95,0.05,0), dt=0.1."""
     grid = TimeGrid(0.0, 100.0, 1000)
-    return integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0.as_array(), grid)
+    return integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0, grid)
 
 
 @pytest.fixture(scope="session")

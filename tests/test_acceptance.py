@@ -41,7 +41,7 @@ N = DEFAULT_X0.s + DEFAULT_X0.i + DEFAULT_X0.r  # the population, 1.0
 def test_criterion_01_uncontrolled_peak():
     """Peak infected 0.179 +- 0.002, matching the closed-form maximum; < 0.1 s."""
     t0 = time.perf_counter()
-    traj = integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0.as_array(), GRID)
+    traj = integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0, GRID)
     runtime = time.perf_counter() - t0
 
     _, peak = peak_infected(traj)
@@ -273,7 +273,7 @@ def test_criterion_09_adjoint_gradient():
 
         def j_of(values):
             signal = Trajectory(spec.grid, values)
-            traj = integrate_forward(spec.params, drains, spec.x0.as_array(), spec.grid, signal)
+            traj = integrate_forward(spec.params, drains, spec.x0, spec.grid, signal)
             return objective(spec, traj, signal)
 
         flat = rng.choice(u.size, size=10, replace=False)
@@ -291,7 +291,7 @@ def test_criterion_09_adjoint_gradient():
 
 def test_criterion_10_rk4_order():
     """Global error shrinks by a factor in [12, 20] when dt halves 0.2 -> 0.1."""
-    x0 = DEFAULT_X0.as_array()
+    x0 = DEFAULT_X0
 
     def endstate(steps):
         grid = TimeGrid(0.0, 100.0, steps)

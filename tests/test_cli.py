@@ -151,30 +151,40 @@ def test_non_finite_config_value_is_a_config_error(tmp_path, capsys, key, value)
 
 
 @pytest.mark.parametrize(
-    "x0, accepted",
+    "x0, beta, accepted",
     [
-        ((0.95, 0.05, -1e-12), True),
-        ((0.95, 0.05, -2e-9), False),
-        ((0, 0, 0), False),
-        ((1e308, 1e308, 0), False),
+        ((0.95, 0.05, -1e-12), 0.2, True),
+        ((0.95, 0.05, -2e-9), 0.2, False),
+        ((0, 0, 0), 0.2, False),
+        ((1e308, 1e308, 0), 0.2, False),
+        ((0.001, 0.0001, -1e-9), 0.2, False),
+        ((1e6, 1e3, -1e-6), 2e-7, True),
+        ((0.3, -1e-12, 0.7), 0.2, True),
     ],
-    ids=["noise", "below-tolerance", "empty", "sum-overflows"],
+    ids=[
+        "noise", "below-tolerance", "empty", "sum-overflows", "small-population",
+        "large-population", "negative-i0",
+    ],
 )
-def test_the_cli_accepts_the_initial_states_the_library_accepts(tmp_path, capsys, x0, accepted):
-    """One rule, ``EpidemicState``'s: each compartment at least -1e-9, a finite positive sum."""
+def test_the_cli_accepts_the_initial_states_the_library_accepts(
+    tmp_path, capsys, x0, beta, accepted
+):
+    """One rule, ``EpidemicState``'s: a finite positive sum N, each compartment at least -1e-9 N."""
     try:
-        EpidemicState(*x0)
-    except ValueError:
+        EpidemicState(*map(float, x0))  # the values the config parser reads
+    except ValueError as e:
         assert not accepted
+        message = f"config fields s0, i0, r0: {e}"
     else:
         assert accepted
-    path = write_cfg(tmp_path, "x0.cfg", "s0 = {}\ni0 = {}\nr0 = {}\nsteps = 10\n".format(*x0))
-    out = tmp_path / "o"
+    text = "s0 = {}\ni0 = {}\nr0 = {}\nbeta = {}\nsteps = 10\n".format(*x0, beta)
+    path, out = write_cfg(tmp_path, "x0.cfg", text), tmp_path / "o"
     assert main(["simulate", "--config", path, "--out", str(out)]) == (
         EXIT_OK if accepted else EXIT_CONFIG
     )
     assert out.exists() == accepted
-    assert ("config fields s0, i0, r0: " in capsys.readouterr().err) != accepted
+    err = capsys.readouterr().err
+    assert err == "" if accepted else message in err
 
 
 def test_defaults_are_the_reference_scenario():
@@ -590,6 +600,7 @@ def test_a_cost_that_overflows_at_every_iterate_is_not_called_a_blow_up(tmp_path
     messages = [r.getMessage() for r in caplog.records]
     assert "VACCINATION_WEIGHTED sweep: the trial's cost overflows at iteration 1" in messages
     assert not any("blew up" in m for m in messages)
+    assert not any("did not converge" in m for m in messages)
 
 
 def test_a_step_count_numpy_refuses_is_a_config_error(tmp_path, capsys):

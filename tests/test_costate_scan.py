@@ -45,7 +45,7 @@ POOL_GRIDS = [
 def test_scan_matches_the_float_loop(kind, steps, t_end):
     spec = StrategySpec(kind=Strategy(kind), grid=TimeGrid(0.0, t_end, steps))
     signal = random_controls(spec, seed=100 * kind + steps + 3)
-    traj = integrate_forward(*forward_rates(spec), spec.x0.as_array(), spec.grid, signal)
+    traj = integrate_forward(*forward_rates(spec), spec.x0, spec.grid, signal)
     lam = ocp._costate_scan(spec, traj, signal)
     assert_costate_matches_the_reference(lam, spec, traj, signal)
 
@@ -57,7 +57,7 @@ def scan_problem(kind, steps, t_end, controls="random"):
         signal = Trajectory(spec.grid, np.zeros((spec.grid.n_nodes, spec.channels)))
     else:
         signal = random_controls(spec, seed=100 * kind + steps + 4)
-    traj = integrate_forward(*forward_rates(spec), spec.x0.as_array(), spec.grid, signal)
+    traj = integrate_forward(*forward_rates(spec), spec.x0, spec.grid, signal)
     return spec, traj, signal
 
 
@@ -182,7 +182,7 @@ def test_scan_blowup_names_the_same_step():
     with pytest.raises(IntegrationError) as info:
         ocp.solve_fbsm(spec)
     signal = Trajectory(spec.grid, np.zeros((spec.grid.n_nodes, 2)))
-    states = integrate_forward(*forward_rates(spec), spec.x0.as_array(), spec.grid, signal)
+    states = integrate_forward(*forward_rates(spec), spec.x0, spec.grid, signal)
     assert str(info.value) == raised_message(reference_costate, spec, states, signal)
     assert str(info.value) == "non-finite state after step at t=10.0"
 
@@ -215,7 +215,7 @@ def blowup_problem(rng):
     values = rng.uniform(0.0, spec.u_max, (spec.grid.n_nodes, spec.channels))
     signal = Trajectory(spec.grid, values)
     try:
-        traj = integrate_forward(*forward_rates(spec), spec.x0.as_array(), spec.grid, signal)
+        traj = integrate_forward(*forward_rates(spec), spec.x0, spec.grid, signal)
     except IntegrationError:
         return None
     beta = 10.0 ** rng.uniform(0.0, 40.0)

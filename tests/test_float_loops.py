@@ -71,7 +71,7 @@ def raised_message(fn, *args):
 def test_forward_sweep_is_bit_identical(kind, steps):
     spec = default_spec(kind, steps=steps)
     signal = random_controls(spec, seed=100 * kind + steps)
-    x0 = spec.x0.as_array()
+    x0 = spec.x0
     new = integrate_forward(*forward_rates(spec), x0, spec.grid, signal)
     old = ref.integrate_forward(ref.dynamics_field(spec), x0, spec.grid, signal)
     assert np.array_equal(new.values, old.values)
@@ -98,15 +98,15 @@ def test_forward_sweep_keeps_the_signs_of_zeros(kind, x0):
     values[::2] = -0.0
     for u in (values, np.full_like(values, -0.0)):
         signal = Trajectory(spec.grid, u)
-        new = integrate_forward(*forward_rates(spec), x0.as_array(), spec.grid, signal)
-        old = ref.integrate_forward(ref.dynamics_field(spec), x0.as_array(), spec.grid, signal)
+        new = integrate_forward(*forward_rates(spec), x0, spec.grid, signal)
+        old = ref.integrate_forward(ref.dynamics_field(spec), x0, spec.grid, signal)
         assert new.values.tobytes() == old.values.tobytes()
 
 
 @pytest.mark.parametrize("steps", STEPS)
 def test_uncontrolled_forward_sweep_is_bit_identical(steps):
     grid = TimeGrid(0.0, 100.0, steps)
-    x0 = DEFAULT_X0.as_array()
+    x0 = DEFAULT_X0
     new = integrate_forward(DEFAULT_PARAMS, Drains(), x0, grid)
     old = ref.integrate_forward(ref.uncontrolled_field(DEFAULT_PARAMS), x0, grid)
     assert np.array_equal(new.values, old.values)
@@ -119,7 +119,7 @@ def test_backward_sweep_is_bit_identical(kind, steps):
     spec = default_spec(kind, steps=steps)
     signal = random_controls(spec, seed=100 * kind + steps + 1)
     states = ref.integrate_forward(
-        ref.dynamics_field(spec), spec.x0.as_array(), spec.grid, signal
+        ref.dynamics_field(spec), spec.x0, spec.grid, signal
     )
     assert_costate_matches_the_reference(
         ocp._costate_scan(spec, states, signal), spec, states, signal
@@ -152,7 +152,7 @@ def test_gradient_matches_the_stage_jacobian_reference(kind, steps, t_end):
 def test_forward_blowup_names_the_same_step():
     params = ModelParams(beta=1e8, mu=0.1)
     grid = TimeGrid(0.0, 100.0, 10)
-    x0 = DEFAULT_X0.as_array()
+    x0 = DEFAULT_X0
     new = raised_message(integrate_forward, params, Drains(), x0, grid)
     old = raised_message(ref.integrate_forward, ref.uncontrolled_field(params), x0, grid)
     assert new == old
@@ -164,7 +164,7 @@ def test_backward_blowup_names_the_same_step():
     spec = StrategySpec(kind=Strategy.VACCINATION, params=ModelParams(beta=1e8, mu=0.1))
     signal = Trajectory(spec.grid, np.zeros((spec.grid.n_nodes, 1)))
     states = ref.integrate_forward(
-        ref.dynamics_field(default_spec(1)), spec.x0.as_array(), spec.grid, signal
+        ref.dynamics_field(default_spec(1)), spec.x0, spec.grid, signal
     )
     new = raised_message(ocp._costate_scan, spec, states, signal)
     assert new == raised_message(reference_costate, spec, states, signal)
@@ -182,7 +182,7 @@ def test_controlled_blowup_mid_grid_names_the_same_step(backward):
     t = spec.grid.times()
     u = np.where((t >= 20.0) & (t <= 80.0), 50.0, 0.0)
     signal = Trajectory(spec.grid, np.column_stack((u, 0.5 * u)))
-    x0 = spec.x0.as_array()
+    x0 = spec.x0
     if backward:
         zero = Trajectory(spec.grid, np.zeros((spec.grid.n_nodes, 2)))
         states = ref.integrate_forward(ref.dynamics_field(spec), x0, spec.grid, zero)

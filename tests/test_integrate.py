@@ -13,7 +13,7 @@ from sircontrol.integrate import (
     integrate_forward,
     stage_samples,
 )
-from sircontrol.model import Drains, ModelParams
+from sircontrol.model import Drains, EpidemicState, ModelParams
 from sircontrol.ocp import (
     DEFAULT_PARAMS,
     DEFAULT_X0,
@@ -122,9 +122,9 @@ def test_rk4_fourth_order_on_closed_form():
 
 
 def test_forward_keeps_initial_state_and_length():
-    traj = integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0.as_array(), GRID)
+    traj = integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0, GRID)
     assert traj.values.shape == (1001, 3)
-    assert np.array_equal(traj.values[0], DEFAULT_X0.as_array())
+    assert traj.values[0].tolist() == [DEFAULT_X0.s, DEFAULT_X0.i, DEFAULT_X0.r]
 
 
 def test_forward_conserves_population(uncontrolled_traj):
@@ -137,7 +137,7 @@ def test_forward_blowup_raises():
         integrate_forward(
             ModelParams(beta=1e300, mu=0.1),  # beta*S*I overflows within a step
             Drains(),
-            np.array([0.5, 0.5, 0.0]),
+            EpidemicState(0.5, 0.5, 0.0),
             TimeGrid(0.0, 5.0, 10),
         )
 
@@ -145,23 +145,28 @@ def test_forward_blowup_raises():
 def test_forward_rejects_a_sweep_that_drives_a_compartment_negative():
     """On 2 steps of 50 days even the uncontrolled sweep reaches S = -1.15."""
     with pytest.raises(IntegrationError, match="a compartment fell to -1.15: RK4 is unstable"):
-        integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0.as_array(), TimeGrid(0.0, 100.0, 2))
+        integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0, TimeGrid(0.0, 100.0, 2))
 
 
 def test_forward_rejects_a_compartment_below_the_population_tolerance():
-    """The floor is -1e-9 times the initial state's sum, whatever the population."""
+    """The floor is -1e-9 times the initial state's sum, whatever the population.
+
+    An initial state below it is rejected by the record, before any step; a
+    later node below it by the sweep (see the test above).
+    """
     for n in (1.0, 1e6):
         params = ModelParams(DEFAULT_PARAMS.beta / n, DEFAULT_PARAMS.mu)  # the same epidemic
-        x0 = n * DEFAULT_X0.as_array()
-        integrate_forward(params, Drains(), x0 + (0.0, 0.0, -0.9e-9 * n), TimeGrid(0.0, 1.0, 1))
-        with pytest.raises(IntegrationError, match="a compartment fell to"):
-            integrate_forward(params, Drains(), x0 + (0.0, 0.0, -1.1e-9 * n), TimeGrid(0.0, 1.0, 1))
+        s0, i0 = n * DEFAULT_X0.s, n * DEFAULT_X0.i
+        x0 = EpidemicState(s0, i0, -0.9e-9 * n)
+        integrate_forward(params, Drains(), x0, TimeGrid(0.0, 1.0, 1))
+        with pytest.raises(ValueError, match=f"compartment r=.* is below {-1e-9 * n:g} "):
+            EpidemicState(s0, i0, -1.1e-9 * n)
 
 
 def test_forward_rejects_mismatched_control_grid():
     signal = Trajectory(TimeGrid(0.0, 100.0, 10), np.zeros((11, 1)))
     with pytest.raises(ValueError, match="different grid"):
-        integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0.as_array(), GRID, signal)
+        integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0, GRID, signal)
 
 
 def test_linear_control_interpolation_is_exact():
@@ -223,7 +228,7 @@ def test_sweeps_reject_a_signal_with_the_wrong_channel_count(kind, channels):
     signal = Trajectory(spec.grid, np.zeros((spec.grid.n_nodes, channels)))
     with pytest.raises(ValueError, match="control channel"):
         integrate_forward(
-            spec.params, ocp._DRAINS[spec.kind], spec.x0.as_array(), spec.grid, signal
+            spec.params, ocp._DRAINS[spec.kind], spec.x0, spec.grid, signal
         )
 
 
@@ -231,7 +236,7 @@ def test_uncontrolled_field_rejects_any_control_signal():
     grid = TimeGrid(0.0, 100.0, 10)
     with pytest.raises(ValueError, match="control channel"):
         integrate_forward(
-            DEFAULT_PARAMS, Drains(), DEFAULT_X0.as_array(), grid,
+            DEFAULT_PARAMS, Drains(), DEFAULT_X0, grid,
             Trajectory(grid, np.zeros((grid.n_nodes, 1))),
         )
 

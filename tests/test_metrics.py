@@ -126,15 +126,17 @@ def test_summarize_run_objective_defaults_to_none(uncontrolled_traj):
 
 
 def test_run_summary_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="infection_period must be non-negative, got -1.0"):
         RunSummary(
-            peak_infected=-0.1,
+            peak_infected=0.1,
             t_peak=0.0,
-            infection_period=10.0,
+            infection_period=-1.0,
             s_end=0.5,
             i_end=0.0,
             r_end=0.5,
         )
+    # an initial I of rounding noise below 0 peaks just below 0; the sweep's floor bounds it
+    assert RunSummary(-1e-12, 0.0, 0.0, 0.3, -1e-12, 0.7).peak_infected == -1e-12
     with pytest.raises(ValueError):
         RunSummary(
             peak_infected=float("nan"),

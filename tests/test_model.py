@@ -128,7 +128,7 @@ def test_recovered_inflow_is_never_negative():
 
 def constant_run(kind, channels):
     spec = default_spec(kind, steps=10)
-    traj = Trajectory(spec.grid, np.tile(X0.as_array(), (spec.grid.n_nodes, 1)))
+    traj = Trajectory(spec.grid, np.tile((X0.s, X0.i, X0.r), (spec.grid.n_nodes, 1)))
     return spec, traj, Trajectory(spec.grid, np.full((spec.grid.n_nodes, channels), 0.1))
 
 
@@ -164,9 +164,3 @@ def test_params_reject_nonpositive_rates():
     with pytest.raises(ValueError, match="mu"):
         ModelParams(beta=0.2, mu=0.0)
 
-
-
-def test_state_array_round_trip():
-    x = X0.as_array()
-    assert EpidemicState(*x) == X0
-    assert x.dtype == float

@@ -124,7 +124,7 @@ def test_strategy_channel_counts():
 def test_control_signal_validation():
     """A control is a Trajectory: its rows are checked when it is made, its channels where used."""
     spec = default_spec(3, steps=100)
-    drains, x0, grid = ocp._DRAINS[spec.kind], spec.x0.as_array(), spec.grid
+    drains, x0, grid = ocp._DRAINS[spec.kind], spec.x0, spec.grid
     with pytest.raises(ValueError, match="does not match"):
         Trajectory(grid, np.zeros((100, 2)))
     three = Trajectory(grid, np.full((101, 3), 0.5))
@@ -694,7 +694,7 @@ def test_adjoint_gradient_matches_finite_differences():
     def j_of(values):
         signal = Trajectory(spec.grid, values)
         traj = integrate_forward(
-            spec.params, ocp._DRAINS[spec.kind], spec.x0.as_array(), spec.grid, signal
+            spec.params, ocp._DRAINS[spec.kind], spec.x0, spec.grid, signal
         )
         return objective(spec, traj, signal)
 

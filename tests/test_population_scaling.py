@@ -9,7 +9,8 @@ weight is fixed at 1, so it has no such case.  At a power of two every
 product above is exact, so both solvers must give the same bits; at other
 factors, the same iteration counts and agreement to a few ulps.  Besides the
 default problems, a seeded draw of problems from the ranges of the benchmark's
-sweep pool must give the same bits at a power of two.
+sweep pool must give the same bits at a power of two.  An initial state is
+accepted at every population or at none: its floor scales with N.
 """
 
 import functools
@@ -102,11 +103,30 @@ def solve(solver, kind, steps, n=1.0):
     return fn(spec if n == 1.0 else scaled_spec(spec, n), **settings)
 
 
+def accepts(*x0):
+    try:
+        EpidemicState(*x0)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("slot", range(3))
+@pytest.mark.parametrize("k", [-0.5, -0.9, -1.1, -2.0])
+def test_state_rule_is_invariant_under_scaling(k, slot):
+    """One compartment at k * 1e-9 of the population, the others holding 0.95 and 0.05 of it."""
+    x0 = [0.95, 0.05]
+    x0.insert(slot, k * 1e-9)
+    assert accepts(*x0) == (k > -1.0)
+    for n in (2.0**20, 2.0**-20):
+        assert accepts(*(n * x for x in x0)) == accepts(*x0)
+
+
 @pytest.mark.parametrize("steps", STEPS)
 def test_uncontrolled_sweep_scales_exactly_at_a_power_of_two(steps):
     n, grid = 2.0**20, TimeGrid(0.0, 100.0, steps)
-    base = integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0.as_array(), grid)
-    x0 = scaled_x0(DEFAULT_X0, n).as_array()
+    base = integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0, grid)
+    x0 = scaled_x0(DEFAULT_X0, n)
     big = integrate_forward(scaled_params(DEFAULT_PARAMS, n), Drains(), x0, grid)
     assert big.values.tobytes() == (n * base.values).tobytes()
 
