@@ -219,8 +219,8 @@ def write_timeseries_csv(
     traj: Trajectory,
     control: Trajectory | None = None,
     adjoints: Trajectory | None = None,
-) -> list[str]:
-    """Write one run's CSV; return its S, I, R columns, each as one newline-joined string."""
+) -> list[list[str]]:
+    """Write one run's CSV; return its S, I, R columns, each as its list of fields."""
     absent = [""] * traj.grid.n_nodes
     states = [_column(x) for x in traj.values.T]
     controls = [] if control is None else [_column(u) for u in control.values.T]
@@ -232,7 +232,7 @@ def write_timeseries_csv(
         *([absent] * 3 if adjoints is None else (_column(lam) for lam in adjoints.values.T)),
     ]
     _write_columns(path, CSV_HEADER, columns)
-    return ["\n".join(column) for column in states]
+    return states
 
 
 @functools.cache
@@ -279,12 +279,12 @@ def write_comparison(out_dir: Path, labels: list[str], summaries: list[RunSummar
     (out_dir / "comparison.json").write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def write_plot_bundles(out_dir: Path, runs: list[tuple[str, Trajectory, list[str]]]) -> bool:
+def write_plot_bundles(out_dir: Path, runs: list[tuple[str, Trajectory, list[list[str]]]]) -> bool:
     """Side-by-side S/I/R series (fig_S_compare.csv etc.); one column per run.
 
-    Each run is its label, trajectory and S, I, R columns as
-    :func:`write_timeseries_csv` returns them.  Requires all runs on a common
-    grid; returns False (and writes nothing) otherwise.
+    Each run is its label, trajectory and S, I, R field lists as
+    :func:`write_timeseries_csv` returns them, which are written as they are.
+    Requires all runs on a common grid; returns False (and writes nothing) otherwise.
     """
     grids = {traj.grid for _, traj, _ in runs}
     if len(grids) != 1:
@@ -292,7 +292,7 @@ def write_plot_bundles(out_dir: Path, runs: list[tuple[str, Trajectory, list[str
     header = ",".join(["t"] + [label for label, _, _ in runs])
     times = _time_column(grids.pop())
     for col, name in enumerate("SIR"):
-        columns = [times] + [states[col].split("\n") for _, _, states in runs]
+        columns = [times] + [states[col] for _, _, states in runs]
         _write_columns(out_dir / f"fig_{name}_compare.csv", header, columns)
     return True
 
@@ -317,10 +317,10 @@ def _print_summary(label: str, summary: RunSummary, sol: OcpSolution | None = No
 
 def _run_scenario(
     cfg: ScenarioConfig, cross_check: bool
-) -> tuple[int, Trajectory, RunSummary, list[str]]:
+) -> tuple[int, Trajectory, RunSummary, list[list[str]]]:
     """Run one scenario, write its CSV and JSON summary, and print its summary line.
 
-    Returns the exit code, trajectory, summary and CSV columns S, I, R.
+    Returns the exit code, trajectory, summary and CSV field lists S, I, R.
     Strategy none is the uncontrolled run, which raises :class:`IntegrationError`
     if the sweep blows up; strategies 1-3 are solved by the sweep
     and, with ``cross_check``, also by direct transcription.
@@ -388,7 +388,7 @@ def cmd_compare(
         for cfg in cfgs:
             Path(cfg.out).mkdir(parents=True, exist_ok=True)
 
-    runs: list[tuple[str, Trajectory, list[str]]] = []
+    runs: list[tuple[str, Trajectory, list[list[str]]]] = []
     summaries: list[RunSummary] = []
     for k, cfg in enumerate(cfgs):
         try:

@@ -226,6 +226,7 @@ def integrate_forward(
     channel of ``drains`` (or None: no drain).  States are never clipped: a node
     that is not finite, or below ``-_ADMISSIBLE_TOL * (S0 + I0 + R0)``,
     raises :class:`IntegrationError`; node 0, the record ``x0``, was held to it when built.
+    The error blames RK4 only if x0 and the drain rates are >= 0, and else names what is not.
     """
     beta, mu = params.beta, params.mu
     a, v = _drain_samples(drains, controls, grid)
@@ -239,11 +240,11 @@ def integrate_forward(
     s, i, r = float(x0.s), float(x0.i), float(x0.r)
     floor = -_ADMISSIBLE_TOL * (s + i + r)
     out = [s, i, r]
-    for a, g, a_m, g_m, a_4, g_4 in zip(a1, g1, am, gm, a4, g4):
+    for a_1, g_1, a_m, g_m, a_4, g_4 in zip(a1, g1, am, gm, a4, g4):
         # d = -dS = x + a*S, dI = x - (mu + v)*I with x = beta*S*I, -dR = dI - d
         x = beta * s * i
-        d1 = x + a * s
-        k1i = x - g * i
+        d1 = x + a_1 * s
+        k1i = x - g_1 * i
         ss = s - half * d1
         ii = i + half * k1i
         x = beta * ss * ii
@@ -265,6 +266,10 @@ def integrate_forward(
         out += (s, i, r)
     nodes = _finite_nodes(np.fromiter(out, float, len(out)), grid.times())
     low = float(nodes.min())
-    if low < floor:
-        raise IntegrationError(f"a compartment fell to {low:.3g}: RK4 is unstable on this grid")
+    if low < floor:  # from x0 >= 0 at drain rates a, mu + v >= 0 the exact S, I and R stay >= 0
+        rates = [min(map(np.min, a or [0.0])), mu + min(map(np.min, v or [0.0]))]
+        inputs = zip(("s", "i", "r", "a", "mu+v"), (x0.s, x0.i, x0.r, *rates))
+        negative = ", ".join(f"{name}={x:g}" for name, x in inputs if x < 0.0)
+        causes = f"the exact dynamics allow it from {negative}", "RK4 is unstable on this grid"
+        raise IntegrationError(f"a compartment fell to {low:.3g}: {causes[not negative]}")
     return Trajectory(grid, nodes)

@@ -34,9 +34,9 @@ __all__ = [
 
 
 # Smallest compartment, as a fraction of the population, of a forward sweep
-# that is not treated as a blow-up.  The exact dynamics keep every compartment
-# non-negative, so such a state means RK4 is unstable on this grid (on 3 steps
-# a trial reaches I = -1e12).
+# that is not treated as a blow-up.  From x0 >= 0 at drain rates a, mu + v >= 0
+# the exact dynamics stay >= 0, so there such a state means RK4 is unstable on
+# this grid (on 3 steps a trial reaches I = -1e12); else they can cross it too.
 _ADMISSIBLE_TOL = 1e-9
 
 

@@ -482,7 +482,7 @@ def solve_fbsm(
     signal = Trajectory(spec.grid, u)
     traj = integrate_forward(spec.params, _DRAINS[spec.kind], spec.x0, spec.grid, signal)
     j = objective(spec, traj, signal)
-    history, rises = [j], []
+    history = [j]
     best = (j, traj, signal)
 
     converged = False
@@ -516,9 +516,6 @@ def solve_fbsm(
         history.append(j)
         if j < best[0]:
             best = (j, traj, signal)
-        # accepted steps descend by construction; count the forced exceptions
-        if iterations > 5 and j > history[-2] + 1e-6:
-            rises.append(j - history[-2])
 
         # tol * ||u_new||_1 in float arithmetic, where an overflow is inf without a warning
         gaps = [
@@ -530,6 +527,8 @@ def solve_fbsm(
             converged = True
             break
 
+    # accepted steps descend by construction; count the forced exceptions from iteration 6
+    rises = [b - a for a, b in zip(history[5:], history[6:]) if b > a + 1e-6]
     if rises:
         logger.warning(
             "%s sweep: objective rose at %d of %d iterations, by at most %.3e",
@@ -708,11 +707,11 @@ def solve_direct(
     j, g = objective(spec, traj, signal), _reverse_gradient(spec, u, traj)
     _, w = _weights(spec)
     metric = _node_weights(spec.grid)[:, None] * np.array(w[: spec.channels])
-    history, blown = [j], []  # blown: per trial, whether it blew up
+    history = [j]
+    trials = blown = 0  # trials run, and of those the ones that blew up
     alpha = 1.0
     converged = False
     iterations = 0
-    line_search_failed = False
 
     for iterations in range(1, max_iterations + 1):
         residual = float(np.max(np.abs(np.clip(u - g, lo, hi) - u)))
@@ -734,12 +733,18 @@ def solve_direct(
         for _ in range(_MAX_BACKTRACKS):
             u_trial = u + lam_step * d
             j_trial, traj_trial = _trial_objective(spec, Trajectory(spec.grid, u_trial))
-            blown.append(traj_trial is None)
-            if not blown[-1] and j_trial <= j_ref + 1e-4 * lam_step * slope:
+            trials, blown = trials + 1, blown + (traj_trial is None)
+            if traj_trial is not None and j_trial <= j_ref + 1e-4 * lam_step * slope:
                 break
             lam_step *= 0.5
-        else:
-            line_search_failed = True
+        else:  # stalled at the numerical floor; accept if the residual is already tiny
+            converged = residual <= max(1e3 * gtol, 1e-6)
+            if not converged:
+                logger.warning(
+                    "%s direct solve: line search stalled at residual %.3e%s", spec.kind.name,
+                    residual, f"; {blown} of {trials} trials blew up: the grid may be too coarse"
+                    " for RK4 at these rates" if blown else "",
+                )
             break
         g_trial = _reverse_gradient(spec, u_trial, traj_trial)
 
@@ -752,18 +757,7 @@ def solve_direct(
 
         u, j, g, traj = u_trial, j_trial, g_trial, traj_trial
         history.append(j)
-
-    if line_search_failed:
-        # at the numerical floor; accept if the residual is already tiny
-        residual = float(np.max(np.abs(np.clip(u - g, lo, hi) - u)))
-        converged = residual <= max(1e3 * gtol, 1e-6)
-        if not converged:
-            logger.warning(
-                "%s direct solve: line search stalled at residual %.3e%s", spec.kind.name, residual,
-                f"; {sum(blown)} of {len(blown)} trials blew up: the grid may be too coarse for"
-                " RK4 at these rates" if any(blown) else "",
-            )
-    elif not converged:
+    else:
         logger.warning(
             "%s direct solve did not converge in %d iterations", spec.kind.name, max_iterations
         )

@@ -413,6 +413,22 @@ def test_optimize_reports_a_grid_unstable_without_control(tmp_path, capsys, comm
     assert "integration failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", [20, 1000])
+@pytest.mark.parametrize("command", [["simulate"], ["optimize", "--strategy", "1"]])
+def test_a_negative_initial_i_that_grows_is_not_called_an_rk4_failure(
+    tmp_path, capsys, command, steps
+):
+    """With R0 > 1 the exact I from i0 = -1e-12 reaches -1e-12 * e**9 = -8.1e-9, below -1e-9 N
+    on any grid: the floor error names the negative input, not RK4.
+    """
+    path = write_cfg(tmp_path, "neg.cfg", "s0 = 0.95\ni0 = -1e-12\nr0 = 0.05\n")
+    args = ["--config", path, "--steps", str(steps), "--out", str(tmp_path / "o")]
+    assert main(command + args) == EXIT_INTEGRATION
+    err = capsys.readouterr().err
+    assert "the exact dynamics allow it from i=-1e-12" in err
+    assert "RK4 is unstable" not in err
+
+
 def test_optimize_threshold_flag_changes_period(tmp_path):
     argv = ["optimize", "--strategy", "3", "--out", str(tmp_path), "--steps", "250"]
     assert main(argv) == EXIT_OK

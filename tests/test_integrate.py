@@ -1,6 +1,7 @@
 """Integrator tests: RK4 accuracy/order, grid handling, stage samples, the forward sweep."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,18 @@ def test_forward_rejects_a_sweep_that_drives_a_compartment_negative():
     """On 2 steps of 50 days even the uncontrolled sweep reaches S = -1.15."""
     with pytest.raises(IntegrationError, match="a compartment fell to -1.15: RK4 is unstable"):
         integrate_forward(DEFAULT_PARAMS, Drains(), DEFAULT_X0, TimeGrid(0.0, 100.0, 2))
+
+
+@pytest.mark.parametrize(
+    "drains, rate", [(Drains(s=0), "a=-0.5"), (Drains(i=0), "mu+v=-0.4")], ids=["a", "mu+v"]
+)
+def test_a_negative_drain_rate_is_named_as_the_cause_of_a_negative_compartment(drains, rate):
+    """From x0 >= 0 a negative drain rate drives R below 0 in the exact dynamics too."""
+    grid = TimeGrid(0.0, 1.0, 10)
+    control = Trajectory(grid, np.full((grid.n_nodes, 1), -0.5))
+    message = f": the exact dynamics allow it from {rate}"
+    with pytest.raises(IntegrationError, match=re.escape(message) + "$"):
+        integrate_forward(DEFAULT_PARAMS, drains, DEFAULT_X0, grid, control)
 
 
 def test_forward_rejects_a_compartment_below_the_population_tolerance():

@@ -665,6 +665,33 @@ def test_a_stalled_direct_solve_counts_the_trials_that_blew_up(monkeypatch, capl
     assert 0 < blown < total == len(trials)
 
 
+def test_a_direct_solve_that_runs_out_of_iterations_says_so(caplog):
+    with caplog.at_level(logging.WARNING, logger="sircontrol.ocp"):
+        direct = solve_direct(default_spec(1, steps=100), max_iterations=2)
+    assert not direct.converged
+    assert direct.iterations == 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "VACCINATION direct solve did not converge in 2 iterations"
+    ]
+
+
+def test_a_stall_at_the_numerical_floor_is_accepted_without_a_warning(monkeypatch, caplog):
+    """From a converged point every trial blows up: the search stalls at a residual below
+    the floor ``max(1e3 * gtol, 1e-6)``, so the solve is converged after one iteration.
+    """
+    spec = default_spec(1, steps=100)
+    start = solve_direct(spec)
+    assert start.converged
+    calls = fail_calls(monkeypatch, "integrate_forward", lambda n: True)
+    with caplog.at_level(logging.WARNING, logger="sircontrol.ocp"):
+        direct = solve_direct(spec, start=start, gtol=1e-13)
+    assert len(calls) == ocp._MAX_BACKTRACKS == 40
+    assert direct.converged
+    assert direct.iterations == 1
+    assert direct.objective == start.objective
+    assert caplog.records == []
+
+
 def test_a_gradient_that_is_not_finite_raises_without_a_warning():
     """At a population near the float limit the reverse pass overflows at the zero control.
 
