@@ -16,8 +16,8 @@ u2 drains S), are the only code that branches on the strategy.  The
 forward sweep, the running cost, the costate field ``-(c_x + f_x^T lam)``,
 the control law ``clip(-(f_u^T lam)_c / w_c, 0, u_max)`` and the reverse
 gradient read these two tables; ``_vjp`` gives the products ``f_x^T k``, ``f_u^T k`` in the
-drain rates ``a`` and ``v`` (see docs/costate_derivation.md).  Two solution
-routes:
+drain rates ``a`` and ``v`` for a seed ``k`` with ``k_R = 0``, all the reverse
+gradient needs (see docs/costate_derivation.md).  Two solution routes:
 
 ``solve_fbsm``
     Forward-backward sweep: alternate forward state integration, backward
@@ -208,17 +208,14 @@ def _drain_products(s, i, ks, ki, kr):
     return (kr - ks) * s, (kr - ki) * i
 
 
-def _vjp(beta, mu, s, i, a, v, ks, ki, kr):
+def _vjp(beta, mu, s, i, a, v, ks, ki):
     """``f_x^T k`` (S and I rows), ``f_a^T k`` and ``f_v^T k`` at drain rates ``a``, ``v``.
 
-    On floats or arrays; a drain at rate 0 gives the bits of a field without it.
+    For a seed with ``k_R = 0``, on floats or arrays; a drain at rate 0
+    gives the bits of a field without it.
     """
-    ((c_ss, c_si), (c_is, c_ii)), (c_sr, c_ir) = _state_jacobian(beta, mu, s, i, a, v)
-    return (
-        c_ss * ks + c_si * ki + c_sr * kr,
-        c_is * ks + c_ii * ki + c_ir * kr,
-        *_drain_products(s, i, ks, ki, kr),
-    )
+    ((c_ss, c_si), (c_is, c_ii)), _ = _state_jacobian(beta, mu, s, i, a, v)
+    return c_ss * ks + c_si * ki, c_is * ks + c_ii * ki, *_drain_products(s, i, ks, ki, 0.0)
 
 
 # -- derived problem functions -------------------------------------------------
@@ -572,12 +569,14 @@ def _reverse_gradient(spec: StrategySpec, u_values: np.ndarray, traj: Trajectory
     steps with linearly interpolated controls (half-stages see the node
     midpoint average) and trapezoid quadrature of the running cost.  Agrees
     with finite differences of :func:`objective` on the forward trajectory
-    to roundoff.  The state adjoint obeys an affine recursion whose
+    to roundoff.  RK4 keeps ``R = N - S - I``, so the cost weight of R
+    moves onto S and I (``c_S - c_R``, ``c_I - c_R``) and the adjoint has
+    only S and I components.  They obey an affine recursion whose
     coefficients depend only on the trajectory and the controls: they come
-    for every step at once from :func:`_vjp` on node arrays, and
-    :func:`_affine_scan` scans the adjoint's S and I components (its R
-    component has a closed form; see docs/costate_derivation.md).  The
-    stage states come from :func:`treatment_education_rates` on node arrays.
+    for every step at once from :func:`_vjp` on node arrays, pulling back
+    the seeds ``e_S`` and ``e_I``, and :func:`_affine_scan` scans them (see
+    docs/costate_derivation.md).  The stage states come from
+    :func:`treatment_education_rates` on node arrays.
     A gradient that is not finite raises :class:`IntegrationError`.
     """
     (cs, ci, cr), w = _weights(spec)
@@ -598,35 +597,33 @@ def _reverse_gradient(spec: StrategySpec, u_values: np.ndarray, traj: Trajectory
     fs, fi, _ = treatment_education_rates(s3, i3, beta, mu, vm, am)
     s4, i4 = s1 + dt * fs, i1 + dt * fi
 
-    # the unit seeds e_S, e_I, e_R on a leading axis, pulled back through the
-    # four stages of every step: row j of a_X is (M_k e_j)_X, and to_a, mid
-    # and to_b give the control weights of nodes k and k+1, by channel
-    ks, ki, kr = np.eye(3)[:, :, None]
-    a4s, a4i, e1, e2 = _vjp(beta, mu, s4, i4, ab, vb, sixth * ks, sixth * ki, sixth * kr)
+    # the unit seeds e_S, e_I on a leading axis, pulled back through the four
+    # stages of every step: row j of a_X is (M_k e_j)_X, and to_a, mid and
+    # to_b give the control weights of nodes k and k+1, by channel
+    ks, ki = np.eye(2)[:, :, None]
+    a4s, a4i, e1, e2 = _vjp(beta, mu, s4, i4, ab, vb, sixth * ks, sixth * ki)
     to_b = drains.join(e1, e2)
     a3s, a3i, d1, d2 = _vjp(
-        beta, mu, s3, i3, am, vm, third * ks + dt * a4s, third * ki + dt * a4i, third * kr
+        beta, mu, s3, i3, am, vm, third * ks + dt * a4s, third * ki + dt * a4i
     )
     a2s, a2i, e1, e2 = _vjp(
-        beta, mu, s2, i2, am, vm, third * ks + half * a3s, third * ki + half * a3i, third * kr
+        beta, mu, s2, i2, am, vm, third * ks + half * a3s, third * ki + half * a3i
     )
     mid = drains.join(0.5 * (d1 + e1), 0.5 * (d2 + e2))
     a1s, a1i, e1, e2 = _vjp(
-        beta, mu, s1, i1, aa, va, sixth * ks + half * a2s, sixth * ki + half * a2i, sixth * kr
+        beta, mu, s1, i1, aa, va, sixth * ks + half * a2s, sixth * ki + half * a2i
     )
     to_a = drains.join(e1, e2)
-    (m_ss, m_si, m_sr), (m_is, m_ii, m_ir) = a1s + a2s + a3s + a4s, a1i + a2i + a3i + a4i
+    (m_ss, m_si), (m_is, m_ii) = a1s + a2s + a3s + a4s, a1i + a2i + a3i + a4i
 
     w_node = _node_weights(spec.grid)
     w_end, w_mid = 0.5 * dt, dt
 
-    # b_k, the adjoint of x[k+1]; its R component is c_R times a sum of node weights
-    br = cr * (w_end + w_mid * np.arange(n - 1, -1, -1))
-    coef = np.array((
-        1.0 + m_ss, m_si, m_sr * br + w_mid * cs, m_is, 1.0 + m_ii, m_ir * br + w_mid * ci
-    ))
-    b_si = _affine_scan(w_end * cs, w_end * ci, coef[:, :0:-1])[::-1]
-    b = np.vstack((b_si.T, br))
+    # b_k, the adjoint of (S, I) at x[k+1]; R = N - S - I, so R's weight rides on S and I
+    cs, ci = cs - cr, ci - cr
+    q_s, q_i = np.full(n, w_mid * cs), np.full(n, w_mid * ci)
+    coef = np.array((1.0 + m_ss, m_si, q_s, m_is, 1.0 + m_ii, q_i))
+    b = _affine_scan(w_end * cs, w_end * ci, coef[:, :0:-1])[::-1].T
 
     grad = np.empty(u_values.shape)
     for c in range(spec.channels):

@@ -246,7 +246,9 @@ def test_costate_field_is_minus_cost_gradient_minus_vjp(kind):
     for _ in range(20):
         x, lam, u = random_point(rng, spec.channels)
         a, v = drain_rates(spec, u)
-        fx_s, fx_i, _, _ = ocp._vjp(beta, mu, x[0], x[1], a, v, *lam)
+        # the columns of f_x sum to zero, so f_x^T lam is f_x^T (lam - lam_R (1, 1, 1))
+        ls, li, lr = lam
+        fx_s, fx_i, _, _ = ocp._vjp(beta, mu, x[0], x[1], a, v, ls - lr, li - lr)
         expected = (-(cs + fx_s), -(ci + fx_i), -cr)  # R does not enter f
         assert costate(*lam, x[0], x[1], a, v) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
@@ -731,6 +733,25 @@ def test_adjoint_gradient_matches_finite_differences():
         um[k, 0] -= h
         fd = (j_of(up) - j_of(um)) / (2.0 * h)
         assert grad[k, 0] == pytest.approx(fd, rel=1e-4)
+
+
+@pytest.mark.parametrize("steps", [100, 1000])
+def test_gradient_sees_the_r_weight_only_through_its_differences(steps):
+    """R = N - S - I, so the R weight enters the gradient as c_S - c_R and c_I - c_R only.
+
+    The two strategy-2 specs share a1 + a3 and a2 + a3 exactly in binary;
+    their running costs differ by (a3' - a3) N, a constant.
+    """
+    first = dataclasses.replace(default_spec(2, steps=steps), a1=0.125, a2=0.5, a3=0.5)
+    second = dataclasses.replace(first, a1=0.375, a2=0.75, a3=0.25)
+    u = np.random.default_rng(steps + 7).uniform(0.0, first.u_max, (first.grid.n_nodes, 1))
+    j, grad = objective_gradient(first, u)
+    j2, grad2 = objective_gradient(second, u)
+    assert grad.tobytes() == grad2.tobytes()
+    x0, grid = first.x0, first.grid
+    shift = (second.a3 - first.a3) * (x0.s + x0.i + x0.r) * (grid.t_end - grid.t0)
+    assert shift == -25.0
+    assert j - j2 == pytest.approx(shift, rel=1e-12)
 
 
 def test_gradient_descent_direction_reduces_objective():
