@@ -27,11 +27,15 @@ keep the law's bits, and its signed zeros under in-box controls
 A drain the layout lacks, or every drain when ``controls`` is None, is a
 repeated constant rate 0.0 (``mu + 0.0`` for ``mu + v``).  A control signal
 whose channel count differs from the layout's, or that lives on another grid,
-raises ValueError (:func:`_check_signal`, which ``ocp`` shares).  Nodes are
-collected in one flat list and reshaped once, and checked once per sweep: a
-non-finite node (:func:`_finite_nodes`, which the costate scan shares) or a
-compartment below ``-_ADMISSIBLE_TOL`` times the population, the initial
-state's sum, raises :class:`IntegrationError`; ``EpidemicState`` holds x0 to it.
+raises ValueError (:func:`_check_signal`, which ``ocp`` shares).  The
+samples are taken of the control's float64 values, and the loop iterates
+them through memoryviews, so each float is made when its step reads it.
+Nodes are collected in one flat list, packed into one new array in one
+call (:func:`_float_array`, which ``ocp._affine_scan`` shares), reshaped,
+and checked once per sweep: a non-finite node (:func:`_finite_nodes`,
+which the costate scan shares) or a compartment below ``-_ADMISSIBLE_TOL``
+times the population, the initial state's sum, raises
+:class:`IntegrationError`; ``EpidemicState`` holds x0 to it.
 
 The loop keeps the operation order of the classical 3-vector formulation
 (one numpy RK4 step per interval, applied to a closure that interpolates at
@@ -51,6 +55,7 @@ same bits.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -196,12 +201,12 @@ def _check_signal(controls, grid: TimeGrid, channels: int) -> None:
 
 def _drain_samples(drains: Drains, controls, grid: TimeGrid):
     """``(a, v)``: the stage samples of the two drain rates, triples of arrays; None: rate 0."""
-    if controls is not None:
-        _check_signal(controls, grid, drains.channels)
-    return tuple(
-        None if c is None or controls is None else stage_samples(grid, controls.values[:, c])
-        for c in drains
-    )
+    if controls is None:
+        return None, None
+    _check_signal(controls, grid, drains.channels)
+    # float64 in native byte order, whatever the control's dtype: memoryviews take no other
+    columns = drains.split(np.asarray(controls.values, float), None)
+    return tuple(None if x is None else stage_samples(grid, x) for x in columns)
 
 
 def _finite_nodes(out, times: np.ndarray) -> np.ndarray:
@@ -215,6 +220,13 @@ def _finite_nodes(out, times: np.ndarray) -> np.ndarray:
         step = int(np.argmin(np.isfinite(nodes[1:]).all(axis=1)))
         raise IntegrationError(f"non-finite state after step at t={times[step].item()}")
     return nodes
+
+
+def _float_array(values) -> np.ndarray:
+    """A new float64 array of the Python floats ``values``, packed in one call."""
+    out = np.empty(len(values))
+    struct.pack_into(f"{len(values)}d", out, 0, *values)
+    return out
 
 
 def integrate_forward(
@@ -232,8 +244,8 @@ def integrate_forward(
     a, v = _drain_samples(drains, controls, grid)
     n = grid.steps
     # one iterator per input; ModelParams keeps mu finite and positive, so mu + 0.0 == mu
-    a1, am, a4 = (x.tolist() for x in a) if a else (repeat(0.0, n) for _ in range(3))
-    g1, gm, g4 = ((mu + x).tolist() for x in v) if v else (repeat(mu + 0.0, n) for _ in range(3))
+    a1, am, a4 = map(memoryview, a) if a else (repeat(0.0, n) for _ in range(3))
+    g1, gm, g4 = (memoryview(mu + x) for x in v) if v else (repeat(mu + 0.0, n) for _ in range(3))
     dt = grid.dt
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -264,7 +276,7 @@ def integrate_forward(
         i = i + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
         r = r - sixth * ((k1i - d1) + 2.0 * (k2i - d2) + 2.0 * (k3i - d3) + (k4i - d4))
         out += (s, i, r)
-    nodes = _finite_nodes(np.fromiter(out, float, len(out)), grid.times())
+    nodes = _finite_nodes(_float_array(out), grid.times())
     low = float(nodes.min())
     if low < floor:  # from x0 >= 0 at drain rates a, mu + v >= 0 the exact S, I and R stay >= 0
         rates = [min(map(np.min, a or [0.0])), mu + min(map(np.min, v or [0.0]))]

@@ -60,6 +60,7 @@ from .integrate import (
     Trajectory,
     _check_signal,
     _finite_nodes,
+    _float_array,
     integrate_forward,
     stage_samples,
 )
@@ -284,15 +285,17 @@ def adjoint_field(spec: StrategySpec):
 def _affine_scan(x_s: float, x_i: float, coef: np.ndarray) -> np.ndarray:
     """``x_0 = (x_s, x_i)`` and ``x_{j+1} = P_j x_j + q_j``, one row per ``j``.
 
-    Column ``j`` of ``coef`` holds ``(P_ss, P_si, q_s, P_is, P_ii, q_i)`` of
-    step ``j``.  One float loop of four multiply-adds per step; the
-    operation order is part of the bits of the reverse gradient.
+    Column ``j`` of ``coef``, a native float64 array of any strides, holds
+    ``(P_ss, P_si, q_s, P_is, P_ii, q_i)`` of step ``j``.  One float loop of
+    four multiply-adds per step, over the rows' memoryviews; the operation
+    order is part of the bits of the reverse gradient.  The output is
+    packed in one call (:func:`~sircontrol.integrate._float_array`).
     """
     out = [x_s, x_i]
-    for p_ss, p_si, q_s, p_is, p_ii, q_i in zip(*coef.tolist()):
+    for p_ss, p_si, q_s, p_is, p_ii, q_i in zip(*map(memoryview, coef)):
         x_s, x_i = p_ss * x_s + p_si * x_i + q_s, p_is * x_s + p_ii * x_i + q_i
         out += (x_s, x_i)
-    return np.fromiter(out, float, len(out)).reshape(-1, 2)
+    return _float_array(out).reshape(-1, 2)
 
 
 class _CostateWork:
@@ -555,7 +558,9 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
 
     ``(objective, gradient)``: :func:`objective` and :func:`_reverse_gradient` on the forward
     sweep; :class:`IntegrationError` if the sweep blows up or the gradient is not finite.
+    All three see the float64 values of ``u_values``, as the forward sweep samples them.
     """
+    u_values = np.asarray(u_values, float)
     signal = Trajectory(spec.grid, u_values)
     traj = integrate_forward(spec.params, _DRAINS[spec.kind], spec.x0, spec.grid, signal)
     return objective(spec, traj, signal), _reverse_gradient(spec, u_values, traj)

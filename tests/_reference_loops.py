@@ -11,7 +11,9 @@ is the one step-by-step costate loop left: the package's scanned costate
 lam(t_end) = 0 bit for bit, and report its blow-ups.  The scanned costate's
 first coefficient build, which called the layout's full ``vjp`` at every
 stage, is kept too, with that ``vjp``'s rows typed out as they were first
-written: ``ocp._costate_scan`` must equal it bit for bit.
+written and its own copy of the affine scan as first written (lists in,
+``np.fromiter`` out): ``ocp._costate_scan`` must equal it bit for bit and
+peak no higher in memory.
 """
 
 from __future__ import annotations
@@ -301,6 +303,15 @@ def objective_gradient(spec, u_values):
 # -- the scanned costate with one full vjp call per stage ----------------------
 
 
+def affine_scan(x_s, x_i, coef):
+    """``ocp._affine_scan`` as first written: ``coef`` boxed into lists, the output unboxed."""
+    out = [x_s, x_i]
+    for p_ss, p_si, q_s, p_is, p_ii, q_i in zip(*coef.tolist()):
+        x_s, x_i = p_ss * x_s + p_si * x_i + q_s, p_is * x_s + p_ii * x_i + q_i
+        out += (x_s, x_i)
+    return np.fromiter(out, float, len(out)).reshape(-1, 2)
+
+
 def state_vjp(beta, mu, s, i, a, v, ks, ki, kr):
     """The S and I rows of the layout's ``vjp``, ``f_x^T k``, as first written."""
     return (
@@ -344,5 +355,5 @@ def costate_scan(spec, traj, signal):
             ys + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s),
             yi + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i),
         ))
-        lam = ocp._affine_scan(0.0, 0.0, coef)
+        lam = affine_scan(0.0, 0.0, coef)
     return Trajectory(grid, np.column_stack((lam, lam_r))[::-1])

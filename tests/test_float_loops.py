@@ -8,7 +8,10 @@ affine map, so its lam_S and lam_I must agree with the reference loop's to
 ``1e-13 * max|lam|``, its lam_R and lam(t_end) = 0 bit for bit, and a
 blow-up must name the reference's step.  The gradient sums its
 Jacobian-transpose products in a different order, so it must agree to
-``1e-12 * max|g|``.
+``1e-12 * max|g|``.  The loops take their inputs through memoryviews and
+pack their outputs in one call: any control dtype, byte order, strides or
+write flag must give the sweep of its float64 values, and the packing must
+keep every bit.
 """
 
 import numpy as np
@@ -16,7 +19,13 @@ import pytest
 
 import _reference_loops as ref
 from sircontrol import ocp
-from sircontrol.integrate import IntegrationError, TimeGrid, Trajectory, integrate_forward
+from sircontrol.integrate import (
+    IntegrationError,
+    TimeGrid,
+    Trajectory,
+    _float_array,
+    integrate_forward,
+)
 from sircontrol.model import Drains, EpidemicState, ModelParams
 from sircontrol.ocp import (
     DEFAULT_PARAMS,
@@ -193,3 +202,80 @@ def test_controlled_blowup_mid_grid_names_the_same_step(backward):
         old = raised_message(ref.integrate_forward, ref.dynamics_field(spec), x0, spec.grid, signal)
     assert new == old
     assert 20.0 < float(new.rpartition("t=")[2]) < 80.0
+
+
+# -- the hand-off between numpy and the float loops ----------------------------
+
+
+def sweep_bytes(spec, values):
+    """The node bytes of the forward sweep of ``spec`` under the control ``values``."""
+    signal = Trajectory(spec.grid, values)
+    return integrate_forward(*forward_rates(spec), spec.x0, spec.grid, signal).values.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "int64", "bool", "object", ">f8"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_control_of_any_dtype_is_swept_and_differentiated_as_its_float_values(kind, dtype):
+    """Samples are taken of the control's float64 values; bool and int64 controls are on/off.
+
+    ``objective_gradient`` casts too: the reverse pass's scan takes native
+    float64 rows only, and its node midpoints ``0.5 * (a + b)`` would be a
+    logical or on bools.
+    """
+    spec = default_spec(kind, steps=100)
+    u = random_controls(spec, seed=10 * kind + 5).values
+    if np.dtype(dtype).kind in "bi":
+        u = u > 0.5 * spec.u_max
+    u = u.astype(dtype)
+    assert sweep_bytes(spec, u) == sweep_bytes(spec, u.astype(float))
+    (j, g), (j_float, g_float) = (objective_gradient(spec, x) for x in (u, u.astype(float)))
+    assert j == j_float
+    assert g.tobytes() == g_float.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["read-only", "strided"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_control_of_any_memory_layout_gives_the_same_nodes(kind, layout):
+    """A read-only control, and the columns of a wider array (a stride of two floats)."""
+    spec = default_spec(kind, steps=100)
+    u = random_controls(spec, seed=10 * kind + 6).values
+    if layout == "read-only":
+        control = u.copy()
+        control.flags.writeable = False
+    else:
+        wide = np.zeros((u.shape[0], 2 * u.shape[1]))
+        wide[:, ::2] = u
+        control = wide[:, ::2]
+    assert sweep_bytes(spec, control) == sweep_bytes(spec, u)
+
+
+def test_a_reversed_scan_input_gives_the_bits_of_a_contiguous_one():
+    """The reverse gradient scans ``coef[:, :0:-1]``, a view with negative strides."""
+    coef = np.random.default_rng(7).uniform(-0.5, 0.5, (6, 300))
+    scans = [
+        f(0.25, -0.75, c)
+        for f in (ocp._affine_scan, ref.affine_scan)
+        for c in (coef[:, ::-1], np.ascontiguousarray(coef[:, ::-1]))
+    ]
+    assert len({scan.tobytes() for scan in scans}) == 1
+
+
+def test_both_loops_return_float64_c_contiguous_writable_arrays():
+    spec = default_spec(3, steps=50)
+    traj = integrate_forward(*forward_rates(spec), spec.x0, spec.grid, random_controls(spec, 8))
+    scan = ocp._affine_scan(0.0, 0.0, np.full((6, 50), 0.5))
+    for out in (traj.values, scan):
+        assert out.dtype == np.float64
+        assert out.flags.c_contiguous and out.flags.writeable
+
+
+def test_float_array_keeps_every_bit_of_nan_signed_zero_and_inf():
+    """NaNs with payloads and either sign, +-0.0 and +-inf survive the packing bit for bit."""
+    bits = np.array(
+        [0x7FF8000000000000, 0xFFF8000000000123, 0x7FF0000000000001, 0x8000000000000000,
+         0x0000000000000000, 0x7FF0000000000000, 0xFFF0000000000000, 0x3FF0000000000000],
+        dtype=np.uint64,
+    )
+    out = _float_array(bits.view(np.float64).tolist())
+    assert out.dtype == np.float64
+    assert out.view(np.uint64).tolist() == bits.tolist()
