@@ -15,9 +15,9 @@ field of :mod:`sircontrol.model`.  ``_weights(spec) -> (c_x, w)`` and
 u2 drains S), are the only code that branches on the strategy.  The
 forward sweep, the running cost, the costate field ``-(c_x + f_x^T lam)``,
 the control law ``clip(-(f_u^T lam)_c / w_c, 0, u_max)`` and the reverse
-gradient read these two tables; ``_vjp`` gives the products ``f_x^T k``, ``f_u^T k`` in the
-drain rates ``a`` and ``v`` for a seed ``k`` with ``k_R = 0``, all the reverse
-gradient needs (see docs/costate_derivation.md).  Two solution routes:
+gradient read these two tables; the last pulls its seeds back through the
+stage table of ``_stages``, S, I and the drain rates ``a``, ``v`` at the four
+RK4 stages of every step (see docs/costate_derivation.md).  Two solution routes:
 
 ``solve_fbsm``
     Forward-backward sweep: alternate forward state integration, backward
@@ -209,16 +209,6 @@ def _drain_products(s, i, ks, ki, kr):
     return (kr - ks) * s, (kr - ki) * i
 
 
-def _vjp(beta, mu, s, i, a, v, ks, ki):
-    """``f_x^T k`` (S and I rows), ``f_a^T k`` and ``f_v^T k`` at drain rates ``a``, ``v``.
-
-    For a seed with ``k_R = 0``, on floats or arrays; a drain at rate 0
-    gives the bits of a field without it.
-    """
-    ((c_ss, c_si), (c_is, c_ii)), _ = _state_jacobian(beta, mu, s, i, a, v)
-    return c_ss * ks + c_si * ki, c_is * ks + c_ii * ki, *_drain_products(s, i, ks, ki, 0.0)
-
-
 # -- derived problem functions -------------------------------------------------
 
 
@@ -229,14 +219,14 @@ def running_cost(spec: StrategySpec, s, i, r, u1, u2):
 
 
 def objective(spec: StrategySpec, traj: Trajectory, controls: Trajectory) -> float:
-    """Composite-trapezoid quadrature of the running cost.
+    """Composite-trapezoid quadrature of the running cost, on the controls' float64 values.
 
     +inf if the sum overflows, in either direction, or is NaN.
     """
     if traj.grid != spec.grid:
         raise ValueError("trajectory is not on the problem grid")
     _check_signal(controls, spec.grid, spec.channels)
-    u, dt = controls.values, spec.grid.dt
+    u, dt = np.asarray(controls.values, float), spec.grid.dt
     with np.errstate(over="ignore", invalid="ignore"):
         c = running_cost(
             spec, traj.s, traj.i, traj.r, u[:, 0], u[:, 1] if u.shape[1] == 2 else 0.0
@@ -261,7 +251,7 @@ def control_law(spec: StrategySpec, s, i, lam_s, lam_i, lam_r) -> np.ndarray:
 def adjoint_field(spec: StrategySpec):
     """Costate field ``costate(lam_s, lam_i, lam_r, s, i, a, v) -> -(c_x + f_x^T lam)``.
 
-    Written out, not composed from :func:`_vjp`, so that it is bit for bit
+    Written out, not composed from :func:`_state_jacobian`, so that it is bit for bit
     the published equations (docs/costate_derivation.md).  At the origin it
     is the constant term of the scanned costate's steps.
     """
@@ -387,7 +377,7 @@ def _costate_steps(traj: Trajectory, signal: Trajectory, work: _CostateWork):
     holds the spec's constants.  :func:`_state_jacobian` runs once, on the
     three sample sets stacked; a stage is one broadcast product of its 2x2
     block with both rows of all seeds, plus its R column times the seeds' R
-    values, in :func:`_vjp`'s order.  The RK4 sum accumulates in place.
+    values, in the reverse pass's order.  The RK4 sum accumulates in place.
     Every array the size of the grid is one of ``work``'s, written with
     ``out=``; both results are views of it.
     """
@@ -566,6 +556,28 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
     return objective(spec, traj, signal), _reverse_gradient(spec, u_values, traj)
 
 
+def _stages(spec: StrategySpec, u_values: np.ndarray, traj: Trajectory):
+    """``(x, a, v)``: S and I (``x``, shape ``(4, 2, steps)``) and the drain rates, by RK4 stage.
+
+    Rows 0 to 3 are RK4 stages 1 to 4 of every step, at the rates of node k, the node midpoint
+    ``0.5*(u_k + u_{k+1})`` twice and node k+1; a drain the layout lacks is a ``(4, 1)``
+    zero column.  Stages 1 and 2 are the forward sweep's bits; its half-stage rate takes the
+    rounded weight (:mod:`sircontrol.integrate`), so stages 3 and 4 are its states to roundoff.
+    """
+    beta, mu, dt, n = spec.params.beta, spec.params.mu, spec.grid.dt, spec.grid.steps
+    u = np.empty((4, spec.channels, n))  # the control columns at each stage
+    u[0], u[3] = u_values[:-1].T, u_values[1:].T
+    u[1] = u[2] = 0.5 * (u[0] + u[3])
+    a, v = _DRAINS[spec.kind].split(u, np.zeros((4, 1)))
+    x = np.empty((4, 2, n))
+    x[0] = traj.values[:-1, :2].T
+    for j, step in enumerate((0.5 * dt, 0.5 * dt, dt)):  # x[j + 1] = x[0] + step * f(x[j])
+        fs, fi, _ = treatment_education_rates(*x[j], beta, mu, v[j], a[j])
+        np.add(x[0, 0], step * fs, out=x[j + 1, 0])
+        np.add(x[0, 1], step * fi, out=x[j + 1, 1])
+    return x, a, v
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a gradient that is not finite raises below
 def _reverse_gradient(spec: StrategySpec, u_values: np.ndarray, traj: Trajectory) -> np.ndarray:
     """The objective's gradient w.r.t. ``u_values``, given their forward trajectory ``traj``.
@@ -577,62 +589,49 @@ def _reverse_gradient(spec: StrategySpec, u_values: np.ndarray, traj: Trajectory
     to roundoff.  RK4 keeps ``R = N - S - I``, so the cost weight of R
     moves onto S and I (``c_S - c_R``, ``c_I - c_R``) and the adjoint has
     only S and I components.  They obey an affine recursion whose
-    coefficients depend only on the trajectory and the controls: they come
-    for every step at once from :func:`_vjp` on node arrays, pulling back
-    the seeds ``e_S`` and ``e_I``, and :func:`_affine_scan` scans them (see
-    docs/costate_derivation.md).  The stage states come from
-    :func:`treatment_education_rates` on node arrays.
-    A gradient that is not finite raises :class:`IntegrationError`.
+    coefficients depend only on the trajectory and the controls: one
+    :func:`_state_jacobian` call on the stage table of :func:`_stages`
+    pulls back the seeds ``e_S`` and ``e_I``, and :func:`_affine_scan`
+    scans the result (see docs/costate_derivation.md).  A gradient that is
+    not finite raises :class:`IntegrationError`.
     """
     (cs, ci, cr), w = _weights(spec)
     beta, mu, drains = spec.params.beta, spec.params.mu, _DRAINS[spec.kind]
     dt, n = spec.grid.dt, spec.grid.steps
-    half, third, sixth = 0.5 * dt, dt / 3.0, dt / 6.0
-    u = u_values.T
-    a, v = drains.split(u_values, np.zeros(n + 1))
+    x, a, v = _stages(spec, u_values, traj)
+    pulled = np.empty((4, 2, 2, n))  # stage, rows, columns, step
+    jacobian_out = (*pulled.reshape(4, 4, n).swapaxes(0, 1), None, None)
+    _state_jacobian(beta, mu, x[:, 0], x[:, 1], a, v, out=jacobian_out)
+    del a, v  # the rates are spent
 
-    # stage states of every step, as the forward sweep built them
-    aa, va, ab, vb = a[:-1], v[:-1], a[1:], v[1:]
-    am, vm = 0.5 * (aa + ab), 0.5 * (va + vb)
-    s1, i1 = traj.values[:-1, :2].T
-    fs, fi, _ = treatment_education_rates(s1, i1, beta, mu, va, aa)
-    s2, i2 = s1 + half * fs, i1 + half * fi
-    fs, fi, _ = treatment_education_rates(s2, i2, beta, mu, vm, am)
-    s3, i3 = s1 + half * fs, i1 + half * fi
-    fs, fi, _ = treatment_education_rates(s3, i3, beta, mu, vm, am)
-    s4, i4 = s1 + dt * fs, i1 + dt * fi
+    # e_S and e_I (component, seed) pulled back through the stages, last first: row j's seed
+    # y is its RK4 weight times them plus its rate's step in the sweep times row j + 1's
+    # pullback c_XS y_S + c_XI y_I, which overwrites row j's spent block.  The drain products
+    # weigh node k (row 0), node k + 1 (row 3) and both, half each (rows 1 and 2)
+    seeds = np.eye(2)[:, :, None]
+    weights, steps = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0), (0.5 * dt, 0.5 * dt, dt)
+    drained = [None] * 4
+    for j in (3, 2, 1, 0):
+        y = weights[j] * seeds if j == 3 else weights[j] * seeds + steps[j] * pulled[j + 1]
+        np.add(pulled[j, :, :1] * y[0], pulled[j, :, 1:] * y[1], out=pulled[j])
+        drained[j] = (0.0 - y) * x[j, :, None]  # both rows of _drain_products at k_R = 0
+    to_a, to_b = drains.join(*drained[0]), drains.join(*drained[3])
+    mid = drains.join(*0.5 * (drained[2] + drained[1]))
 
-    # the unit seeds e_S, e_I on a leading axis, pulled back through the four
-    # stages of every step: row j of a_X is (M_k e_j)_X, and to_a, mid and
-    # to_b give the control weights of nodes k and k+1, by channel
-    ks, ki = np.eye(2)[:, :, None]
-    a4s, a4i, e1, e2 = _vjp(beta, mu, s4, i4, ab, vb, sixth * ks, sixth * ki)
-    to_b = drains.join(e1, e2)
-    a3s, a3i, d1, d2 = _vjp(
-        beta, mu, s3, i3, am, vm, third * ks + dt * a4s, third * ki + dt * a4i
-    )
-    a2s, a2i, e1, e2 = _vjp(
-        beta, mu, s2, i2, am, vm, third * ks + half * a3s, third * ki + half * a3i
-    )
-    mid = drains.join(0.5 * (d1 + e1), 0.5 * (d2 + e2))
-    a1s, a1i, e1, e2 = _vjp(
-        beta, mu, s1, i1, aa, va, sixth * ks + half * a2s, sixth * ki + half * a2i
-    )
-    to_a = drains.join(e1, e2)
-    (m_ss, m_si), (m_is, m_ii) = a1s + a2s + a3s + a4s, a1i + a2i + a3i + a4i
-
-    w_node = _node_weights(spec.grid)
-    w_end, w_mid = 0.5 * dt, dt
-
-    # b_k, the adjoint of (S, I) at x[k+1]; R = N - S - I, so R's weight rides on S and I
+    # b_k, the adjoint of (S, I) at x[k+1], steps by I + M_k, M_k the pullbacks' sum, from
+    # the trapezoid weights dt/2 at the end and dt inside; R's weight rides on S and I
     cs, ci = cs - cr, ci - cr
-    q_s, q_i = np.full(n, w_mid * cs), np.full(n, w_mid * ci)
-    coef = np.array((1.0 + m_ss, m_si, q_s, m_is, 1.0 + m_ii, q_i))
-    b = _affine_scan(w_end * cs, w_end * ci, coef[:, :0:-1])[::-1].T
+    coef = np.empty((2, 3, n))  # (P_ss, P_si, q_s) and (P_is, P_ii, q_i) of every step
+    coef[:, :2] = pulled[0] + pulled[1] + pulled[2] + pulled[3]
+    coef[0, 0] += 1.0
+    coef[1, 1] += 1.0
+    coef[0, 2], coef[1, 2] = dt * cs, dt * ci
+    del x, pulled, drained  # the stage table is spent; free it before the scan
+    b = _affine_scan(0.5 * dt * cs, 0.5 * dt * ci, coef.reshape(6, n)[:, :0:-1])[::-1].T
 
-    grad = np.empty(u_values.shape)
+    w_node, grad = _node_weights(spec.grid), np.empty(u_values.shape)
     for c in range(spec.channels):
-        g = w_node * (w[c] * u[c])
+        g = w_node * (w[c] * u_values[:, c])
         g[:-1] += ((to_a[c] + mid[c]) * b).sum(axis=0)
         g[1:] += ((to_b[c] + mid[c]) * b).sum(axis=0)
         grad[:, c] = g

@@ -13,14 +13,16 @@ first coefficient build, which called the layout's full ``vjp`` at every
 stage, is kept too, with that ``vjp``'s rows typed out as they were first
 written and its own copy of the affine scan as first written (lists in,
 ``np.fromiter`` out): ``ocp._costate_scan`` must equal it bit for bit and
-peak no higher in memory.
+peak no higher in memory.  The reverse pass as it was before it read one
+stage table, four hand-unrolled ``vjp`` pullbacks per step, is kept too,
+with the same scan: ``ocp._reverse_gradient`` must equal it bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from sircontrol import ocp
+from sircontrol import model, ocp
 from sircontrol.integrate import IntegrationError, Trajectory, stage_samples
 from sircontrol.ocp import Strategy, objective
 
@@ -357,3 +359,76 @@ def costate_scan(spec, traj, signal):
         ))
         lam = affine_scan(0.0, 0.0, coef)
     return Trajectory(grid, np.column_stack((lam, lam_r))[::-1])
+
+
+# -- the reverse pass with one vjp call per stage ------------------------------
+
+
+def vjp(beta, mu, s, i, a, v, ks, ki):
+    """``ocp._vjp`` as it was: ``f_x^T k`` (S and I rows), ``f_a^T k`` and ``f_v^T k``.
+
+    For a seed with ``k_R = 0``, on floats or arrays; a drain at rate 0
+    gives the bits of a field without it.
+    """
+    ((c_ss, c_si), (c_is, c_ii)), _ = ocp._state_jacobian(beta, mu, s, i, a, v)
+    return c_ss * ks + c_si * ki, c_is * ks + c_ii * ki, *ocp._drain_products(s, i, ks, ki, 0.0)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a gradient that is not finite raises below
+def reverse_gradient(spec, u_values, traj):
+    """``ocp._reverse_gradient`` as it was: four hand-unrolled ``vjp`` pullbacks per step."""
+    (cs, ci, cr), w = ocp._weights(spec)
+    beta, mu, drains = spec.params.beta, spec.params.mu, ocp._DRAINS[spec.kind]
+    dt, n = spec.grid.dt, spec.grid.steps
+    half, third, sixth = 0.5 * dt, dt / 3.0, dt / 6.0
+    u = u_values.T
+    a, v = drains.split(u_values, np.zeros(n + 1))
+
+    # stage states of every step, as the forward sweep built them
+    aa, va, ab, vb = a[:-1], v[:-1], a[1:], v[1:]
+    am, vm = 0.5 * (aa + ab), 0.5 * (va + vb)
+    s1, i1 = traj.values[:-1, :2].T
+    fs, fi, _ = model.treatment_education_rates(s1, i1, beta, mu, va, aa)
+    s2, i2 = s1 + half * fs, i1 + half * fi
+    fs, fi, _ = model.treatment_education_rates(s2, i2, beta, mu, vm, am)
+    s3, i3 = s1 + half * fs, i1 + half * fi
+    fs, fi, _ = model.treatment_education_rates(s3, i3, beta, mu, vm, am)
+    s4, i4 = s1 + dt * fs, i1 + dt * fi
+
+    # the unit seeds e_S, e_I on a leading axis, pulled back through the four
+    # stages of every step: row j of a_X is (M_k e_j)_X, and to_a, mid and
+    # to_b give the control weights of nodes k and k+1, by channel
+    ks, ki = np.eye(2)[:, :, None]
+    a4s, a4i, e1, e2 = vjp(beta, mu, s4, i4, ab, vb, sixth * ks, sixth * ki)
+    to_b = drains.join(e1, e2)
+    a3s, a3i, d1, d2 = vjp(
+        beta, mu, s3, i3, am, vm, third * ks + dt * a4s, third * ki + dt * a4i
+    )
+    a2s, a2i, e1, e2 = vjp(
+        beta, mu, s2, i2, am, vm, third * ks + half * a3s, third * ki + half * a3i
+    )
+    mid = drains.join(0.5 * (d1 + e1), 0.5 * (d2 + e2))
+    a1s, a1i, e1, e2 = vjp(
+        beta, mu, s1, i1, aa, va, sixth * ks + half * a2s, sixth * ki + half * a2i
+    )
+    to_a = drains.join(e1, e2)
+    (m_ss, m_si), (m_is, m_ii) = a1s + a2s + a3s + a4s, a1i + a2i + a3i + a4i
+
+    w_node = ocp._node_weights(spec.grid)
+    w_end, w_mid = 0.5 * dt, dt
+
+    # b_k, the adjoint of (S, I) at x[k+1]; R = N - S - I, so R's weight rides on S and I
+    cs, ci = cs - cr, ci - cr
+    q_s, q_i = np.full(n, w_mid * cs), np.full(n, w_mid * ci)
+    coef = np.array((1.0 + m_ss, m_si, q_s, m_is, 1.0 + m_ii, q_i))
+    b = affine_scan(w_end * cs, w_end * ci, coef[:, :0:-1])[::-1].T
+
+    grad = np.empty(u_values.shape)
+    for c in range(spec.channels):
+        g = w_node * (w[c] * u[c])
+        g[:-1] += ((to_a[c] + mid[c]) * b).sum(axis=0)
+        g[1:] += ((to_b[c] + mid[c]) * b).sum(axis=0)
+        grad[:, c] = g
+    if not np.isfinite(grad).all():
+        raise IntegrationError("the discrete gradient is not finite")
+    return grad

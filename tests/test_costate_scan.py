@@ -162,11 +162,17 @@ def test_scan_peak_memory_is_no_higher_than_the_full_vjp_build(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_vjp_state_rows_equal_the_written_out_rows_bit_for_bit(kind):
-    """The reverse gradient's ``_vjp`` keeps its first operation order via ``_state_jacobian``."""
+    """``_state_jacobian``'s block times a seed, summed over its columns, keeps the rows' order.
+
+    ``p = block * k`` and ``p[:, 0] + p[:, 1]``, the products the costate build and the
+    reverse pass sum, give the bits of the rows as first written.
+    """
     spec = default_spec(kind)
     beta, mu = spec.params.beta, spec.params.mu
     s, i, a, v, ks, ki = np.random.default_rng(40 + kind).uniform(-2.0, 2.0, (6, 500))
-    rows = np.array(ocp._vjp(beta, mu, s, i, a, v, ks, ki)[:2])
+    block, _ = ocp._state_jacobian(beta, mu, s, i, a, v)
+    p = np.array(block) * np.array((ks, ki))
+    rows = p[:, 0] + p[:, 1]
     expected = np.array(ref.state_vjp(beta, mu, s, i, a, v, ks, ki, 0.0))
     assert rows.tobytes() == expected.tobytes()
 

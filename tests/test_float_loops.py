@@ -8,11 +8,17 @@ affine map, so its lam_S and lam_I must agree with the reference loop's to
 ``1e-13 * max|lam|``, its lam_R and lam(t_end) = 0 bit for bit, and a
 blow-up must name the reference's step.  The gradient sums its
 Jacobian-transpose products in a different order, so it must agree to
-``1e-12 * max|g|``.  The loops take their inputs through memoryviews and
+``1e-12 * max|g|``; the reverse pass must equal its former per-stage
+``vjp`` build bit for bit, and its stage table must step to the forward
+sweep's next node.  The loops take their inputs through memoryviews and
 pack their outputs in one call: any control dtype, byte order, strides or
 write flag must give the sweep of its float64 values, and the packing must
 keep every bit.
 """
+
+import json
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +32,7 @@ from sircontrol.integrate import (
     _float_array,
     integrate_forward,
 )
-from sircontrol.model import Drains, EpidemicState, ModelParams
+from sircontrol.model import Drains, EpidemicState, ModelParams, treatment_education_rates
 from sircontrol.ocp import (
     DEFAULT_PARAMS,
     DEFAULT_T_END,
@@ -34,6 +40,7 @@ from sircontrol.ocp import (
     Strategy,
     StrategySpec,
     default_spec,
+    objective,
     objective_gradient,
 )
 
@@ -158,6 +165,112 @@ def test_gradient_matches_the_stage_jacobian_reference(kind, steps, t_end):
     assert np.max(np.abs(grad - grad_ref)) <= GRADIENT_RTOL * scale
 
 
+# -- the reverse pass's stage table --------------------------------------------
+
+
+def swept(spec, u):
+    """The forward sweep of ``spec`` under the control values ``u``."""
+    return integrate_forward(*forward_rates(spec), spec.x0, spec.grid, Trajectory(spec.grid, u))
+
+
+def assert_reverse_pass_is_the_per_stage_vjp_pass(spec, u):
+    """``ocp._reverse_gradient`` gives the bits of the four-``vjp`` pass it replaced."""
+    traj = swept(spec, u)
+    new = ocp._reverse_gradient(spec, u, traj)
+    assert new.tobytes() == ref.reverse_gradient(spec, u, traj).tobytes()
+
+
+ORACLE_GRIDS = [*GRADIENT_GRIDS, pytest.param(400, DEFAULT_T_END, id="400")]
+
+
+@pytest.mark.parametrize("controls", ["random", "zero"])
+@pytest.mark.parametrize("steps, t_end", ORACLE_GRIDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_reverse_pass_equals_the_per_stage_vjp_pass_bit_for_bit(kind, steps, t_end, controls):
+    """One Jacobian call on the stage table keeps every product's operation order."""
+    spec = StrategySpec(kind=Strategy(kind), grid=TimeGrid(0.0, t_end, steps))
+    u = random_controls(spec, seed=100 * kind + steps + 9).values
+    assert_reverse_pass_is_the_per_stage_vjp_pass(spec, u if controls == "random" else 0.0 * u)
+
+
+SWEEP_POOL = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+)["sweep_pool"]["problems"]
+
+
+@pytest.mark.parametrize("k", random.Random(28).sample(range(len(SWEEP_POOL)), 6))
+def test_reverse_pass_equals_the_per_stage_vjp_pass_at_solved_pool_controls(k):
+    """A seeded draw of the benchmark's sweep pool, at the controls the sweep returns."""
+    problem = SWEEP_POOL[k]
+    spec = StrategySpec(
+        kind=Strategy(problem["kind"]),
+        params=ModelParams(problem["beta"], problem["mu"]),
+        x0=EpidemicState(1.0 - problem["i0"], problem["i0"], 0.0),
+        grid=TimeGrid(0.0, 100.0, problem["steps"]),
+        u_max=problem["u_max"],
+        **{name: problem[name] for name in ocp._WEIGHT_FIELDS},
+    )
+    sol = ocp.solve_fbsm(spec, tol=problem["tol"])
+    assert_reverse_pass_is_the_per_stage_vjp_pass(spec, sol.control.values)
+
+
+# a weight of 1e308 on the state cost (under the zero control) or on the control cost
+# (at u = u_max = 2) makes the gradient overflow, while the forward sweep stays finite
+NOT_FINITE_CASES = [
+    pytest.param(2, {"a2": 1e308}, 0.0, id="2-state"),
+    pytest.param(3, {"kappa": 1e308}, 0.0, id="3-state"),
+    pytest.param(1, {"nu": 1e308, "u_max": 2.0}, 1.0, id="1-control"),
+    pytest.param(2, {"tau": 1e308, "u_max": 2.0}, 1.0, id="2-control"),
+    pytest.param(3, {"b1": 1e308, "u_max": 2.0}, 1.0, id="3-control"),
+]
+
+
+@pytest.mark.parametrize("kind, weights, at_bound", NOT_FINITE_CASES)
+def test_a_gradient_that_is_not_finite_raises_the_per_stage_vjp_pass_error(kind, weights, at_bound):
+    spec = StrategySpec(kind=Strategy(kind), **weights)
+    u = np.full((spec.grid.n_nodes, spec.channels), at_bound * spec.u_max)
+    traj = swept(spec, u)
+    new = raised_message(ocp._reverse_gradient, spec, u, traj)
+    assert new == raised_message(ref.reverse_gradient, spec, u, traj)
+    assert new == "the discrete gradient is not finite"
+
+
+# The most the stage table's RK4 step misses the sweep's next node by, in units of
+# the population's ulp: it measured 0.5 (1.1e-16 at N = 1) on strategies 1-3 at 100,
+# 250 and 1000 steps, five controls each, from the half-stage rate alone
+STAGE_STEP_ULPS = 2
+
+
+@pytest.mark.parametrize("controls", ["random", "zero"])
+@pytest.mark.parametrize("steps", STEPS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_stage_table_steps_to_the_next_node_of_the_forward_sweep(kind, steps, controls):
+    """``x_k + (dt/6)(f1 + 2 f2 + 2 f3 + f4)`` on the table is the sweep's node k+1.
+
+    Stages 1 and 2 are the sweep's own bits.  Stages 3 and 4 see the exact
+    node midpoint, the sweep the rounded stage weight, so the step agrees to
+    ``STAGE_STEP_ULPS`` ulps of the population, and bit for bit under the
+    zero control, whose two midpoints agree.
+    """
+    spec = default_spec(kind, steps=steps)
+    u = random_controls(spec, seed=100 * kind + steps + 10).values
+    u = u if controls == "random" else 0.0 * u
+    traj = swept(spec, u)
+    x, a, v = ocp._stages(spec, u, traj)
+    assert x.shape == (4, 2, steps)
+    beta, mu, dt = spec.params.beta, spec.params.mu, spec.grid.dt
+    f = [np.array(treatment_education_rates(*x[j], beta, mu, v[j], a[j])[:2]) for j in range(4)]
+    step = x[0] + (dt / 6.0) * (f[0] + 2.0 * f[1] + 2.0 * f[2] + f[3])
+    nodes = traj.values[:, :2].T
+    assert x[0].tobytes() == nodes[:, :-1].tobytes()
+    assert x[1].tobytes() == (x[0] + 0.5 * dt * f[0]).tobytes()
+    if controls == "zero":
+        assert step.tobytes() == nodes[:, 1:].tobytes()
+    else:
+        population = spec.x0.s + spec.x0.i + spec.x0.r
+        assert np.max(np.abs(step - nodes[:, 1:])) <= STAGE_STEP_ULPS * np.spacing(population)
+
+
 def test_forward_blowup_names_the_same_step():
     params = ModelParams(beta=1e8, mu=0.1)
     grid = TimeGrid(0.0, 100.0, 10)
@@ -218,9 +331,8 @@ def sweep_bytes(spec, values):
 def test_a_control_of_any_dtype_is_swept_and_differentiated_as_its_float_values(kind, dtype):
     """Samples are taken of the control's float64 values; bool and int64 controls are on/off.
 
-    ``objective_gradient`` casts too: the reverse pass's scan takes native
-    float64 rows only, and its node midpoints ``0.5 * (a + b)`` would be a
-    logical or on bools.
+    ``objective_gradient`` casts too, and so does ``objective`` on its own, so
+    a float32 control is costed in float64 and an object one in float64's order.
     """
     spec = default_spec(kind, steps=100)
     u = random_controls(spec, seed=10 * kind + 5).values
@@ -228,6 +340,9 @@ def test_a_control_of_any_dtype_is_swept_and_differentiated_as_its_float_values(
         u = u > 0.5 * spec.u_max
     u = u.astype(dtype)
     assert sweep_bytes(spec, u) == sweep_bytes(spec, u.astype(float))
+    traj = swept(spec, u.astype(float))
+    costs = (objective(spec, traj, Trajectory(spec.grid, x)) for x in (u, u.astype(float)))
+    assert next(costs) == next(costs)
     (j, g), (j_float, g_float) = (objective_gradient(spec, x) for x in (u, u.astype(float)))
     assert j == j_float
     assert g.tobytes() == g_float.tobytes()

@@ -237,7 +237,7 @@ def test_adjoint_rhs_matches_hamiltonian_gradient(kind):
 
 @pytest.mark.parametrize("kind", [1, 2, 3])
 def test_costate_field_is_minus_cost_gradient_minus_vjp(kind):
-    """The costate field and ``_vjp`` are written out separately; they agree."""
+    """The costate field and ``_state_jacobian``'s block products, written apart, agree."""
     spec = default_spec(kind)
     (cs, ci, cr), _ = ocp._weights(spec)
     costate = adjoint_field(spec)
@@ -248,7 +248,8 @@ def test_costate_field_is_minus_cost_gradient_minus_vjp(kind):
         a, v = drain_rates(spec, u)
         # the columns of f_x sum to zero, so f_x^T lam is f_x^T (lam - lam_R (1, 1, 1))
         ls, li, lr = lam
-        fx_s, fx_i, _, _ = ocp._vjp(beta, mu, x[0], x[1], a, v, ls - lr, li - lr)
+        ((c_ss, c_si), (c_is, c_ii)), _ = ocp._state_jacobian(beta, mu, x[0], x[1], a, v)
+        fx_s, fx_i = c_ss * (ls - lr) + c_si * (li - lr), c_is * (ls - lr) + c_ii * (li - lr)
         expected = (-(cs + fx_s), -(ci + fx_i), -cr)  # R does not enter f
         assert costate(*lam, x[0], x[1], a, v) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
