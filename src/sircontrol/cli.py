@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import functools
 import json
+import operator
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
@@ -63,12 +64,16 @@ class ConfigError(ValueError):
 # consecutive configs on one grid share it, with its node times and stage weights
 _shared_grid = functools.lru_cache(maxsize=1)(TimeGrid)
 
+# a config string or value in its field's declared type; an int field takes only an integer
+_PARSERS = {"str": str, "float": float,
+            "int": lambda v: int(v) if isinstance(v, str) else operator.index(v)}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One scenario: model, strategy weights, grid, solver settings, outputs.
 
-    Defaults are those of :class:`StrategySpec` and :func:`solve_fbsm`.
+    Defaults are those of :class:`StrategySpec` and :func:`solve_fbsm`; fields hold their types.
     """
 
     strategy: str = "none"
@@ -95,6 +100,13 @@ class ScenarioConfig:
     out: str = "."
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                object.__setattr__(self, f.name, _PARSERS[f.type](value))
+            except (TypeError, ValueError, OverflowError):
+                kind = "an integer" if f.type == "int" else "a number"
+                raise ConfigError(f"config field {f.name} must be {kind}, got {value!r}") from None
         if self.strategy not in _STRATEGY_CHOICES:
             raise ConfigError(
                 f"config field strategy must be one of {', '.join(_STRATEGY_CHOICES)}, "
@@ -133,9 +145,6 @@ class ScenarioConfig:
 
 # -- config file parsing -----------------------------------------------------
 
-# a config value is parsed by the type of its ScenarioConfig field
-_PARSERS = {"str": str, "int": int, "float": float}
-
 
 def parse_config_text(text: str) -> dict[str, str]:
     """Flat ``key = value`` lines with # comments into a raw string mapping."""
@@ -156,17 +165,10 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def config_from_entries(entries: dict[str, str]) -> ScenarioConfig:
-    types = {f.name: f.type for f in fields(ScenarioConfig)}
-    converted: dict = {}
-    for key, value in entries.items():
-        if key not in types:
+    for key in entries:
+        if key not in ScenarioConfig.__dataclass_fields__:
             raise ConfigError(f"unknown config key {key!r}")
-        try:
-            converted[key] = _PARSERS[types[key]](value)
-        except ValueError:
-            kind = "an integer" if types[key] == "int" else "a number"
-            raise ConfigError(f"config field {key} must be {kind}, got {value!r}") from None
-    return ScenarioConfig(**converted)
+    return ScenarioConfig(**entries)
 
 
 def load_config(path: str | None, overrides: dict) -> ScenarioConfig:

@@ -27,9 +27,8 @@ keep the law's bits, and its signed zeros under in-box controls
 A drain the layout lacks, or every drain when ``controls`` is None, is a
 repeated constant rate 0.0 (``mu + 0.0`` for ``mu + v``).  A control signal
 whose channel count differs from the layout's, or that lives on another grid,
-raises ValueError (:func:`_check_signal`, which ``ocp`` shares).  The
-samples are taken of the control's float64 values, and the loop iterates
-them through memoryviews, so each float is made when its step reads it.
+raises ValueError (:func:`_check_signal`, which ``ocp`` shares).  The loop
+reads the samples through memoryviews, each float made when its step reads it.
 Nodes are collected in one flat list, packed into one new array in one
 call (:func:`_float_array`, which ``ocp._affine_scan`` shares), reshaped,
 and checked once per sweep: a non-finite node (:func:`_finite_nodes`,
@@ -55,6 +54,7 @@ same bits.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from itertools import repeat
@@ -80,11 +80,11 @@ class IntegrationError(RuntimeError):
 class TimeGrid:
     """Uniform grid of ``steps`` intervals on [t0, t_end].
 
-    Construction raises ValueError unless ``t0 < t_end`` are finite and the
-    step ``dt`` is finite and positive, and for a step count below 1, past
-    the float range or whose arrays numpy cannot allocate ("steps = N is too
-    large: ...").  It computes the node times and the stage weights of both
-    sweep directions (see :func:`stage_samples`) once, as read-only arrays.
+    Construction stores ``t0``, ``t_end`` as floats and ``steps`` as an int (TypeError if
+    not an integer), and raises ValueError unless ``t0 < t_end`` are finite and ``dt`` is
+    finite and positive, and for a step count below 1, past the float range or whose arrays
+    numpy cannot allocate ("steps = N is too large: ...").  It computes the node times and
+    the stage weights of both sweep directions (see :func:`stage_samples`) once, read-only.
     """
 
     t0: float
@@ -92,8 +92,10 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
+        if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):  # TypeError for a str
             raise ValueError(f"t_end={self.t_end} and t0={self.t0} must be finite")
+        for name, form in (("t0", float), ("t_end", float), ("steps", operator.index)):
+            object.__setattr__(self, name, form(getattr(self, name)))
         if not self.t_end > self.t0:
             raise ValueError(f"t_end={self.t_end} must exceed t0={self.t0}")
         if self.steps < 1:
@@ -135,16 +137,17 @@ class TimeGrid:
 class Trajectory:
     """Node values of a state, costate or control series on a grid.
 
-    ``values`` has one row per grid node.  The columns are (S, I, R) for a
-    state series, which ``s``, ``i`` and ``r`` name, (lam_S, lam_I, lam_R)
-    for a costate and one per channel, u1 then u2, for a control; a control
-    is checked against its problem's channel count where it is used.
+    ``values``, stored as native float64 (not copied if it is), has one row per grid node.
+    The columns are (S, I, R) for a state series, which ``s``, ``i`` and ``r`` name,
+    (lam_S, lam_I, lam_R) for a costate and one per channel, u1 then u2, for a control; a
+    control is checked against its problem's channel count where it is used.
     """
 
     grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "values", np.asarray(self.values, float))
         if self.values.ndim != 2 or self.values.shape[0] != self.grid.n_nodes:
             raise ValueError(
                 f"values shape {self.values.shape} does not match "
@@ -204,8 +207,7 @@ def _drain_samples(drains: Drains, controls, grid: TimeGrid):
     if controls is None:
         return None, None
     _check_signal(controls, grid, drains.channels)
-    # float64 in native byte order, whatever the control's dtype: memoryviews take no other
-    columns = drains.split(np.asarray(controls.values, float), None)
+    columns = drains.split(controls.values, None)
     return tuple(None if x is None else stage_samples(grid, x) for x in columns)
 
 
@@ -249,7 +251,7 @@ def integrate_forward(
     dt = grid.dt
     half = 0.5 * dt
     sixth = dt / 6.0
-    s, i, r = float(x0.s), float(x0.i), float(x0.r)
+    s, i, r = x0.s, x0.i, x0.r
     floor = -_ADMISSIBLE_TOL * (s + i + r)
     out = [s, i, r]
     for a_1, g_1, a_m, g_m, a_4, g_4 in zip(a1, g1, am, gm, a4, g4):

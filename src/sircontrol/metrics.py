@@ -93,10 +93,10 @@ def infection_period(traj: Trajectory, threshold: float = DEFAULT_PERIOD_THRESHO
         return float(times[0])
     last = int(above[-1])
     if last == i.size - 1:
-        return float(traj.grid.t_end)
+        return traj.grid.t_end
     t_star = float(times[last + 1])
     if traj.grid.t_end - t_star < DEFAULT_PERIOD_WINDOW:
-        return float(traj.grid.t_end)
+        return traj.grid.t_end
     return t_star
 
 

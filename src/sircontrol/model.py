@@ -20,6 +20,7 @@ sum of the derivative is exactly 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,7 +43,7 @@ _ADMISSIBLE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EpidemicState:
-    """Compartments (S, I, R) at one instant, such as an initial state; checked at construction:
+    """Compartments (S, I, R) at one instant, stored as floats; checked at construction:
     ValueError unless each is finite, they sum to a finite positive population N, and each
     is at least ``-_ADMISSIBLE_TOL * N`` (rounding noise), the forward sweep's floor.
     """
@@ -53,8 +54,9 @@ class EpidemicState:
 
     def __post_init__(self):
         for name, v in zip("sir", (self.s, self.i, self.r)):
-            if not np.isfinite(v):
+            if not math.isfinite(v):  # TypeError for a str, which float() would parse
                 raise ValueError(f"compartment {name}={v} must be finite")
+            object.__setattr__(self, name, float(v))
         n = self.s + self.i + self.r  # the population
         if not 0.0 < n < np.inf:
             raise ValueError(f"compartments sum to {n}, not a finite positive population")
@@ -66,7 +68,7 @@ class EpidemicState:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Transmission and recovery rates (per day), checked finite and positive."""
+    """Transmission and recovery rates (per day), checked finite and positive, stored as floats."""
 
     beta: float
     mu: float
@@ -74,8 +76,9 @@ class ModelParams:
     def __post_init__(self):
         for name in ("beta", "mu"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
+            if not (math.isfinite(v) and float(v) > 0):  # TypeError for a str
                 raise ValueError(f"{name} must be positive, got {v}")
+            object.__setattr__(self, name, float(v))
 
 
 class Drains(NamedTuple):

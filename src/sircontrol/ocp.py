@@ -108,8 +108,8 @@ class Strategy(IntEnum):
 class StrategySpec:
     """Full definition of one control problem instance.
 
-    Weight fields not used by ``kind`` are carried with their defaults and
-    ignored.  Defaults reproduce the reference scenario of the toolkit.
+    Weight fields not used by ``kind`` are carried with their defaults and ignored, and
+    ``u_max`` and the weights are floats.  Defaults reproduce the toolkit's reference scenario.
     """
 
     kind: Strategy
@@ -135,16 +135,17 @@ class StrategySpec:
 
 
 def _check_weights(problem, dt: float) -> None:
-    """:class:`ValueError` unless ``u_max`` and the weights of ``problem`` (a spec or config)
-    are finite and positive, and each weight's reciprocal (the control laws divide by it)
-    and product with the step ``dt`` (the cost and its gradient weigh nodes by it) are finite.
+    """Store ``u_max`` and the weights of ``problem`` (a spec or config) as floats; ValueError
+    unless they are finite and positive and each weight's reciprocal (the control laws divide
+    by it) and product with ``dt`` (the cost and its gradient weigh nodes by it) are finite.
     """
     for name in ("u_max",) + _WEIGHT_FIELDS:
         v = getattr(problem, name)
-        if not (math.isfinite(v) and v > 0):
+        if not (math.isfinite(v) and float(v) > 0):
             raise ValueError(f"{name} must be positive, got {v}")
+        object.__setattr__(problem, name, float(v))
     for name in _WEIGHT_FIELDS:
-        v = float(getattr(problem, name))
+        v = getattr(problem, name)
         if not math.isfinite(1.0 / v):
             raise ValueError(f"{name} is too small: its reciprocal overflows, got {v}")
         if not math.isfinite(dt * v):
@@ -219,14 +220,14 @@ def running_cost(spec: StrategySpec, s, i, r, u1, u2):
 
 
 def objective(spec: StrategySpec, traj: Trajectory, controls: Trajectory) -> float:
-    """Composite-trapezoid quadrature of the running cost, on the controls' float64 values.
+    """Composite-trapezoid quadrature of the running cost.
 
     +inf if the sum overflows, in either direction, or is NaN.
     """
     if traj.grid != spec.grid:
         raise ValueError("trajectory is not on the problem grid")
     _check_signal(controls, spec.grid, spec.channels)
-    u, dt = np.asarray(controls.values, float), spec.grid.dt
+    u, dt = controls.values, spec.grid.dt
     with np.errstate(over="ignore", invalid="ignore"):
         c = running_cost(
             spec, traj.s, traj.i, traj.r, u[:, 0], u[:, 1] if u.shape[1] == 2 else 0.0
@@ -548,12 +549,10 @@ def objective_gradient(spec: StrategySpec, u_values: np.ndarray):
 
     ``(objective, gradient)``: :func:`objective` and :func:`_reverse_gradient` on the forward
     sweep; :class:`IntegrationError` if the sweep blows up or the gradient is not finite.
-    All three see the float64 values of ``u_values``, as the forward sweep samples them.
     """
-    u_values = np.asarray(u_values, float)
     signal = Trajectory(spec.grid, u_values)
     traj = integrate_forward(spec.params, _DRAINS[spec.kind], spec.x0, spec.grid, signal)
-    return objective(spec, traj, signal), _reverse_gradient(spec, u_values, traj)
+    return objective(spec, traj, signal), _reverse_gradient(spec, signal.values, traj)
 
 
 def _stages(spec: StrategySpec, u_values: np.ndarray, traj: Trajectory):

@@ -101,6 +101,47 @@ def test_config_rejects_bad_numbers():
         config_from_entries({"strategy": "3", "b1": "1e-310"})
 
 
+NUMPY_VALUES = {
+    "beta": np.float32(0.25), "s0": np.float64(0.9), "i0": np.float32(0.1), "r0": np.int64(0),
+    "t_end": np.int64(50), "steps": np.int64(100), "nu": np.float32(0.5), "tol": np.float32(1e-3),
+    "max_iterations": np.int64(50), "threshold": np.float64(0.005),
+}
+
+
+def test_config_fields_hold_their_declared_types():
+    """Numpy scalars and config strings alike are stored as the field's Python type."""
+    for cfg in (ScenarioConfig(strategy="1", **NUMPY_VALUES), ScenarioConfig(steps="100", nu="2")):
+        for f in fields(ScenarioConfig):
+            assert type(getattr(cfg, f.name)).__name__ == f.type, f.name
+    cfg = ScenarioConfig(strategy="1", **NUMPY_VALUES)
+    assert (cfg.beta, cfg.steps, cfg.nu) == (float(np.float32(0.25)), 100, float(np.float32(0.5)))
+
+
+def test_compare_writes_the_json_of_numpy_valued_configs(tmp_path):
+    cfg = ScenarioConfig(strategy="1", **NUMPY_VALUES, out=str(tmp_path))
+    assert cmd_compare([cfg]) == EXIT_OK
+    payload = json.loads((tmp_path / "strategy1.json").read_text())
+    assert payload["config"] == asdict(cfg)
+    assert payload["config"]["steps"] == 100
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("steps", 100.5, "steps must be an integer, got 100.5"),
+        ("steps", "1e3", "steps must be an integer, got '1e3'"),
+        ("max_iterations", np.float64(5.0), "max_iterations must be an integer"),
+        ("beta", "fast", "beta must be a number, got 'fast'"),
+        ("mu", None, "mu must be a number, got None"),
+        ("t_end", 10**400, "t_end must be a number"),
+    ],
+    ids=["steps-100.5", "steps-1e3", "max_iterations-5.0", "beta-str", "mu-None", "t_end-10**400"],
+)
+def test_a_field_value_that_does_not_convert_is_a_config_error_naming_it(field, value, message):
+    with pytest.raises(ConfigError, match=f"^config field {message}"):
+        ScenarioConfig(**{field: value})
+
+
 # one bad value per key, and a call of the one owner of its rule on that value
 OWNED_RULES = [
     pytest.param("beta", "-1", lambda: ModelParams(-1.0, 0.1), id="beta"),

@@ -12,8 +12,8 @@ Jacobian-transpose products in a different order, so it must agree to
 ``vjp`` build bit for bit, and its stage table must step to the forward
 sweep's next node.  The loops take their inputs through memoryviews and
 pack their outputs in one call: any control dtype, byte order, strides or
-write flag must give the sweep of its float64 values, and the packing must
-keep every bit.
+write flag must give the sweep, costate and direct start of its float64
+values, and the packing must keep every bit.
 """
 
 import json
@@ -331,8 +331,9 @@ def sweep_bytes(spec, values):
 def test_a_control_of_any_dtype_is_swept_and_differentiated_as_its_float_values(kind, dtype):
     """Samples are taken of the control's float64 values; bool and int64 controls are on/off.
 
-    ``objective_gradient`` casts too, and so does ``objective`` on its own, so
-    a float32 control is costed in float64 and an object one in float64's order.
+    A ``Trajectory`` holds its values as float64, so the objective, the
+    gradient and the costate scan read a float32 control as its float64
+    values too, and an object one in float64's order.
     """
     spec = default_spec(kind, steps=100)
     u = random_controls(spec, seed=10 * kind + 5).values
@@ -346,6 +347,22 @@ def test_a_control_of_any_dtype_is_swept_and_differentiated_as_its_float_values(
     (j, g), (j_float, g_float) = (objective_gradient(spec, x) for x in (u, u.astype(float)))
     assert j == j_float
     assert g.tobytes() == g_float.tobytes()
+    scans = (ocp._costate_scan(spec, traj, Trajectory(spec.grid, x)) for x in (u, u.astype(float)))
+    assert next(scans).values.tobytes() == next(scans).values.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_float32_start_above_the_bound_is_projected_onto_the_float64_bound(kind):
+    """The start's clip onto [0, u_max] runs in float64, not at float32's 0.9."""
+    spec = default_spec(kind, steps=100)
+    start = np.ones((spec.grid.n_nodes, spec.channels), dtype=np.float32)
+    a, b = (
+        ocp.solve_direct(spec, start=Trajectory(spec.grid, u), max_iterations=5)
+        for u in (start, start.astype(float))
+    )
+    assert a.objective_history[0] == b.objective_history[0]
+    assert a.objective == b.objective
+    assert a.control.values.tobytes() == b.control.values.tobytes()
 
 
 @pytest.mark.parametrize("layout", ["read-only", "strided"])
