@@ -9,6 +9,8 @@ Library layout:
 * :mod:`sircontrol.cli` -- the ``sircontrol`` command-line tool
 """
 
+__version__ = "0.1.0"
+
 from .integrate import IntegrationError, TimeGrid, Trajectory, integrate_forward
 from .metrics import (
     RunSummary,

@@ -23,10 +23,12 @@ import contextlib
 import functools
 import json
 import operator
+import os
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
+from . import __version__
 from .integrate import IntegrationError, TimeGrid, Trajectory, integrate_forward
 from .metrics import DEFAULT_PERIOD_THRESHOLD, RunSummary, _check_threshold, summarize_run
 from .model import Drains, EpidemicState, ModelParams
@@ -64,9 +66,16 @@ class ConfigError(ValueError):
 # consecutive configs on one grid share it, with its node times and stage weights
 _shared_grid = functools.lru_cache(maxsize=1)(TimeGrid)
 
-# a config string or value in its field's declared type; an int field takes only an integer
-_PARSERS = {"str": str, "float": float,
-            "int": lambda v: int(v) if isinstance(v, str) else operator.index(v)}
+
+def _string(value) -> str:
+    if isinstance(text := os.fspath(value), str):  # a str, or an os.PathLike's str path
+        return str(text)
+    raise TypeError(f"not a string: {text!r}")
+
+
+# a config string or value in its field's declared type, and what the field takes
+_PARSERS = {"str": (_string, "a string"), "float": (float, "a number"),
+            "int": (lambda v: int(v) if isinstance(v, str) else operator.index(v), "an integer")}
 
 
 @dataclass(frozen=True)
@@ -102,10 +111,10 @@ class ScenarioConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            parse, kind = _PARSERS[f.type]
             try:
-                object.__setattr__(self, f.name, _PARSERS[f.type](value))
+                object.__setattr__(self, f.name, parse(value))
             except (TypeError, ValueError, OverflowError):
-                kind = "an integer" if f.type == "int" else "a number"
                 raise ConfigError(f"config field {f.name} must be {kind}, got {value!r}") from None
         if self.strategy not in _STRATEGY_CHOICES:
             raise ConfigError(
@@ -201,19 +210,20 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.9g}"
 
 
-def _column(values) -> list[str]:
-    """A node array as CSV fields; ``"%.9g" % v`` is the formatting ``_fmt`` does."""
-    return ["%.9g" % v for v in values.tolist()]
+def _column(values) -> str:
+    """A node array as CSV fields, one a line; ``"%.9g" % v`` is the formatting ``_fmt`` does."""
+    return "\n".join(["%.9g"] * len(values)) % tuple(values.tolist())
 
 
-def _write_columns(path: Path, header: str, columns: list[list[str]]) -> None:
-    path.write_text("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
+def _write_columns(path: Path, header: str, columns: list[str]) -> None:
+    rows = zip(*(column.split("\n") for column in columns))
+    path.write_text("\n".join([header, *map(",".join, rows)]) + "\n")
 
 
 @functools.lru_cache(maxsize=1)
-def _time_column(grid: TimeGrid) -> tuple[str, ...]:
-    """The grid's node times as CSV fields, formatted once for consecutive runs on it."""
-    return tuple(_column(grid.times()))
+def _time_column(grid: TimeGrid) -> str:
+    """The grid's node times as a CSV column, formatted once for consecutive runs on it."""
+    return _column(grid.times())
 
 
 def write_timeseries_csv(
@@ -221,9 +231,9 @@ def write_timeseries_csv(
     traj: Trajectory,
     control: Trajectory | None = None,
     adjoints: Trajectory | None = None,
-) -> list[list[str]]:
-    """Write one run's CSV; return its S, I, R columns, each as its list of fields."""
-    absent = [""] * traj.grid.n_nodes
+) -> list[str]:
+    """Write one run's CSV; return its S, I, R columns, each as one string of fields."""
+    absent = "\n" * traj.grid.steps
     states = [_column(x) for x in traj.values.T]
     controls = [] if control is None else [_column(u) for u in control.values.T]
     columns = [
@@ -237,20 +247,8 @@ def write_timeseries_csv(
     return states
 
 
-@functools.cache
-def _version() -> str:
-    """The installed package version, looked up once per process."""
-    # deferred: only the JSON summaries need it, and it slows `import sircontrol.cli`
-    from importlib import metadata
-
-    try:
-        return metadata.version("sircontrol")
-    except metadata.PackageNotFoundError:
-        return "unknown"
-
-
 def _meta() -> dict:
-    return {"tool": "sircontrol", "version": _version()}
+    return {"tool": "sircontrol", "version": __version__}
 
 
 def write_summary_json(
@@ -281,10 +279,10 @@ def write_comparison(out_dir: Path, labels: list[str], summaries: list[RunSummar
     (out_dir / "comparison.json").write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def write_plot_bundles(out_dir: Path, runs: list[tuple[str, Trajectory, list[list[str]]]]) -> bool:
+def write_plot_bundles(out_dir: Path, runs: list[tuple[str, Trajectory, list[str]]]) -> bool:
     """Side-by-side S/I/R series (fig_S_compare.csv etc.); one column per run.
 
-    Each run is its label, trajectory and S, I, R field lists as
+    Each run is its label, trajectory and S, I, R columns as
     :func:`write_timeseries_csv` returns them, which are written as they are.
     Requires all runs on a common grid; returns False (and writes nothing) otherwise.
     """
@@ -319,10 +317,10 @@ def _print_summary(label: str, summary: RunSummary, sol: OcpSolution | None = No
 
 def _run_scenario(
     cfg: ScenarioConfig, cross_check: bool
-) -> tuple[int, Trajectory, RunSummary, list[list[str]]]:
+) -> tuple[int, Trajectory, RunSummary, list[str]]:
     """Run one scenario, write its CSV and JSON summary, and print its summary line.
 
-    Returns the exit code, trajectory, summary and CSV field lists S, I, R.
+    Returns the exit code, trajectory, summary and CSV columns S, I, R.
     Strategy none is the uncontrolled run, which raises :class:`IntegrationError`
     if the sweep blows up; strategies 1-3 are solved by the sweep
     and, with ``cross_check``, also by direct transcription.
@@ -390,7 +388,7 @@ def cmd_compare(
         for cfg in cfgs:
             Path(cfg.out).mkdir(parents=True, exist_ok=True)
 
-    runs: list[tuple[str, Trajectory, list[list[str]]]] = []
+    runs: list[tuple[str, Trajectory, list[str]]] = []
     summaries: list[RunSummary] = []
     for k, cfg in enumerate(cfgs):
         try:

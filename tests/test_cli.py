@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sircontrol
 from sircontrol import cli, metrics, ocp
 from sircontrol.cli import (
     CSV_HEADER,
@@ -32,9 +33,9 @@ from sircontrol.cli import (
     write_plot_bundles,
     write_timeseries_csv,
 )
-from sircontrol.integrate import IntegrationError, TimeGrid, Trajectory
+from sircontrol.integrate import IntegrationError, TimeGrid, Trajectory, integrate_forward
 from sircontrol.metrics import RunSummary
-from sircontrol.model import EpidemicState, ModelParams
+from sircontrol.model import Drains, EpidemicState, ModelParams
 from sircontrol.ocp import Strategy, StrategySpec, default_spec
 
 
@@ -134,12 +135,22 @@ def test_compare_writes_the_json_of_numpy_valued_configs(tmp_path):
         ("beta", "fast", "beta must be a number, got 'fast'"),
         ("mu", None, "mu must be a number, got None"),
         ("t_end", 10**400, "t_end must be a number"),
+        ("out", None, "out must be a string, got None"),
+        ("strategy", 1, "strategy must be a string, got 1"),
     ],
-    ids=["steps-100.5", "steps-1e3", "max_iterations-5.0", "beta-str", "mu-None", "t_end-10**400"],
+    ids=[
+        "steps-100.5", "steps-1e3", "max_iterations-5.0", "beta-str", "mu-None", "t_end-10**400",
+        "out-None", "strategy-1",
+    ],
 )
 def test_a_field_value_that_does_not_convert_is_a_config_error_naming_it(field, value, message):
     with pytest.raises(ConfigError, match=f"^config field {message}"):
         ScenarioConfig(**{field: value})
+
+
+def test_a_path_is_an_out_directory_held_as_its_string(tmp_path):
+    cfg = ScenarioConfig(out=tmp_path)
+    assert type(cfg.out) is str and cfg.out == str(tmp_path)
 
 
 # one bad value per key, and a call of the one owner of its rule on that value
@@ -842,6 +853,28 @@ def test_plot_bundle_bytes_equal_per_value_formatting(tmp_path):
         assert text == per_value_csv("t,a,b", rows)
 
 
+COLUMN_VALUES = [-0.0, 5e-324, 1e-300, 1e300, 0.1234567895, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("nodes", [2, 1001])
+@pytest.mark.parametrize("value", COLUMN_VALUES)
+def test_a_column_is_its_values_formatted_one_at_a_time(value, nodes):
+    values = np.linspace(-1.0, 1.0, nodes)
+    values[nodes // 2] = value
+    assert cli._column(values) == "\n".join("%.9g" % v for v in values.tolist())
+
+
+def test_the_scenario_csv_writer_returns_its_s_i_r_columns_as_strings(tmp_path):
+    """Each column the plot bundles keep is one string: 1001 fields in well under 64 KB."""
+    cfg = ScenarioConfig(steps=1000)
+    traj = integrate_forward(cfg._params, Drains(), cfg._x0, cfg.grid())
+    states = write_timeseries_csv(tmp_path / "x.csv", traj)
+    assert [type(column) for column in states] == [str, str, str]
+    assert sum(map(sys.getsizeof, states)) < 64 * 1024
+    rows = read_csv(tmp_path / "x.csv")[1:]
+    assert [column.split("\n") for column in states] == [list(c) for c in zip(*rows)][1:4]
+
+
 def test_compare_formats_each_column_once(tmp_path, monkeypatch):
     """One time column per grid; the bundles reuse the scenario CSVs' S, I and R columns."""
     formatted = []
@@ -870,19 +903,30 @@ def test_configs_on_one_grid_share_it():
     assert ScenarioConfig(steps=50).grid() == TimeGrid(0.0, grid.t_end, 50)
 
 
-def test_import_defers_package_metadata():
-    """``import sircontrol.cli`` leaves importlib.metadata unloaded; the meta block is unchanged."""
+def test_neither_import_nor_compare_loads_package_metadata(tmp_path):
+    """``import sircontrol.cli`` and a compare run leave importlib.metadata unloaded."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
-    probe = "import sys, sircontrol.cli; print('importlib.metadata' in sys.modules)"
+    probe = (
+        "import sys, sircontrol.cli\n"
+        "print('importlib.metadata' in sys.modules)\n"
+        f"code = sircontrol.cli.main(['compare', '--steps', '50', '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'importlib.metadata' in sys.modules)\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", f"{EXIT_OK} False")
+    assert len(list(tmp_path.glob("*.json"))) == 5
+    for path in tmp_path.glob("*.json"):
+        assert json.loads(path.read_text())["meta"] == cli._meta(), path.name
 
-    from importlib import metadata
 
-    try:
-        version = metadata.version("sircontrol")
-    except metadata.PackageNotFoundError:
-        version = "unknown"
-    assert cli._meta() == {"tool": "sircontrol", "version": version}
+def test_the_meta_version_is_the_package_version():
+    assert cli._meta() == {"tool": "sircontrol", "version": sircontrol.__version__}
+
+
+def test_the_package_version_is_the_pyproject_version():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert sircontrol.__version__ == tomllib.load(fh)["project"]["version"]
